@@ -42,55 +42,26 @@ echo "==> planner differential suite (fixed seed, cost-based vs heuristic)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test -q -p docql-store \
     --test planner_diff
 
-echo "==> no panicking unwrap/expect on crates/model library paths"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/model/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/model must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/durable library paths"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/durable/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/durable must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/algebra library paths (planner)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/algebra/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/algebra must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/obs library paths (tracing must never fail a query)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/obs/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/obs must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/serve library paths (a hostile request must never kill the server)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/serve/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/serve must stay panic-free" >&2
-    exit 1
-fi
+# Library paths that must stay panic-free, each with the reason it matters.
+panic_free=(
+    "model:crates/model must stay panic-free"
+    "durable:crates/durable must stay panic-free"
+    "algebra:crates/algebra (planner) must stay panic-free"
+    "obs:crates/obs must stay panic-free (tracing must never fail a query)"
+    "serve:crates/serve must stay panic-free (a hostile request must never kill the server)"
+)
+for entry in "${panic_free[@]}"; do
+    crate=${entry%%:*}
+    echo "==> no panicking unwrap/expect on crates/$crate library paths"
+    if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
+           !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
+           END { exit bad }' "crates/$crate"/src/*.rs; then
+        echo "    clean"
+    else
+        echo "    panic sites above — ${entry#*:}" >&2
+        exit 1
+    fi
+done
 
 echo "==> bench smoke (1 ms window per benchmark target)"
 DOCQL_BENCH_MS=1 cargo bench --workspace -q >/dev/null

@@ -48,7 +48,8 @@ fn bench_guard_overhead(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     store
-                        .query_algebraic_with_limits(black_box(q), &ample)
+                        .query_traced(black_box(q), Mode::Algebraic, &ample)
+                        .0
                         .unwrap()
                         .len(),
                 )

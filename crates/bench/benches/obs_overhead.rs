@@ -14,6 +14,7 @@ use std::hint::black_box;
 fn bench_obs_overhead(c: &mut Criterion) {
     let mut store = article_store(10, 5);
     store.bind("my_article", store.documents()[0]).unwrap();
+    let none = docql::guard::QueryLimits::none();
 
     let queries: &[(&str, &str)] = &[
         (
@@ -42,7 +43,16 @@ fn bench_obs_overhead(c: &mut Criterion) {
             b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
         });
         group.bench_function(BenchmarkId::new(name, "profiled"), |b| {
-            b.iter(|| black_box(store.profile(black_box(q)).unwrap().result.rows.len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .profile(black_box(q), &none)
+                        .unwrap()
+                        .result
+                        .rows
+                        .len(),
+                )
+            })
         });
         store.set_metrics_enabled(false);
     }

@@ -8,6 +8,7 @@
 //! is widest on the PATH_/ATT_ queries, whose §5.4 algebraization dwarfs
 //! evaluation.
 
+use docql::o2sql::Mode;
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{article_store, letter_store};
 use docql_bench::{criterion_group, criterion_main};
@@ -54,12 +55,14 @@ fn bench_suite(c: &mut Criterion) {
              where val contains (\"draft\")",
         ),
     ];
+    let mut algebraic = store.engine();
+    algebraic.mode = Mode::Algebraic;
     for (name, q) in article_queries {
         group.bench_function(BenchmarkId::new(name, "interp"), |b| {
-            b.iter(|| black_box(store.query_uncached(black_box(q)).unwrap().len()))
+            b.iter(|| black_box(store.engine().run(black_box(q)).unwrap().len()))
         });
         group.bench_function(BenchmarkId::new(name, "uncached"), |b| {
-            b.iter(|| black_box(store.query_algebraic_uncached(black_box(q)).unwrap().len()))
+            b.iter(|| black_box(algebraic.run(black_box(q)).unwrap().len()))
         });
         group.bench_function(BenchmarkId::new(name, "cached"), |b| {
             b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
@@ -70,17 +73,12 @@ fn bench_suite(c: &mut Criterion) {
               j in positions(letter.preamble, \"to\") \
               where i < j";
     group.bench_function(BenchmarkId::new("Q6", "interp"), |b| {
-        b.iter(|| black_box(letters.query_uncached(black_box(q6)).unwrap().len()))
+        b.iter(|| black_box(letters.engine().run(black_box(q6)).unwrap().len()))
     });
+    let mut algebraic = letters.engine();
+    algebraic.mode = Mode::Algebraic;
     group.bench_function(BenchmarkId::new("Q6", "uncached"), |b| {
-        b.iter(|| {
-            black_box(
-                letters
-                    .query_algebraic_uncached(black_box(q6))
-                    .unwrap()
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(algebraic.run(black_box(q6)).unwrap().len()))
     });
     group.bench_function(BenchmarkId::new("Q6", "cached"), |b| {
         b.iter(|| black_box(letters.query_algebraic(black_box(q6)).unwrap().len()))

@@ -37,7 +37,7 @@ fn main() {
     for (name, q) in queries {
         for _ in 0..3 {
             store.query_algebraic(q).unwrap();
-            store.query_algebraic_with_limits(q, &ample).unwrap();
+            store.query_traced(q, Mode::Algebraic, &ample).0.unwrap();
         }
         let (mut best_u, mut best_g) = (Duration::MAX, Duration::MAX);
         let iters = if name == "Q5" { 200 } else { 2000 };
@@ -46,7 +46,13 @@ fn main() {
             std::hint::black_box(store.query_algebraic(q).unwrap().len());
             best_u = best_u.min(t.elapsed());
             let t = Instant::now();
-            std::hint::black_box(store.query_algebraic_with_limits(q, &ample).unwrap().len());
+            std::hint::black_box(
+                store
+                    .query_traced(q, Mode::Algebraic, &ample)
+                    .0
+                    .unwrap()
+                    .len(),
+            );
             best_g = best_g.min(t.elapsed());
         }
         let pct = (best_g.as_secs_f64() / best_u.as_secs_f64() - 1.0) * 100.0;

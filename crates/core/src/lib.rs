@@ -8,17 +8,32 @@
 //! ## Quickstart
 //!
 //! ```
-//! use docql::Database;
+//! use docql::prelude::*;
 //!
 //! // The paper's Fig. 1 DTD.
-//! let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+//! let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
 //! // Ingest the paper's Fig. 2 document and name it (§4.3).
 //! let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
 //! db.bind("my_article", root).unwrap();
 //! // Q3: all titles, wherever they are in the structure.
-//! let titles = db.query("select t from my_article PATH_p.title(t)").unwrap();
+//! let q3 = "select t from my_article PATH_p.title(t)";
+//! let titles = db.query(q3).unwrap();
 //! assert!(!titles.is_empty());
+//! // The §5.4 algebra answers the same set.
+//! let mut alg = db.query_algebraic(q3).unwrap().rows;
+//! let mut interp = titles.rows;
+//! alg.sort();
+//! interp.sort();
+//! assert_eq!(alg, interp);
 //! ```
+//!
+//! Every other query shape goes through [`store::DocStore::query_traced`]:
+//! an execution [`Mode`](o2sql::Mode), per-call
+//! [`QueryLimits`](guard::QueryLimits) (deadline, row budget, path fuel,
+//! cancellation) merged over the store's defaults, and the flight-recorder
+//! trace back. Share a store across threads with
+//! [`SharedStore::new`](store::SharedStore::new); make its commits durable
+//! with [`PersistentStore`](store::PersistentStore).
 //!
 //! ## Crate map
 //!
@@ -62,195 +77,4 @@ pub mod prelude {
     pub use docql_sgml::{Document, Dtd};
     pub use docql_store::{DocStore, PersistentStore, SharedStore};
     pub use docql_text::ContainsExpr;
-
-    pub use crate::Database;
-}
-
-use docql_model::Oid;
-use docql_o2sql::QueryResult;
-use docql_store::{DocStore, StoreError};
-
-/// The high-level entry point: a document database over one DTD.
-///
-/// Thin, stable wrapper over [`store::DocStore`] — the full API (algebraic
-/// mode, text-index search, export, instance access) is reachable through
-/// [`Database::store`] / [`Database::store_mut`].
-pub struct Database {
-    inner: DocStore,
-}
-
-impl Database {
-    /// Create a database from DTD text. `named_roots` declares extra roots
-    /// of persistence of the document class (e.g. `"my_article"`).
-    pub fn new(dtd_text: &str, named_roots: &[&str]) -> Result<Database, StoreError> {
-        Ok(Database {
-            inner: DocStore::new(dtd_text, named_roots)?,
-        })
-    }
-
-    /// Parse, validate and load one SGML document; returns its root object.
-    pub fn ingest(&mut self, sgml_text: &str) -> Result<Oid, StoreError> {
-        self.inner.ingest(sgml_text)
-    }
-
-    /// Batch-ingest documents, parallelising parse/validation and index
-    /// construction across threads (see [`store::DocStore::ingest_batch`]).
-    pub fn ingest_batch(&mut self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        self.inner.ingest_batch(docs)
-    }
-
-    /// Convert into a clonable multi-thread serving handle
-    /// (see [`store::SharedStore`]).
-    pub fn into_shared(self) -> docql_store::SharedStore {
-        docql_store::SharedStore::new(self.inner)
-    }
-
-    /// Bind a named root of persistence to a document object.
-    pub fn bind(&mut self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        self.inner.bind(name, oid)
-    }
-
-    /// Run an extended-O₂SQL query.
-    pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.inner.query(src)
-    }
-
-    /// Run a query through the §5.4 algebraizer instead of the interpreter.
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.inner.query_algebraic(src)
-    }
-
-    /// Run a query under per-call resource limits — wall-clock deadline,
-    /// row budget, path fuel, cancellation (see
-    /// [`store::DocStore::query_with_limits`]).
-    ///
-    /// ```
-    /// use docql::prelude::*;
-    /// use std::time::Duration;
-    ///
-    /// let mut db = docql::Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
-    /// let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
-    /// db.bind("my_article", root).unwrap();
-    /// let limits = QueryLimits::none()
-    ///     .with_deadline(Duration::from_secs(5))
-    ///     .with_row_budget(100_000);
-    /// let r = db
-    ///     .query_with_limits("select t from my_article PATH_p.title(t)", &limits)
-    ///     .unwrap();
-    /// assert!(!r.is_partial());
-    /// ```
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.inner.query_with_limits(src, limits)
-    }
-
-    /// Set the default limits applied to every query on this database
-    /// (per-call limits override field-wise).
-    pub fn set_default_limits(&mut self, limits: docql_guard::QueryLimits) {
-        self.inner.set_default_limits(limits);
-    }
-
-    /// The rendered `EXPLAIN ANALYZE` report for one query: lifecycle
-    /// phase timings plus the algebra plan annotated with per-operator
-    /// calls, row counts and wall time (see
-    /// [`store::DocStore::explain_analyze`]).
-    pub fn explain_analyze(&self, src: &str) -> Result<String, StoreError> {
-        self.inner.explain_analyze(src)
-    }
-
-    /// Profile one query, keeping the structured result (see
-    /// [`store::DocStore::profile`]).
-    pub fn profile(&self, src: &str) -> Result<docql_o2sql::QueryProfile, StoreError> {
-        self.inner.profile(src)
-    }
-
-    /// Turn metric recording on or off (off by default; see
-    /// [`store::DocStore::set_metrics_enabled`]).
-    pub fn set_metrics_enabled(&self, on: bool) {
-        self.inner.set_metrics_enabled(on);
-    }
-
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> docql_obs::MetricsSnapshot {
-        self.inner.metrics_snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.inner.metrics_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.inner.metrics_json()
-    }
-
-    /// Turn query tracing on or off (off by default; see
-    /// [`store::DocStore::set_tracing_enabled`]). While on, every query
-    /// leaves a structured trace in the flight recorder.
-    pub fn set_tracing_enabled(&self, on: bool) {
-        self.inner.set_tracing_enabled(on);
-    }
-
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.tracing_enabled()
-    }
-
-    /// The query flight recorder (trace rings, sink, cutoffs).
-    pub fn flight_recorder(&self) -> &std::sync::Arc<docql_obs::FlightRecorder> {
-        self.inner.flight_recorder()
-    }
-
-    /// The most recent completed query traces, oldest first.
-    pub fn recent_queries(&self) -> Vec<std::sync::Arc<docql_obs::QueryTrace>> {
-        self.inner.recent_queries()
-    }
-
-    /// Retained slow (and errored) query traces, oldest first.
-    pub fn slow_queries(&self) -> Vec<std::sync::Arc<docql_obs::QueryTrace>> {
-        self.inner.slow_queries()
-    }
-
-    /// Both trace rings as one JSON object
-    /// (`{"recent":[...],"slow":[...]}`).
-    pub fn traces_json(&self) -> String {
-        self.inner.traces_json()
-    }
-
-    /// The underlying store (full API).
-    pub fn store(&self) -> &DocStore {
-        &self.inner
-    }
-
-    /// The underlying store, mutably.
-    pub fn store_mut(&mut self) -> &mut DocStore {
-        &mut self.inner
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn doc_example_compiles_and_runs() {
-        let mut db = Database::new(fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
-        let root = db.ingest(fixtures::FIG2_DOCUMENT).unwrap();
-        db.bind("my_article", root).unwrap();
-        let titles = db
-            .query("select t from my_article PATH_p.title(t)")
-            .unwrap();
-        assert!(!titles.is_empty());
-        let alg = db
-            .query_algebraic("select t from my_article PATH_p.title(t)")
-            .unwrap();
-        use std::collections::BTreeSet;
-        let a: BTreeSet<_> = titles.rows.into_iter().collect();
-        let b: BTreeSet<_> = alg.rows.into_iter().collect();
-        assert_eq!(a, b);
-    }
 }

@@ -20,7 +20,7 @@
 //!   of the Fig. 1 content model, so the hot path is also the deep one:
 //!   each wasted document costs a whole subtree walk, not one step.
 
-use crate::rng::SeededRng;
+use crate::SeededRng;
 use docql_sgml::{Document, Element, Node};
 
 /// The selective term: planted in one in `rare_period` documents, once.

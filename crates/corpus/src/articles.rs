@@ -1,6 +1,6 @@
 //! Synthetic articles valid against the paper's Fig. 1 DTD.
 
-use crate::rng::SeededRng;
+use crate::SeededRng;
 use docql_sgml::{Document, Element, Node};
 
 /// Vocabulary for generated prose (database-paper flavoured, so textual

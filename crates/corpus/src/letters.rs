@@ -1,6 +1,6 @@
 //! Synthetic letters for the §4.4/Q6 ordered-tuple experiments.
 
-use crate::rng::SeededRng;
+use crate::SeededRng;
 use docql_sgml::{Document, Element, Node};
 
 const PEOPLE: &[&str] = &[

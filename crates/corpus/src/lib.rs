@@ -20,14 +20,13 @@ pub mod articles;
 pub mod knuth;
 pub mod letters;
 pub mod mutate;
-pub mod rng;
 
 pub use adversarial::{
     adversarial_corpus, adversarial_sgml, generate_adversarial, AdversarialParams, COMMON_TERMS,
     RARE_TERM,
 };
 pub use articles::{generate_article, ArticleParams};
+pub use docql_guard::SeededRng;
 pub use knuth::{knuth_instance, knuth_schema, KnuthParams};
 pub use letters::{generate_letter, LetterParams};
 pub use mutate::{mutate, Mutation};
-pub use rng::SeededRng;

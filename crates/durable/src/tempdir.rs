@@ -4,6 +4,7 @@
 //! automatic. Uniqueness comes from SplitMix64 over (pid, wall clock,
 //! process-wide counter); the directory is removed on drop, best-effort.
 
+use docql_guard::SeededRng;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::{env, fs, io};
@@ -24,13 +25,15 @@ impl TempDir {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
             .unwrap_or(0);
-        let mut state = u64::from(std::process::id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ nanos
-            ^ COUNTER
-                .fetch_add(1, Ordering::Relaxed)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let mut rng = SeededRng::seed_from_u64(
+            u64::from(std::process::id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ nanos
+                ^ COUNTER
+                    .fetch_add(1, Ordering::Relaxed)
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        );
         for _ in 0..64 {
-            let tag = splitmix64(&mut state);
+            let tag = rng.next_u64();
             let path = env::temp_dir().join(format!("{prefix}-{tag:016x}"));
             match fs::create_dir(&path) {
                 Ok(()) => return Ok(TempDir { path }),
@@ -59,16 +62,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.path);
     }
-}
-
-/// SplitMix64 — same constants and stream as `docql-corpus`/`docql-prop`/
-/// `docql-guard`, vendored so this crate stays dependency-light.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -21,6 +21,10 @@
 //! The crate is dependency-free (std only) so the leaf crates — `paths`,
 //! `text`, `calculus` — can depend on it without cycles.
 
+pub mod rng;
+
+pub use rng::SeededRng;
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -470,17 +474,6 @@ impl Guard {
     }
 }
 
-/// SplitMix64 — mirrored from `docql-prop` (which mirrors `docql-corpus`) so
-/// this crate stays dependency-free. Same constants, same stream.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 enum Fault {
     None,
     Panic,
@@ -506,8 +499,8 @@ impl FaultStream {
     fn draw(&self) -> Fault {
         let n = self.calls.get();
         self.calls.set(n + 1);
-        let mut state = self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let x = splitmix64(&mut state);
+        let x =
+            SeededRng::seed_from_u64(self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
         // ~1.5% panics, ~3% forced exhaustion per boundary crossing.
         match x % 64 {
             0 => Fault::Panic,
@@ -587,8 +580,7 @@ impl IoFaultStream {
     fn next(&self) -> u64 {
         let n = self.calls.get();
         self.calls.set(n + 1);
-        let mut state = self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        splitmix64(&mut state)
+        SeededRng::seed_from_u64(self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
     }
 }
 

@@ -678,12 +678,6 @@ impl<'a> Engine<'a> {
             total: t_total.elapsed(),
         })
     }
-
-    /// `EXPLAIN ANALYZE`: profile the query (see [`Engine::profile`]) and
-    /// render the report.
-    pub fn explain_analyze(&self, src: &str) -> Result<String, O2sqlError> {
-        Ok(self.profile(src)?.render())
-    }
 }
 
 /// Combine a set-op chain node: `left` from the current query, `right_rows`

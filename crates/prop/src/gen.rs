@@ -7,7 +7,7 @@
 //! integrated-shrinking design (Hypothesis, proptest): shrinks are derived
 //! from the generator, so they always satisfy its invariants.
 
-use crate::rng::SeededRng;
+use crate::SeededRng;
 use std::ops::Range;
 use std::rc::Rc;
 

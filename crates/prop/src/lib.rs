@@ -14,8 +14,9 @@
 //!   shrinks the first failure to a minimal counterexample before
 //!   panicking. Properties return `Result<(), String>`; the
 //!   [`prop_assert!`] and [`prop_assert_eq!`] macros produce the `Err`s.
-//! - [`rng`] — the deterministic SplitMix64 [`SeededRng`] everything runs
-//!   on (a mirror of `docql_corpus`'s generator, see the module docs).
+//! - [`SeededRng`] — the deterministic SplitMix64 generator everything runs
+//!   on (`docql-guard`'s, shared with the corpus generators and fault
+//!   streams).
 //!
 //! A property looks like:
 //!
@@ -36,12 +37,11 @@
 //! ```
 
 pub mod gen;
-pub mod rng;
 pub mod runner;
 
+pub use docql_guard::SeededRng;
 pub use gen::{
     bool_any, element, f64_any, i64_any, just, one_of, recursive, string_of, usize_in, vec_of,
     weighted, zip, zip3, Gen, Shrinkable,
 };
-pub use rng::SeededRng;
 pub use runner::{check, check_with, Config, DEFAULT_SEED};

@@ -2,7 +2,7 @@
 //! greedily shrinking it to a minimal counterexample.
 
 use crate::gen::{Gen, Shrinkable};
-use crate::rng::SeededRng;
+use crate::SeededRng;
 
 /// Knobs for a property run.
 #[derive(Debug, Clone, Copy)]

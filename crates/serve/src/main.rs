@@ -207,9 +207,7 @@ fn main() -> ExitCode {
         }
     };
     if let Some((n, wait_ms)) = args.admit {
-        store
-            .shared()
-            .set_admission_limit(n, Duration::from_millis(wait_ms));
+        store.set_admission_limit(n, Duration::from_millis(wait_ms));
     }
 
     let handle = match Server::start(args.config, store) {

@@ -26,8 +26,9 @@
 use crate::http::{read_request, write_response, ChunkedWriter, HttpError, ParseLimits, Request};
 use docql_guard::{CancelProbe, CancelToken, ExecError, QueryLimits};
 use docql_model::Oid;
-use docql_obs::{FlightRecorder, ServeMetrics};
-use docql_store::{CheckpointReport, PersistentStore, SharedStore, StoreError};
+use docql_o2sql::{Mode, QueryResult};
+use docql_obs::{FlightRecorder, QueryTrace, ServeMetrics};
+use docql_store::{CheckpointReport, DocStore, PersistentStore, SharedStore, StoreError};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,11 +48,34 @@ pub enum ServeStore {
 }
 
 impl ServeStore {
-    /// The MVCC read/query handle.
-    pub fn shared(&self) -> &SharedStore {
+    /// Pin the current snapshot. Its metrics registry and flight recorder
+    /// are shared by every snapshot version, so they are reached here too.
+    pub fn read(&self) -> Arc<DocStore> {
         match self {
-            ServeStore::Shared(s) => s,
-            ServeStore::Persistent(p) => p.shared(),
+            ServeStore::Shared(s) => s.read(),
+            ServeStore::Persistent(p) => p.read(),
+        }
+    }
+
+    /// The admission-gated general query entry point (see
+    /// [`SharedStore::query_traced`]).
+    pub fn query_traced(
+        &self,
+        src: &str,
+        mode: Mode,
+        limits: &QueryLimits,
+    ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
+        match self {
+            ServeStore::Shared(s) => s.query_traced(src, mode, limits),
+            ServeStore::Persistent(p) => p.query_traced(src, mode, limits),
+        }
+    }
+
+    /// Cap concurrent queries (see [`SharedStore::set_admission_limit`]).
+    pub fn set_admission_limit(&self, max: usize, max_wait: Duration) {
+        match self {
+            ServeStore::Shared(s) => s.set_admission_limit(max, max_wait),
+            ServeStore::Persistent(p) => p.set_admission_limit(max, max_wait),
         }
     }
 
@@ -168,11 +192,11 @@ impl Server {
     pub fn start(config: ServerConfig, store: ServeStore) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        store.shared().set_metrics_enabled(true);
-        store.shared().set_tracing_enabled(true);
-        let registry = store.shared().read().metrics_registry().clone();
-        let metrics = ServeMetrics::register(registry);
-        let recorder = store.shared().flight_recorder();
+        let snapshot = store.read();
+        snapshot.set_metrics_enabled(true);
+        snapshot.set_tracing_enabled(true);
+        let metrics = ServeMetrics::register(snapshot.metrics_registry().clone());
+        let recorder = Arc::clone(snapshot.flight_recorder());
         let inner = Arc::new(Inner {
             metrics,
             recorder,
@@ -483,15 +507,15 @@ fn respond(
             }
         }
         ("GET", "/metrics") => {
-            let text = inner.store.shared().metrics_prometheus();
+            let text = inner.store.read().metrics_registry().to_prometheus();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("GET", "/metrics.json") => {
-            let text = inner.store.shared().metrics_json();
+            let text = inner.store.read().metrics_registry().to_json();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("GET", "/traces") => {
-            let text = inner.store.shared().traces_json();
+            let text = inner.recorder.to_json();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("POST", "/query") => {
@@ -582,7 +606,7 @@ fn error_status(e: &StoreError) -> u16 {
 }
 
 /// Build per-request limits from `X-Docql-*` headers.
-fn request_limits(req: &Request) -> Result<(QueryLimits, docql_o2sql::Mode), String> {
+fn request_limits(req: &Request) -> Result<(QueryLimits, Mode), String> {
     let mut limits = QueryLimits::none();
     let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
         match req.header(name) {
@@ -610,8 +634,8 @@ fn request_limits(req: &Request) -> Result<(QueryLimits, docql_o2sql::Mode), Str
         Some(v) => return Err(format!("X-Docql-Degrade must be 0/1/true/false, got {v:?}")),
     }
     let mode = match req.header("X-Docql-Mode").map(str::trim) {
-        None | Some("interp") => docql_o2sql::Mode::Interpret,
-        Some("algebraic") => docql_o2sql::Mode::Algebraic,
+        None | Some("interp") => Mode::Interpret,
+        Some("algebraic") => Mode::Algebraic,
         Some(v) => return Err(format!("X-Docql-Mode must be interp|algebraic, got {v:?}")),
     };
     Ok((limits, mode))
@@ -670,7 +694,7 @@ fn serve_query(
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(conn_id, token.clone());
-    let (result, trace) = inner.store.shared().query_traced(src, mode, &limits);
+    let (result, trace) = inner.store.query_traced(src, mode, &limits);
     inner
         .active_queries
         .lock()

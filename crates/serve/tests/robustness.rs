@@ -150,7 +150,6 @@ fn admission_gate_maps_to_429() {
     let handle = start(ServerConfig::default(), 60);
     handle
         .store()
-        .shared()
         .set_admission_limit(1, Duration::from_millis(20));
     let addr = handle.addr();
     let holder = std::thread::spawn(move || {
@@ -177,7 +176,7 @@ fn disconnect_mid_query_cancels_it() {
     // A corpus big enough that SLOW_QUERY (|Articles|^3) runs for a long
     // time, and a client that hangs up shortly after asking.
     let handle = start(ServerConfig::default(), 60);
-    let store = handle.store().shared().read();
+    let store = handle.store().read();
     let cancelled_before = store.metrics().queries_cancelled.get();
 
     let client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
@@ -204,13 +203,7 @@ fn disconnect_mid_query_cancels_it() {
     // well before it could have finished.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let cancelled = handle
-            .store()
-            .shared()
-            .read()
-            .metrics()
-            .queries_cancelled
-            .get();
+        let cancelled = handle.store().read().metrics().queries_cancelled.get();
         if cancelled > cancelled_before {
             break;
         }

@@ -26,7 +26,7 @@ use docql_mapping::{
 };
 use docql_model::{Instance, Oid, Value};
 use docql_o2sql::{CacheStats, Engine, Mode, O2sqlError, PlanCache, QueryProfile, QueryResult};
-use docql_obs::{MetricsSnapshot, SharedRegistry};
+use docql_obs::SharedRegistry;
 use docql_sgml::{DocParser, Document, Dtd, SgmlError};
 use docql_text::{ContainsExpr, InvertedIndex};
 use std::collections::HashMap;
@@ -593,52 +593,38 @@ impl DocStore {
             .map_err(|e| StoreError::Other(e.to_string()))
     }
 
-    /// Run an O₂SQL query (interpreter mode). Compiled plans are cached:
-    /// repeated query texts skip lex/parse/translate and go straight to
-    /// evaluation (see [`DocStore::plan_cache_stats`]).
+    /// Run an O₂SQL query (interpreter mode) under the store's default
+    /// limits. Compiled plans are cached: repeated query texts skip
+    /// lex/parse/translate and go straight to evaluation (see
+    /// [`DocStore::plan_cache_stats`]); `store.engine().run(src)` is the
+    /// uncached equivalent.
     ///
     /// A query prefixed `explain analyze` (case-insensitive) is profiled
     /// instead: the result is one row holding the rendered report of
-    /// [`DocStore::explain_analyze`] on the rest of the text.
+    /// [`DocStore::profile`] on the rest of the text.
     pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.serve(src, Mode::Interpret)
+        self.query_traced(src, Mode::Interpret, &docql_guard::QueryLimits::none())
+            .0
     }
 
     /// Run an O₂SQL query through the §5.4 algebraizer. The plan cache
     /// also retains the algebraized plan, so repeats skip algebraization.
     /// The `explain analyze` prefix is honoured as in [`DocStore::query`].
     pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.serve(src, Mode::Algebraic)
+        self.query_traced(src, Mode::Algebraic, &docql_guard::QueryLimits::none())
+            .0
     }
 
-    /// Run an O₂SQL query (interpreter mode) under per-call resource
-    /// limits, merged over the store's defaults (call fields win). A
-    /// tripped strict-mode limit returns [`StoreError::Interrupted`]; in
-    /// degrade mode the result comes back flagged partial instead
-    /// ([`QueryResult::is_partial`]).
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, Mode::Interpret, Some(limits))
-    }
-
-    /// Algebraic-mode [`DocStore::query_with_limits`].
-    pub fn query_algebraic_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, Mode::Algebraic, Some(limits))
-    }
-
-    /// [`DocStore::query_with_limits`] in the given execution `mode`,
-    /// additionally returning the flight-recorder trace filed for this
-    /// query (`None` when the recorder is disabled or the text was served
-    /// as `explain analyze`). The serving tier echoes the trace's id in
-    /// the `X-Docql-Trace-Id` response header so a client can correlate
-    /// its wire-level outcome with the recorded trace.
+    /// The general query entry point: run `src` in execution `mode` under
+    /// per-call `limits`, merged over the store's defaults (call fields
+    /// win), and return the flight-recorder trace filed for it (`None`
+    /// when the recorder is disabled). A tripped strict-mode limit returns
+    /// [`StoreError::Interrupted`]; in degrade mode the result comes back
+    /// flagged partial ([`QueryResult::is_partial`]). The `explain
+    /// analyze` prefix is honoured as in [`DocStore::query`], under the
+    /// same limits. The serving tier echoes the trace's id in the
+    /// `X-Docql-Trace-Id` response header so a client can correlate its
+    /// wire-level outcome with the recorded trace.
     pub fn query_traced(
         &self,
         src: &str,
@@ -648,7 +634,41 @@ impl DocStore {
         Result<QueryResult, StoreError>,
         Option<Arc<docql_obs::QueryTrace>>,
     ) {
-        self.serve_traced(src, mode, Some(limits))
+        let limits = limits.clone().or(&self.default_limits);
+        if let Some(rest) = strip_explain_analyze(src) {
+            let (profile, trace) = self.governed(src, &limits, |e| e.profile(rest), |p| &p.result);
+            let report = profile.map(|p| QueryResult {
+                columns: vec!["explain analyze".to_string()],
+                rows: vec![vec![CalcValue::Data(Value::str(p.render()))]],
+                partial: None,
+            });
+            return (report, trace);
+        }
+        self.governed(
+            src,
+            &limits,
+            |mut e| {
+                e.mode = mode;
+                e.run_cached(src, &self.plan_cache)
+            },
+            |r| r,
+        )
+    }
+
+    /// Profile one query (`EXPLAIN ANALYZE`) under `limits`, merged over
+    /// the store's defaults: execute it for real, timing each lifecycle
+    /// phase and every algebra operator (see
+    /// [`docql_o2sql::QueryProfile`]). Governed like
+    /// [`DocStore::query_traced`]; in degrade mode the report gains a
+    /// `governance:` line when a limit trips mid-profile.
+    pub fn profile(
+        &self,
+        src: &str,
+        limits: &docql_guard::QueryLimits,
+    ) -> Result<QueryProfile, StoreError> {
+        let limits = limits.clone().or(&self.default_limits);
+        self.governed(src, &limits, |e| e.profile(src), |p| &p.result)
+            .0
     }
 
     /// Set the per-store default [`QueryLimits`](docql_guard::QueryLimits)
@@ -663,56 +683,26 @@ impl DocStore {
         &self.default_limits
     }
 
-    /// The shared serving path: `explain analyze` interception, cached
-    /// execution in `mode`, and the slow-query log.
-    fn serve(&self, src: &str, mode: Mode) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, mode, None)
-    }
-
-    /// [`DocStore::serve`] with optional per-call limits: builds one
-    /// [`Guard`](docql_guard::Guard) per governed query, isolates panics at
-    /// the query boundary, and classifies governance outcomes into the
-    /// store's metric counters.
-    fn serve_with(
+    /// The one governed execution path behind every query entry point:
+    /// builds one [`Guard`](docql_guard::Guard) from the (already merged)
+    /// `limits`, runs `exec` on an engine carrying it and the trace,
+    /// isolates panics at the query boundary, classifies governance
+    /// outcomes into the store's metric counters, files the trace and
+    /// feeds the slow-query log. `answer` views the rows `exec` produced.
+    fn governed<T>(
         &self,
         src: &str,
-        mode: Mode,
-        limits: Option<&docql_guard::QueryLimits>,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_traced(src, mode, limits).0
-    }
-
-    /// [`DocStore::serve_with`], returning the filed trace alongside the
-    /// result instead of discarding it.
-    fn serve_traced(
-        &self,
-        src: &str,
-        mode: Mode,
-        limits: Option<&docql_guard::QueryLimits>,
-    ) -> (
-        Result<QueryResult, StoreError>,
-        Option<Arc<docql_obs::QueryTrace>>,
-    ) {
-        if let Some(rest) = strip_explain_analyze(src) {
-            let result = self.explain_analyze(rest).map(|report| QueryResult {
-                columns: vec!["explain analyze".to_string()],
-                rows: vec![vec![CalcValue::Data(Value::str(report))]],
-                partial: None,
-            });
-            return (result, None);
-        }
-        let merged = match limits {
-            Some(l) => l.clone().or(&self.default_limits),
-            None => self.default_limits.clone(),
-        };
+        limits: &docql_guard::QueryLimits,
+        exec: impl FnOnce(Engine<'_>) -> Result<T, O2sqlError>,
+        answer: fn(&T) -> &QueryResult,
+    ) -> (Result<T, StoreError>, Option<Arc<docql_obs::QueryTrace>>) {
         let trace = self.recorder.enabled().then(|| self.recorder.begin(src));
-        let run = || -> Result<QueryResult, StoreError> {
-            let guard = (!merged.is_none()).then(|| docql_guard::Guard::new(&merged));
+        let run = || -> Result<T, StoreError> {
+            let guard = (!limits.is_none()).then(|| docql_guard::Guard::new(limits));
             let mut e = self.engine();
-            e.mode = mode;
             e.guard = guard.as_ref();
             e.trace = trace.as_ref();
-            Ok(e.run_cached(src, &self.plan_cache)?)
+            Ok(exec(e)?)
         };
         // Panic isolation: a panicking query (a buggy predicate, an
         // injected fault) must never take the process down or wedge the
@@ -731,7 +721,7 @@ impl DocStore {
         if self.metrics.enabled() {
             use docql_guard::ExecError;
             match &result {
-                Ok(r) if r.is_partial() => self.metrics.queries_partial.inc(),
+                Ok(r) if answer(r).is_partial() => self.metrics.queries_partial.inc(),
                 Err(StoreError::Interrupted(ExecError::DeadlineExceeded)) => {
                     self.metrics.queries_deadline_exceeded.inc();
                 }
@@ -750,6 +740,7 @@ impl DocStore {
         let trace = trace.map(|tb| {
             let (outcome, governance, detail, rows) = match &result {
                 Ok(r) => {
+                    let r = answer(r);
                     let rows = r.rows.len() as u64;
                     match r.partial.as_ref() {
                         Some(trip) => ("partial", trip.to_string(), None, rows),
@@ -790,19 +781,6 @@ impl DocStore {
         (result, trace)
     }
 
-    /// Run an O₂SQL query bypassing the plan cache (the bench baseline;
-    /// results are identical to [`DocStore::query`]).
-    pub fn query_uncached(&self, src: &str) -> Result<QueryResult, StoreError> {
-        Ok(self.engine().run(src)?)
-    }
-
-    /// Algebraic-mode query bypassing the plan cache.
-    pub fn query_algebraic_uncached(&self, src: &str) -> Result<QueryResult, StoreError> {
-        let mut e = self.engine();
-        e.mode = Mode::Algebraic;
-        Ok(e.run(src)?)
-    }
-
     /// The query-plan cache (shared by every query path on this store).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
@@ -832,29 +810,6 @@ impl DocStore {
         self.recorder.set_enabled(enabled);
     }
 
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.recorder.enabled()
-    }
-
-    /// The most recent completed query traces, oldest first.
-    pub fn recent_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.recorder.recent()
-    }
-
-    /// Retained slow (and errored/panicked) query traces, oldest first.
-    /// These outlive the recent ring: a burst of fast queries cannot evict
-    /// the slow outlier you are hunting.
-    pub fn slow_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.recorder.slow()
-    }
-
-    /// Both trace rings rendered as one JSON object
-    /// (`{"recent":[...],"slow":[...]}`).
-    pub fn traces_json(&self) -> String {
-        self.recorder.to_json()
-    }
-
     /// The store's metrics registry (for adopting extra metrics or sharing
     /// the namespace with an embedder).
     pub fn metrics_registry(&self) -> &SharedRegistry {
@@ -866,53 +821,6 @@ impl DocStore {
     /// while queries run. Accumulated values are kept when disabling.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.metrics.registry().set_enabled(on);
-    }
-
-    /// Is metric recording on?
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.enabled()
-    }
-
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.registry().snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.metrics.registry().to_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.metrics.registry().to_json()
-    }
-
-    /// Profile one query (`EXPLAIN ANALYZE`): execute it for real,
-    /// timing each lifecycle phase and every algebra operator. See
-    /// [`docql_o2sql::QueryProfile`].
-    pub fn profile(&self, src: &str) -> Result<QueryProfile, StoreError> {
-        Ok(self.engine().profile(src)?)
-    }
-
-    /// The rendered `EXPLAIN ANALYZE` report for one query.
-    pub fn explain_analyze(&self, src: &str) -> Result<String, StoreError> {
-        Ok(self.engine().explain_analyze(src)?)
-    }
-
-    /// [`DocStore::profile`] under resource limits (merged over the store
-    /// defaults). In degrade mode the report gains a `governance:` line
-    /// when a limit trips mid-profile.
-    pub fn profile_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryProfile, StoreError> {
-        let merged = limits.clone().or(&self.default_limits);
-        let guard = (!merged.is_none()).then(|| docql_guard::Guard::new(&merged));
-        let mut e = self.engine();
-        e.guard = guard.as_ref();
-        Ok(e.profile(src)?)
     }
 
     /// Override the slow-query threshold (default: the process-wide
@@ -1167,39 +1075,6 @@ impl DocStore {
     pub fn index_stats(&self) -> (usize, usize) {
         (self.index.doc_count(), self.index.term_count())
     }
-
-    /// Persist the store to a directory: the DTD and every document
-    /// exported back to SGML text. Documents are the paper's exchange
-    /// format (footnote 1) — a store round-trips through its own
-    /// serialisation losslessly (modulo whitespace normalisation).
-    pub fn save_dir(&self, dir: &std::path::Path) -> Result<(), StoreError> {
-        std::fs::create_dir_all(dir).map_err(io_err)?;
-        std::fs::write(dir.join("schema.dtd"), self.dtd.to_string()).map_err(io_err)?;
-        for (i, &root) in self.documents.iter().enumerate() {
-            let doc = self.export(root)?;
-            std::fs::write(dir.join(format!("doc{i:05}.sgml")), doc.to_sgml()).map_err(io_err)?;
-        }
-        Ok(())
-    }
-
-    /// Load a store saved by [`DocStore::save_dir`]. Named roots must be
-    /// re-declared (they are binding state, not document content).
-    pub fn load_dir(dir: &std::path::Path, extra_roots: &[&str]) -> Result<DocStore, StoreError> {
-        let dtd_text = std::fs::read_to_string(dir.join("schema.dtd")).map_err(io_err)?;
-        let mut store = DocStore::new(&dtd_text, extra_roots)?;
-        let mut names: Vec<_> = std::fs::read_dir(dir)
-            .map_err(io_err)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "sgml"))
-            .collect();
-        names.sort();
-        for path in names {
-            let text = std::fs::read_to_string(&path).map_err(io_err)?;
-            store.ingest(&text)?;
-        }
-        Ok(store)
-    }
 }
 
 /// A `DocStore` is its own statistics snapshot: the counters the cost
@@ -1379,12 +1254,6 @@ impl SharedStore {
             .map_or(0, |g| g.active())
     }
 
-    /// Set the wrapped store's default query limits (in a write
-    /// transaction; see [`DocStore::set_default_limits`]).
-    pub fn set_default_limits(&self, limits: docql_guard::QueryLimits) {
-        self.write().set_default_limits(limits);
-    }
-
     /// Run `f` holding an admission permit (when a gate is configured),
     /// counting rejections into the store's metrics.
     fn admitted<T>(&self, f: impl FnOnce() -> Result<T, StoreError>) -> Result<T, StoreError> {
@@ -1433,12 +1302,6 @@ impl SharedStore {
                 .set(i64::try_from(cur.at.elapsed().as_millis()).unwrap_or(i64::MAX));
         }
         store
-    }
-
-    /// Pin the current snapshot ([`SharedStore::read`] under its MVCC
-    /// name).
-    pub fn snapshot(&self) -> Arc<DocStore> {
-        self.read()
     }
 
     /// The version number of the currently published snapshot (0 = the
@@ -1494,25 +1357,6 @@ impl SharedStore {
         self.admitted(|| self.read().query_algebraic(src))
     }
 
-    /// Run a query under per-call resource limits (see
-    /// [`DocStore::query_with_limits`]), subject to the admission gate.
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_with_limits(src, limits))
-    }
-
-    /// Algebraic-mode [`SharedStore::query_with_limits`].
-    pub fn query_algebraic_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_algebraic_with_limits(src, limits))
-    }
-
     /// [`DocStore::query_traced`] against the current snapshot, subject
     /// to the admission gate. An admission rejection returns before any
     /// trace is begun, so the trace slot is `None` in that case.
@@ -1531,79 +1375,16 @@ impl SharedStore {
         }
     }
 
-    /// Index-accelerated text search against the current snapshot.
-    pub fn find_documents(&self, expr: &ContainsExpr) -> Vec<Oid> {
-        self.read().find_documents(expr)
-    }
-
-    /// Profile one query against the current snapshot (see [`DocStore::profile`]).
-    pub fn profile(&self, src: &str) -> Result<QueryProfile, StoreError> {
-        self.read().profile(src)
-    }
-
-    /// The `EXPLAIN ANALYZE` report for one query, against the current snapshot.
-    pub fn explain_analyze(&self, src: &str) -> Result<String, StoreError> {
-        self.read().explain_analyze(src)
-    }
-
     /// Turn metric recording on or off (see
     /// [`DocStore::set_metrics_enabled`]).
     pub fn set_metrics_enabled(&self, on: bool) {
         self.read().set_metrics_enabled(on);
     }
 
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.read().metrics_snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.read().metrics_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.read().metrics_json()
-    }
-
     /// Turn query tracing on or off (the flight recorder is shared by
     /// every snapshot version, so this takes effect store-wide at once).
     pub fn set_tracing_enabled(&self, on: bool) {
         self.read().set_tracing_enabled(on);
-    }
-
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.read().tracing_enabled()
-    }
-
-    /// The query flight recorder shared by every snapshot version.
-    pub fn flight_recorder(&self) -> Arc<docql_obs::FlightRecorder> {
-        Arc::clone(self.read().flight_recorder())
-    }
-
-    /// The most recent completed query traces, oldest first. Because the
-    /// recorder is shared across MVCC versions, history spans snapshot
-    /// publications seamlessly.
-    pub fn recent_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.read().recent_queries()
-    }
-
-    /// Retained slow (and errored) query traces, oldest first.
-    pub fn slow_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.read().slow_queries()
-    }
-
-    /// Both trace rings as one JSON object (see [`DocStore::traces_json`]).
-    pub fn traces_json(&self) -> String {
-        self.read().traces_json()
-    }
-
-    /// Override the slow-query threshold in a write transaction (see
-    /// [`DocStore::set_slow_query_threshold`]).
-    pub fn set_slow_query_threshold(&self, threshold: Option<Duration>) {
-        self.write().set_slow_query_threshold(threshold);
     }
 
     /// Ingest one document in a write transaction (published on return).
@@ -1893,7 +1674,7 @@ mod tests {
         let first = store.query(q).unwrap();
         let second = store.query(q).unwrap();
         assert_eq!(first, second);
-        assert_eq!(store.query_uncached(q).unwrap(), second);
+        assert_eq!(store.engine().run(q).unwrap(), second);
         let stats = store.plan_cache_stats();
         assert!(stats.hits >= 1, "second run hits the cache: {stats:?}");
         assert!(stats.misses >= 1);
@@ -1946,14 +1727,14 @@ mod tests {
         store
             .query_algebraic("select t from Articles PATH_p.title(t)")
             .unwrap();
-        let snap = store.metrics_snapshot();
+        let snap = store.metrics_registry().snapshot();
         assert_eq!(snap.counter("docql_store_docs_ingested_total"), Some(1));
         assert_eq!(snap.counter("docql_queries_total"), Some(2));
         assert_eq!(snap.histogram("docql_store_ingest_ns").unwrap().count, 1);
         assert!(snap.counter("docql_plan_cache_misses_total").unwrap() >= 1);
-        let prom = store.metrics_prometheus();
+        let prom = store.metrics_registry().to_prometheus();
         assert!(prom.contains("docql_queries_total 2"));
-        let json = store.metrics_json();
+        let json = store.metrics_registry().to_json();
         assert!(json.contains("\"docql_queries_total\""));
     }
 
@@ -1964,7 +1745,7 @@ mod tests {
         store
             .query("select t from Articles PATH_p.title(t)")
             .unwrap();
-        let snap = store.metrics_snapshot();
+        let snap = store.metrics_registry().snapshot();
         assert_eq!(snap.counter("docql_store_docs_ingested_total"), Some(0));
         assert_eq!(snap.counter("docql_queries_total"), Some(0));
     }
@@ -2001,41 +1782,5 @@ mod tests {
         let mut store = DocStore::new(docql_sgml::fixtures::ARTICLE_DTD, &[]).unwrap();
         let root = store.ingest(FIG2_DOCUMENT).unwrap();
         assert!(store.bind("nope", root).is_err());
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use docql_sgml::fixtures::{ARTICLE_DTD, FIG2_DOCUMENT};
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let mut store = DocStore::new(ARTICLE_DTD, &[]).unwrap();
-        store.ingest(FIG2_DOCUMENT).unwrap();
-        let second = FIG2_DOCUMENT.replace(
-            "From Structured Documents to Novel Query Facilities",
-            "A Second Document",
-        );
-        store.ingest(&second).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("docql-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        store.save_dir(&dir).unwrap();
-        let restored = DocStore::load_dir(&dir, &[]).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        assert_eq!(restored.documents().len(), 2);
-        assert!(restored.check().is_empty());
-        assert_eq!(
-            store.instance().object_count(),
-            restored.instance().object_count()
-        );
-        // Queries agree across the round trip.
-        let q = "select t from Articles PATH_p.title(t)";
-        assert_eq!(
-            store.query(q).unwrap().len(),
-            restored.query(q).unwrap().len()
-        );
     }
 }

@@ -32,14 +32,14 @@ use crate::{SharedStore, StoreError, WriteTxn};
 use docql_durable::snapshot::{self, StoreImage, TermPostings};
 use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
 use docql_durable::DurableMetrics;
-use docql_guard::IoFaultStream;
+use docql_guard::{IoFaultStream, QueryLimits};
 use docql_model::{Oid, Value};
-use docql_o2sql::QueryResult;
-use docql_text::ContainsExpr;
+use docql_o2sql::{Mode, QueryResult};
+use docql_obs::QueryTrace;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What recovery found and did while opening a store directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -76,9 +76,28 @@ pub struct CheckpointReport {
 /// A [`SharedStore`] whose commits survive process death.
 ///
 /// Reads are plain MVCC snapshot reads — pin with
-/// [`PersistentStore::read`] and query lock-free. Writes go through this
-/// handle so they hit the log; writing through the inner [`SharedStore`]
-/// directly would commit to memory but not to disk.
+/// [`PersistentStore::read`] and query lock-free. Every write goes through
+/// this handle's [`ingest`](PersistentStore::ingest),
+/// [`ingest_batch`](PersistentStore::ingest_batch) and
+/// [`bind`](PersistentStore::bind), which log before they publish. The
+/// inner [`SharedStore`] never leaves the handle, so a write that skips
+/// the WAL does not compile:
+///
+/// ```compile_fail
+/// fn write_around_the_wal(ps: &docql_store::PersistentStore) {
+///     let shared: &docql_store::SharedStore = ps.shared();
+///     let _unlogged = shared.write();
+/// }
+/// ```
+///
+/// A pinned snapshot is immutable, so it offers no way around the log
+/// either:
+///
+/// ```compile_fail
+/// fn write_through_a_snapshot(ps: &docql_store::PersistentStore) {
+///     let _unlogged = ps.read().ingest("<article></article>");
+/// }
+/// ```
 pub struct PersistentStore {
     shared: SharedStore,
     wal: Mutex<Wal>,
@@ -223,14 +242,6 @@ impl PersistentStore {
         &self.dir
     }
 
-    /// The inner MVCC handle, for read-side configuration (admission
-    /// limits, metrics toggles). Write through [`PersistentStore::ingest`]
-    /// / [`PersistentStore::bind`], not through this handle, or the write
-    /// will not be logged.
-    pub fn shared(&self) -> &SharedStore {
-        &self.shared
-    }
-
     /// Pin the current snapshot (see [`SharedStore::read`]).
     pub fn read(&self) -> Arc<crate::DocStore> {
         self.shared.read()
@@ -241,14 +252,20 @@ impl PersistentStore {
         self.shared.query(src)
     }
 
-    /// Run an algebraic-mode query against the current snapshot.
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.shared.query_algebraic(src)
+    /// The general query entry point against the current snapshot (see
+    /// [`SharedStore::query_traced`]).
+    pub fn query_traced(
+        &self,
+        src: &str,
+        mode: Mode,
+        limits: &QueryLimits,
+    ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
+        self.shared.query_traced(src, mode, limits)
     }
 
-    /// Index-accelerated text search against the current snapshot.
-    pub fn find_documents(&self, expr: &ContainsExpr) -> Vec<Oid> {
-        self.shared.find_documents(expr)
+    /// Cap concurrent queries (see [`SharedStore::set_admission_limit`]).
+    pub fn set_admission_limit(&self, max: usize, max_wait: Duration) {
+        self.shared.set_admission_limit(max, max_wait);
     }
 
     /// The persistence metric handles (registered in the store's

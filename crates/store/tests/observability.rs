@@ -6,6 +6,7 @@
 //! versus walk-fallback accounting to the extent-index toggle.
 
 use docql_corpus::{generate_article, generate_letter, ArticleParams, LetterParams};
+use docql_guard::QueryLimits;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
 use docql_store::DocStore;
@@ -85,9 +86,9 @@ fn assert_inert(store: &DocStore, q: &str) {
         .query(q)
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
-    let profiled = store.profile(q);
+    let profiled = store.profile(q, &QueryLimits::none());
     store.set_metrics_enabled(false);
-    let profiled_cold = store.profile(q);
+    let profiled_cold = store.profile(q, &QueryLimits::none());
     assert_eq!(plain, metered, "metrics changed algebraic result: {q}");
     assert_eq!(
         plain_interp, metered_interp,
@@ -179,7 +180,7 @@ fn randomized_queries_unchanged_by_instrumentation() {
                 .query_algebraic(q)
                 .map(|r| r.to_table())
                 .map_err(|e| e.to_string());
-            let profiled = store.profile(q);
+            let profiled = store.profile(q, &QueryLimits::none());
             store.set_metrics_enabled(false);
             prop_assert_eq!(&plain, &metered, "metrics changed result of: {q}");
             // Non-algebraizable queries make `profile` fall back to the
@@ -210,7 +211,7 @@ fn per_operator_rows_are_consistent_with_result_cardinality() {
     let store = article_store(6);
     let mut profiled_plans = 0usize;
     for q in ARTICLE_QUERIES {
-        let profile = match store.profile(q) {
+        let profile = match store.profile(q, &QueryLimits::none()) {
             Ok(p) => p,
             Err(_) => continue,
         };
@@ -253,7 +254,7 @@ fn explain_analyze_reports_index_hits_and_walk_fallbacks() {
     let q = "select t from Articles PATH_p.title(t)";
 
     store.set_path_extents_enabled(true);
-    let with_index = store.profile(q).unwrap();
+    let with_index = store.profile(q, &QueryLimits::none()).unwrap();
     let (hits, _) = with_index.scan_totals();
     assert!(hits > 0, "extent index attached, expected index hits");
     let report = with_index.render();
@@ -263,7 +264,7 @@ fn explain_analyze_reports_index_hits_and_walk_fallbacks() {
     );
 
     store.set_path_extents_enabled(false);
-    let walked = store.profile(q).unwrap();
+    let walked = store.profile(q, &QueryLimits::none()).unwrap();
     let (hits, walks) = walked.scan_totals();
     assert_eq!(hits, 0, "extent index detached, no hits possible");
     assert!(walks > 0, "every start value must fall back to walking");
@@ -287,7 +288,7 @@ fn plan_cache_reset_clears_counters_and_registry_export() {
     store.plan_cache().reset();
     let stats = store.plan_cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-    let snap = store.metrics_snapshot();
+    let snap = store.metrics_registry().snapshot();
     assert_eq!(snap.counter("docql_plan_cache_hits_total"), Some(0));
     assert_eq!(snap.counter("docql_plan_cache_misses_total"), Some(0));
     assert_eq!(snap.gauge("docql_plan_cache_entries"), Some(0));
@@ -297,20 +298,30 @@ fn plan_cache_reset_clears_counters_and_registry_export() {
 fn shared_store_serves_profiles_and_slow_log_counter() {
     let shared = docql_store::SharedStore::new(article_store(2));
     shared.set_metrics_enabled(true);
-    shared.set_slow_query_threshold(Some(std::time::Duration::ZERO));
+    shared
+        .write()
+        .set_slow_query_threshold(Some(std::time::Duration::ZERO));
     let q = "select t from Articles PATH_p.title(t)";
     let direct = shared.query_algebraic(q).unwrap();
-    let report = shared.explain_analyze(q).unwrap();
+    let report = shared
+        .read()
+        .profile(q, &QueryLimits::none())
+        .unwrap()
+        .render();
     assert!(report.starts_with("EXPLAIN ANALYZE"), "{report}");
-    let profile = shared.profile(q).unwrap();
+    let profile = shared.read().profile(q, &QueryLimits::none()).unwrap();
     assert_eq!(profile.result.to_table(), direct.to_table());
     assert!(
         shared.read().metrics().slow_queries.get() >= 1,
         "zero threshold counts every query as slow"
     );
-    assert!(shared.metrics_prometheus().contains("docql_queries_total"));
-    assert!(shared.metrics_json().starts_with('{'));
-    let snap = shared.metrics_snapshot();
+    assert!(shared
+        .read()
+        .metrics_registry()
+        .to_prometheus()
+        .contains("docql_queries_total"));
+    assert!(shared.read().metrics_registry().to_json().starts_with('{'));
+    let snap = shared.read().metrics_registry().snapshot();
     assert!(snap.counter("docql_queries_total").unwrap() >= 1);
 }
 
@@ -322,7 +333,7 @@ fn text_search_counters_split_index_from_scan() {
     let a = store.find_documents(&expr);
     let b = store.find_documents_scan(&expr);
     assert_eq!(a, b);
-    let snap = store.metrics_snapshot();
+    let snap = store.metrics_registry().snapshot();
     assert_eq!(
         snap.counter("docql_store_text_index_searches_total"),
         Some(1)

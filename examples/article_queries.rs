@@ -10,7 +10,7 @@ use docql::prelude::*;
 use docql_corpus::{generate_article, ArticleParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &[])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &[])?;
     for seed in 0..20u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -19,13 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plant_every: if seed % 2 == 0 { 3 } else { 0 },
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
     println!(
         "corpus: {} articles, {} objects, index: {:?}",
-        db.store().documents().len(),
-        db.store().instance().object_count(),
-        db.store().index_stats()
+        db.documents().len(),
+        db.instance().object_count(),
+        db.index_stats()
     );
 
     // Q1: title + first author of articles with a section title containing
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("→ {} matching subsections", r2.len());
     for row in r2.rows.iter().take(3) {
         if let CalcValue::Data(Value::Oid(o)) = &row[0] {
-            let text = db.store().text_of(*o).unwrap_or_default();
+            let text = db.text_of(*o).unwrap_or_default();
             let cut: String = text.chars().take(70).collect();
             println!("  {cut}…");
         }
@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Index-accelerated document search (the §6 full-text machinery) vs the
     // scan baseline — same answers.
     let expr = ContainsExpr::all_of(["SGML", "OODBMS"])?;
-    let indexed = db.store().find_documents(&expr);
-    let scanned = db.store().find_documents_scan(&expr);
+    let indexed = db.find_documents(&expr);
+    let scanned = db.find_documents_scan(&expr);
     assert_eq!(indexed, scanned);
     println!(
         "\nfull-text search: {} documents (index and scan agree)",

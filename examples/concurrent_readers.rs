@@ -34,20 +34,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
 
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
     let t0 = Instant::now();
     let roots = db.ingest_batch(&refs)?;
     println!(
         "batch-ingested {} articles in {:.2?} ({} objects)",
         roots.len(),
         t0.elapsed(),
-        db.store().instance().object_count()
+        db.instance().object_count()
     );
     db.bind("my_article", roots[0])?;
 
     // 2. Convert to a shared handle: clonable, many concurrent readers,
     //    writers serialised through an RwLock.
-    let shared = db.into_shared();
+    let shared = SharedStore::new(db);
 
     let queries = [
         "select t from my_article PATH_p.title(t)",

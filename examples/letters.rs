@@ -14,17 +14,17 @@ use docql::prelude::*;
 use docql_corpus::{generate_letter, LetterParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new(docql::fixtures::LETTER_DTD, &[])?;
+    let mut db = DocStore::new(docql::fixtures::LETTER_DTD, &[])?;
     for seed in 0..12u64 {
         let doc = generate_letter(&LetterParams {
             seed,
             sender_first: None, // random per letter
             paras: 1,
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
-    println!("{} letters ingested; schema:", db.store().documents().len());
-    println!("{}", db.store().mapping().schema);
+    println!("{} letters ingested; schema:", db.documents().len());
+    println!("{}", db.mapping().schema);
 
     // Q6: letters where the sender precedes the recipient in the preamble.
     let q6 = "select letter from letter in Letters, \
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("→ {} sender-first letters:", r.len());
     for row in &r.rows {
         if let CalcValue::Data(Value::Oid(o)) = &row[0] {
-            if let Some(text) = db.store().text_of(*o) {
+            if let Some(text) = db.text_of(*o) {
                 let head: String = text.chars().take(60).collect();
                 println!("  {head}…");
             }
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for row in r2.rows.iter().take(5) {
         if let CalcValue::Data(Value::Oid(o)) = &row[0] {
-            println!("  {}", db.store().text_of(*o).unwrap_or_default());
+            println!("  {}", db.text_of(*o).unwrap_or_default());
         }
     }
     Ok(())

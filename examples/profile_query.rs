@@ -16,7 +16,7 @@ use docql_corpus::{generate_article, ArticleParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A database of generated articles, with metrics recording on.
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
     for seed in 0..8u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -25,9 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plant_every: if seed % 2 == 0 { 3 } else { 0 },
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
-    let first = db.store().documents()[0];
+    let first = db.documents()[0];
     db.bind("my_article", first)?;
     db.set_metrics_enabled(true);
 
@@ -35,14 +35,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    through the query surface itself: prefix any query with
     //    `explain analyze`.
     let q3 = "select t from my_article PATH_p.title(t)";
+    let none = QueryLimits::none();
     println!("=== explain analyze {q3} ===");
-    println!("{}", db.explain_analyze(q3)?);
+    println!("{}", db.profile(q3, &none)?.render());
 
     // 3. The structured form: phase timings and per-operator statistics.
     let q5 = "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
               where val contains (\"final\")";
     println!("=== profile of Q5 ===");
-    let profile = db.profile(q5)?;
+    let profile = db.profile(q5, &none)?;
     for (phase, t) in &profile.phases {
         println!("  phase {phase:<10} {t:?}");
     }
@@ -52,16 +53,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The same query with the extent index switched off: every scan
     //    falls back to walking, and the report says so.
-    db.store_mut().set_path_extents_enabled(false);
-    let walked = db.profile(q5)?;
+    db.set_path_extents_enabled(false);
+    let walked = db.profile(q5, &none)?;
     let (hits, walks) = walked.scan_totals();
     println!("  without extent index: {hits} hit(s), {walks} walk(s)");
-    db.store_mut().set_path_extents_enabled(true);
+    db.set_path_extents_enabled(true);
 
     // 5. Everything recorded so far, exported both ways.
     println!("\n=== Prometheus export (excerpt) ===");
     for line in db
-        .metrics_prometheus()
+        .metrics_registry()
+        .to_prometheus()
         .lines()
         .filter(|l| !l.starts_with('#'))
         .take(12)
@@ -69,17 +71,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{line}");
     }
     println!("\n=== JSON export (first 200 chars) ===");
-    let json = db.metrics_json();
+    let json = db.metrics_registry().to_json();
     println!("{}…", &json[..json.len().min(200)]);
 
     // 6. Slow-query log: any query at or above the threshold (here: all of
     //    them) is counted and printed to stderr.
-    db.store_mut()
-        .set_slow_query_threshold(Some(std::time::Duration::ZERO));
+    db.set_slow_query_threshold(Some(std::time::Duration::ZERO));
     db.query(q3)?;
     println!(
         "\nslow queries counted: {}",
-        db.store().metrics().slow_queries.get()
+        db.metrics().slow_queries.get()
     );
     Ok(())
 }

@@ -17,7 +17,7 @@ use docql_corpus::{generate_article, ArticleParams};
 use std::io::{BufRead, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
     for seed in 0..5u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plant_every: 2,
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
-    let first = db.store().documents()[0];
+    let first = db.documents()[0];
     db.bind("my_article", first)?;
     println!(
         "docql shell — {} articles loaded; roots: Articles, my_article.",
-        db.store().documents().len()
+        db.documents().len()
     );
     println!("Type a query, `.help` for commands, `.quit` to exit.");
 
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             ".schema" => {
-                println!("{}", db.store().mapping().schema);
+                println!("{}", db.mapping().schema);
                 continue;
             }
             ".mode interpret" => {
@@ -90,21 +90,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => {}
         }
         if let Some(q) = line.strip_prefix(".explain ") {
-            match db.store().engine().explain(q) {
+            match db.engine().explain(q) {
                 Ok(text) => println!("{text}"),
                 Err(e) => println!("  {e}"),
             }
             continue;
         }
-        if let Some(q) = strip_explain_analyze(line) {
-            match db.explain_analyze(q) {
-                Ok(report) => println!("{report}"),
-                Err(e) => println!("error: {e}"),
-            }
-            continue;
-        }
         if let Some(q) = line.strip_prefix(".check ") {
-            match db.store().engine().check(q) {
+            match db.engine().check(q) {
                 Ok(info) => {
                     for (v, ty) in &info.var_types {
                         println!("  v{v} : {ty}");
@@ -120,10 +113,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             continue;
         }
-        let mut engine = db.store().engine();
-        engine.mode = mode;
-        engine.semantics = semantics;
-        match engine.run(line) {
+        // Restricted semantics run through the store's plan-cached query
+        // path, which also answers `explain analyze <query>` with a one-row
+        // report; liberal semantics need an engine configured by hand.
+        let result = if semantics == PathSemantics::Restricted {
+            db.query_traced(line, mode, &QueryLimits::none()).0
+        } else {
+            let mut engine = db.engine();
+            engine.mode = mode;
+            engine.semantics = semantics;
+            engine.run(line).map_err(Into::into)
+        };
+        match result {
+            Ok(result) if result.columns == ["explain analyze"] => {
+                if let [CalcValue::Data(Value::Str(report))] = result.values().as_slice() {
+                    println!("{report}");
+                }
+            }
             Ok(result) => {
                 print!("{}", result.to_table());
                 println!("({} rows)", result.len());
@@ -132,20 +138,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     Ok(())
-}
-
-/// `explain analyze <query>` → `<query>`, matching the store's serving-path
-/// interception (case-insensitive, whitespace-flexible).
-fn strip_explain_analyze(line: &str) -> Option<&str> {
-    let mut rest = line.trim_start();
-    for kw in ["explain", "analyze"] {
-        let head = rest.get(..kw.len())?;
-        if !head.eq_ignore_ascii_case(kw) {
-            return None;
-        }
-        rest = rest[kw.len()..]
-            .strip_prefix(char::is_whitespace)?
-            .trim_start();
-    }
-    Some(rest)
 }

@@ -12,19 +12,19 @@ use docql::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A database typed by the paper's article DTD (Fig. 1), with a named
     //    root of persistence for §4.3's `my_article`.
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
 
     // 2. The generated schema is the paper's Fig. 3.
     println!("=== Generated O₂ schema (Fig. 3) ===");
-    println!("{}", db.store().mapping().schema);
+    println!("{}", db.mapping().schema);
 
     // 3. Ingest the paper's Fig. 2 document and name it.
     let root = db.ingest(docql::fixtures::FIG2_DOCUMENT)?;
     db.bind("my_article", root)?;
     println!(
         "Ingested Fig. 2: {} objects, instance checks: {:?}",
-        db.store().instance().object_count(),
-        db.store().check().len()
+        db.instance().object_count(),
+        db.check().len()
     );
 
     // 4. Q3 — all titles in my_article, wherever the structure holds them.
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = db.query(q3)?;
     for row in &result.rows {
         if let CalcValue::Data(Value::Oid(o)) = &row[0] {
-            println!("  title: {:?}", db.store().text_of(*o).unwrap_or_default());
+            println!("  title: {:?}", db.text_of(*o).unwrap_or_default());
         }
     }
 

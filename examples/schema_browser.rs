@@ -14,8 +14,8 @@ use docql::paths::{schema_paths, SchemaPathOptions};
 use docql::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = Database::new(docql::fixtures::ARTICLE_DTD, &[])?;
-    let mapping = db.store().mapping();
+    let db = DocStore::new(docql::fixtures::ARTICLE_DTD, &[])?;
+    let mapping = db.mapping();
 
     println!("=== Fig. 1 DTD → Fig. 3 classes ===");
     println!("{}", mapping.schema);
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Static typing of a path query (§5.3): what type does `x` get in
     // `Articles PATH_p (x) .title`? A marked union over everything titled.
-    let engine = db.store().engine();
+    let engine = db.engine();
     let info = engine.check("select x from Articles PATH_p(x).title")?;
     println!("\n=== Inferred variable types for `Articles PATH_p(x).title` ===");
     for (var, ty) in &info.var_types {

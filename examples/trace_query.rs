@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A database of generated articles, with query tracing on. (With
     //    DOCQL_TRACE set the recorder is already on and additionally
     //    emits one JSON line per query.)
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"])?;
     for seed in 0..10u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -29,9 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plant_every: if seed % 2 == 0 { 3 } else { 0 },
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
-    let first = db.store().documents()[0];
+    let first = db.documents()[0];
     db.bind("my_article", first)?;
     db.set_tracing_enabled(true);
     // Anything over 1 ms lands in the slow reservoir.
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The recent ring: one line per served query, newest last.
     println!("=== recent queries ===");
-    for t in db.recent_queries() {
+    for t in db.flight_recorder().recent() {
         println!(
             "{} {:>9} {:<7} cache_hit={:<5} rows={:<4} {}",
             t.id,
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. The slow/error reservoir survives ring eviction.
     println!("\n=== slow / error reservoir ===");
-    for t in db.slow_queries() {
+    for t in db.flight_recorder().slow() {
         println!(
             "{} {:<7} slow={} {}",
             t.id,
@@ -79,7 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. One slow trace in full: phases, then the operator tree with
     //    estimated vs actual rows (plans larger than the span cap fold
     //    their tail into one aggregate span).
-    if let Some(t) = db.slow_queries().iter().rev().find(|t| t.outcome == "ok") {
+    if let Some(t) = db
+        .flight_recorder()
+        .slow()
+        .iter()
+        .rev()
+        .find(|t| t.outcome == "ok")
+    {
         println!("\n=== trace {} ===", t.id);
         for p in &t.phases {
             println!("  phase {:<11} {:?}", p.name, Duration::from_nanos(p.ns));

@@ -12,7 +12,7 @@ use docql::prelude::*;
 use docql_corpus::{generate_article, mutate, ArticleParams, Mutation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new(
+    let mut db = DocStore::new(
         docql::fixtures::ARTICLE_DTD,
         &["my_article", "my_old_article"],
     )?;
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Mutation::RetitleSection(1, "Rewritten overview".into()),
     );
 
-    let old_root = db.store_mut().ingest_document(&old)?;
-    let new_root = db.store_mut().ingest_document(&new)?;
+    let old_root = db.ingest_document(&old)?;
+    let new_root = db.ingest_document(&new)?;
     db.bind("my_old_article", old_root)?;
     db.bind("my_article", new_root)?;
 
@@ -66,14 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rows
         .iter()
         .filter_map(|r| match &r[0] {
-            CalcValue::Data(Value::Oid(o)) => db.store().text_of(*o),
+            CalcValue::Data(Value::Oid(o)) => db.text_of(*o),
             _ => None,
         })
         .collect();
     println!("\nnew or changed titles:");
     for row in &new_titles.rows {
         if let CalcValue::Data(Value::Oid(o)) = &row[0] {
-            if let Some(t) = db.store().text_of(*o) {
+            if let Some(t) = db.text_of(*o) {
                 if !old_texts.contains(&t) {
                     println!("  {t:?}");
                 }

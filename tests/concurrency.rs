@@ -60,7 +60,7 @@ fn concurrent_readers_match_single_threaded_results() {
     // Reference: single-threaded, uncached (the seed's original path).
     let reference: Vec<String> = QUERIES
         .iter()
-        .map(|q| rendered(&store.query_uncached(q).unwrap()))
+        .map(|q| rendered(&store.engine().run(q).unwrap()))
         .collect();
 
     thread::scope(|s| {
@@ -101,7 +101,7 @@ fn concurrent_readers_match_single_threaded_results() {
 fn concurrent_algebraic_readers_agree_with_interpreter() {
     let store = corpus_store(4);
     let q = QUERIES[0];
-    let reference = rendered(&store.query_uncached(q).unwrap());
+    let reference = rendered(&store.engine().run(q).unwrap());
     thread::scope(|s| {
         for _ in 0..READERS {
             let store = &store;
@@ -193,7 +193,10 @@ fn doomed_deadline_reader_never_perturbs_others_or_starves_writer() {
             s.spawn(move || {
                 let limits = QueryLimits::none().with_deadline(Duration::ZERO);
                 for round in 0..ROUNDS {
-                    match shared.query_with_limits(DOOMED_QUERY, &limits) {
+                    match shared
+                        .query_traced(DOOMED_QUERY, Mode::Interpret, &limits)
+                        .0
+                    {
                         Err(StoreError::Interrupted(ExecError::DeadlineExceeded)) => {}
                         other => panic!(
                             "doomed reader round {round}: expected DeadlineExceeded, got {:?}",
@@ -246,7 +249,11 @@ fn admission_gate_rejects_excess_queries_with_typed_error() {
     let holder = {
         let shared = shared.clone();
         let limits = QueryLimits::none().with_cancel(token.clone());
-        thread::spawn(move || shared.query_with_limits(DOOMED_QUERY, &limits))
+        thread::spawn(move || {
+            shared
+                .query_traced(DOOMED_QUERY, Mode::Interpret, &limits)
+                .0
+        })
     };
     let t0 = Instant::now();
     while shared.admission_active() == 0 {

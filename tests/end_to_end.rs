@@ -5,8 +5,8 @@ use docql::prelude::*;
 use docql_corpus::{generate_article, ArticleParams};
 use std::collections::BTreeSet;
 
-fn corpus_db(n: usize) -> Database {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+fn corpus_db(n: usize) -> DocStore {
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     for seed in 0..n as u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -15,7 +15,7 @@ fn corpus_db(n: usize) -> Database {
             plant_every: 2,
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc).unwrap();
+        db.ingest_document(&doc).unwrap();
     }
     db
 }
@@ -23,14 +23,14 @@ fn corpus_db(n: usize) -> Database {
 #[test]
 fn ingest_preserves_type_and_constraint_invariants() {
     let db = corpus_db(5);
-    assert!(db.store().check().is_empty());
-    assert_eq!(db.store().documents().len(), 5);
+    assert!(db.check().is_empty());
+    assert_eq!(db.documents().len(), 5);
 }
 
 #[test]
 fn both_engines_agree_on_a_query_battery() {
     let mut db = corpus_db(4);
-    let root = db.store().documents()[0];
+    let root = db.documents()[0];
     db.bind("my_article", root).unwrap();
     let queries = [
         "select t from my_article PATH_p.title(t)",
@@ -50,26 +50,26 @@ fn both_engines_agree_on_a_query_battery() {
 #[test]
 fn export_reingest_fixpoint() {
     let db = corpus_db(3);
-    let mut db2 = Database::new(docql::fixtures::ARTICLE_DTD, &[]).unwrap();
-    for &root in db.store().documents() {
-        let doc = db.store().export(root).unwrap();
-        db2.store_mut().ingest_document(&doc).unwrap();
+    let mut db2 = DocStore::new(docql::fixtures::ARTICLE_DTD, &[]).unwrap();
+    for &root in db.documents() {
+        let doc = db.export(root).unwrap();
+        db2.ingest_document(&doc).unwrap();
     }
-    assert!(db2.store().check().is_empty());
+    assert!(db2.check().is_empty());
     assert_eq!(
-        db.store().instance().object_count(),
-        db2.store().instance().object_count(),
+        db.instance().object_count(),
+        db2.instance().object_count(),
         "object-for-object round trip"
     );
     // Query equivalence across the round trip.
     let q = "select t from Articles PATH_p.title(t)";
-    let texts = |d: &Database| -> BTreeSet<String> {
+    let texts = |d: &DocStore| -> BTreeSet<String> {
         d.query(q)
             .unwrap()
             .rows
             .iter()
             .filter_map(|r| match &r[0] {
-                CalcValue::Data(Value::Oid(o)) => d.store().text_of(*o),
+                CalcValue::Data(Value::Oid(o)) => d.text_of(*o),
                 _ => None,
             })
             .collect()
@@ -109,7 +109,7 @@ fn error_paths_are_reported_not_panicked() {
 #[test]
 fn scale_smoke_thousandish_objects() {
     let db = corpus_db(25);
-    assert!(db.store().instance().object_count() > 1000);
+    assert!(db.instance().object_count() > 1000);
     let r = db
         .query(
             "select tuple (t: a.title, f: first(a.authors)) \

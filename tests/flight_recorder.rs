@@ -138,7 +138,7 @@ fn slow_query_trace_carries_full_diagnostics() {
     store.query_algebraic(q).unwrap();
     store.query_algebraic(q).unwrap();
 
-    let recent = store.recent_queries();
+    let recent = store.flight_recorder().recent();
     assert_eq!(recent.len(), 2);
     let (first, second) = (&recent[0], &recent[1]);
 
@@ -191,14 +191,14 @@ fn slow_query_trace_carries_full_diagnostics() {
     }
 
     // Slow reservoir retained both; JSON renders one object per line.
-    assert_eq!(store.slow_queries().len(), 2);
-    for t in store.slow_queries() {
+    assert_eq!(store.flight_recorder().slow().len(), 2);
+    for t in store.flight_recorder().slow() {
         let json = t.to_json();
         assert!(json.starts_with("{\"trace_id\":\""), "{json}");
         assert!(json.ends_with('}'), "{json}");
         assert!(!json.contains('\n'), "one line per trace");
     }
-    let all = store.traces_json();
+    let all = store.flight_recorder().to_json();
     assert!(all.starts_with("{\"recent\":["), "{all}");
 }
 
@@ -212,11 +212,13 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
     let _ = store.query("select nonsense from").unwrap_err();
     // A strict zero-fuel budget: interrupted, outcome "error".
     let limits = QueryLimits::none().with_path_fuel(1);
-    let _ = store.query_with_limits(ARTICLE_QUERIES[1], &limits);
+    let _ = store
+        .query_traced(ARTICLE_QUERIES[1], Mode::Interpret, &limits)
+        .0;
     // A plain fast success: not retained in the reservoir.
     store.query(ARTICLE_QUERIES[2]).unwrap();
 
-    let slow = store.slow_queries();
+    let slow = store.flight_recorder().slow();
     assert!(
         slow.iter()
             .any(|t| t.outcome == "error" && t.detail.is_some()),
@@ -227,7 +229,7 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
         "fast successes never reach the reservoir"
     );
     assert_eq!(
-        store.recent_queries().len(),
+        store.flight_recorder().recent().len(),
         3,
         "recent ring holds all three"
     );
@@ -238,8 +240,8 @@ fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
     let dir = docql::durable::TempDir::new("docql-flight-recorder").unwrap();
     let (store, _) =
         PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
-    store.shared().set_tracing_enabled(true);
-    let recorder = store.shared().flight_recorder();
+    store.read().set_tracing_enabled(true);
+    let recorder = store.read().flight_recorder().clone();
     recorder.set_slow_cutoff(Duration::ZERO);
     store.ingest(&article_sgml(0)).unwrap();
 
@@ -286,7 +288,7 @@ fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
         });
         while !writer_done.load(Ordering::Acquire) {
             let _ = store.query(q);
-            let recent = store.shared().recent_queries();
+            let recent = store.read().flight_recorder().recent();
             let t = recent.last().expect("query traced");
             if t.has_event("wal_append") || t.has_event("checkpoint") {
                 assert!(
@@ -315,7 +317,7 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
         .map(|q| rendered(&shared.query_algebraic(q).unwrap()))
         .collect();
     shared.set_tracing_enabled(true);
-    shared.flight_recorder().set_slow_cutoff(NEVER_SLOW);
+    shared.read().flight_recorder().set_slow_cutoff(NEVER_SLOW);
     let pinned = shared.read(); // version 0, held across all publications
     let served = AtomicUsize::new(0);
     let writer_done = AtomicBool::new(false);
@@ -367,7 +369,7 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
         }
     });
 
-    let recorder = shared.flight_recorder();
+    let recorder = shared.read().flight_recorder().clone();
     // Accounting: every traced query left exactly one trace (the reference
     // pass ran before tracing was enabled), and the ring never overfills.
     assert_eq!(
@@ -417,7 +419,7 @@ fn recent_ring_evicts_oldest_while_slow_reservoir_retains() {
     recorder.set_slow_cutoff(Duration::ZERO);
     let marker = ARTICLE_QUERIES[3]; // the PATH_p difference query
     store.query_algebraic(marker).unwrap();
-    assert_eq!(store.slow_queries().len(), 1);
+    assert_eq!(store.flight_recorder().slow().len(), 1);
 
     // …then a burst of fast queries large enough to lap the recent ring.
     recorder.set_slow_cutoff(NEVER_SLOW);
@@ -428,12 +430,12 @@ fn recent_ring_evicts_oldest_while_slow_reservoir_retains() {
 
     assert_eq!(recorder.recorded(), capacity as u64 + 2);
     assert_eq!(recorder.len(), capacity, "ring holds exactly its capacity");
-    let recent = store.recent_queries();
+    let recent = store.flight_recorder().recent();
     assert!(
         recent.iter().all(|t| t.query == fast),
         "the slow marker was evicted from the recent ring"
     );
-    let slow = store.slow_queries();
+    let slow = store.flight_recorder().slow();
     assert_eq!(slow.len(), 1, "fast queries never displace the reservoir");
     assert_eq!(
         slow[0].query, marker,

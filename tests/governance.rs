@@ -38,7 +38,7 @@ fn deadline_exceeded_is_typed_and_prompt() {
     let store = corpus_store(100);
     let limits = QueryLimits::none().with_deadline(Duration::from_millis(10));
     let t0 = Instant::now();
-    let e = exec_err(store.query_with_limits(SLOW_QUERY, &limits));
+    let e = exec_err(store.query_traced(SLOW_QUERY, Mode::Interpret, &limits).0);
     let elapsed = t0.elapsed();
     assert_eq!(e, ExecError::DeadlineExceeded);
     // The acceptance bound is < 50 ms unloaded; allow scheduler headroom
@@ -58,14 +58,18 @@ fn row_budget_trips_in_strict_mode_and_flags_in_degrade_mode() {
     let full = store.query(q).unwrap();
     assert!(full.len() > 2, "need enough rows to cut: {}", full.len());
 
+    // `explain analyze` profiles under the same limits as the plain query.
     let strict = QueryLimits::none().with_row_budget(2);
-    assert_eq!(
-        exec_err(store.query_with_limits(q, &strict)),
-        ExecError::BudgetExhausted(Resource::Rows)
-    );
+    for src in [q.to_string(), format!("explain analyze {q}")] {
+        assert_eq!(
+            exec_err(store.query_traced(&src, Mode::Interpret, &strict).0),
+            ExecError::BudgetExhausted(Resource::Rows),
+            "{src}"
+        );
+    }
 
     let degrade = QueryLimits::none().with_row_budget(2).with_degrade();
-    let partial = store.query_with_limits(q, &degrade).unwrap();
+    let partial = store.query_traced(q, Mode::Interpret, &degrade).0.unwrap();
     assert_eq!(
         partial.partial,
         Some(ExecError::BudgetExhausted(Resource::Rows))
@@ -80,7 +84,7 @@ fn row_budget_trips_in_strict_mode_and_flags_in_degrade_mode() {
     let ample = QueryLimits::none()
         .with_row_budget(1_000_000)
         .with_degrade();
-    let complete = store.query_with_limits(q, &ample).unwrap();
+    let complete = store.query_traced(q, Mode::Interpret, &ample).0.unwrap();
     assert!(!complete.is_partial());
     assert_eq!(complete.rows, full.rows);
 }
@@ -90,13 +94,27 @@ fn path_fuel_trips_on_path_queries() {
     let store = corpus_store(8);
     let limits = QueryLimits::none().with_path_fuel(3);
     assert_eq!(
-        exec_err(store.query_with_limits("select t from Articles PATH_p.title(t)", &limits)),
+        exec_err(
+            store
+                .query_traced(
+                    "select t from Articles PATH_p.title(t)",
+                    Mode::Interpret,
+                    &limits
+                )
+                .0
+        ),
         ExecError::BudgetExhausted(Resource::PathFuel)
     );
     // Algebraic mode walks the same graph and burns the same fuel class.
     assert_eq!(
         exec_err(
-            store.query_algebraic_with_limits("select t from Articles PATH_p.title(t)", &limits)
+            store
+                .query_traced(
+                    "select t from Articles PATH_p.title(t)",
+                    Mode::Algebraic,
+                    &limits
+                )
+                .0
         ),
         ExecError::BudgetExhausted(Resource::PathFuel)
     );
@@ -108,10 +126,16 @@ fn cancellation_is_observed() {
     let token = CancelToken::new();
     token.cancel();
     let limits = QueryLimits::none().with_cancel(token);
-    assert_eq!(
-        exec_err(store.query_with_limits(SLOW_QUERY, &limits)),
-        ExecError::Cancelled
-    );
+    for src in [
+        SLOW_QUERY.to_string(),
+        format!("explain analyze {SLOW_QUERY}"),
+    ] {
+        assert_eq!(
+            exec_err(store.query_traced(&src, Mode::Interpret, &limits).0),
+            ExecError::Cancelled,
+            "{src}"
+        );
+    }
 }
 
 #[test]
@@ -126,7 +150,12 @@ fn per_store_defaults_merge_under_per_call_limits() {
     // …and a per-call limit overrides it field-wise.
     let ample = QueryLimits::none().with_row_budget(1_000_000);
     let r = store
-        .query_with_limits("select t from Articles PATH_p.title(t)", &ample)
+        .query_traced(
+            "select t from Articles PATH_p.title(t)",
+            Mode::Interpret,
+            &ample,
+        )
+        .0
         .unwrap();
     assert!(!r.is_empty());
     assert!(!r.is_partial());
@@ -143,19 +172,19 @@ fn governance_outcomes_are_counted_and_reported() {
     store.set_metrics_enabled(true);
     let q = "select t from Articles PATH_p.title(t)";
     let strict = QueryLimits::none().with_row_budget(1);
-    let _ = store.query_with_limits(q, &strict);
+    let _ = store.query_traced(q, Mode::Interpret, &strict).0;
     let degrade = QueryLimits::none().with_row_budget(1).with_degrade();
-    let _ = store.query_with_limits(q, &degrade).unwrap();
+    let _ = store.query_traced(q, Mode::Interpret, &degrade).0.unwrap();
     let deadline = QueryLimits::none().with_deadline(Duration::ZERO);
-    let _ = store.query_with_limits(SLOW_QUERY, &deadline);
+    let _ = store.query_traced(SLOW_QUERY, Mode::Interpret, &deadline).0;
     assert!(store.metrics().queries_budget_exhausted.get() >= 1);
     assert!(store.metrics().queries_partial.get() >= 1);
     assert!(store.metrics().queries_deadline_exceeded.get() >= 1);
-    let prom = store.metrics_prometheus();
+    let prom = store.metrics_registry().to_prometheus();
     assert!(prom.contains("docql_store_queries_budget_exhausted_total"));
 
     // EXPLAIN ANALYZE carries the governance outcome in degrade mode.
-    let profile = store.profile_with_limits(q, &degrade).unwrap();
+    let profile = store.profile(q, &degrade).unwrap();
     assert!(profile.result.is_partial());
     let report = profile.render();
     assert!(report.contains("governance: partial result"), "{report}");
@@ -192,7 +221,7 @@ fn fault_injection_sweep_leaves_store_serviceable() {
         if case % 2 == 1 {
             limits = limits.with_degrade();
         }
-        match store.query_algebraic_with_limits(queries[qi], &limits) {
+        match store.query_traced(queries[qi], Mode::Algebraic, &limits).0 {
             Ok(r) if r.is_partial() => flagged += 1,
             Ok(r) => {
                 // An un-flagged Ok must be the complete, correct answer —
@@ -245,8 +274,8 @@ fn fault_injection_is_deterministic_per_seed() {
     let base = fault_base_seed();
     for case in 0..8 {
         let limits = QueryLimits::none().with_fault_seed(base.wrapping_add(case));
-        let a = store.query_algebraic_with_limits(q, &limits);
-        let b = store.query_algebraic_with_limits(q, &limits);
+        let a = store.query_traced(q, Mode::Algebraic, &limits).0;
+        let b = store.query_traced(q, Mode::Algebraic, &limits).0;
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(x, y),
             (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string()),

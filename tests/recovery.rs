@@ -596,7 +596,7 @@ fn wal_and_checkpoint_metrics_are_recorded() {
     ps.checkpoint().unwrap();
     assert_eq!(m.checkpoints.get(), 1);
     assert!(m.segment_bytes.get() > 0);
-    let prom = ps.read().metrics_prometheus();
+    let prom = ps.read().metrics_registry().to_prometheus();
     assert!(prom.contains("docql_durable_wal_appends_total"), "{prom}");
     assert!(prom.contains("docql_durable_checkpoints_total"), "{prom}");
 }

@@ -83,7 +83,7 @@ fn f3_generated_classes_match_fig3_line_by_line() {
 
 #[test]
 fn q3_and_q5_on_the_fig2_document_itself() {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
     db.bind("my_article", root).unwrap();
 
@@ -95,7 +95,7 @@ fn q3_and_q5_on_the_fig2_document_itself() {
         .rows
         .iter()
         .filter_map(|r| match &r[0] {
-            CalcValue::Data(Value::Oid(o)) => db.store().text_of(*o),
+            CalcValue::Data(Value::Oid(o)) => db.text_of(*o),
             _ => None,
         })
         .collect();
@@ -119,9 +119,9 @@ fn q3_and_q5_on_the_fig2_document_itself() {
 
 #[test]
 fn fig2_ingest_populates_fig3_shapes() {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &[]).unwrap();
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &[]).unwrap();
     let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
-    let v = db.store().instance().value_of(root).unwrap();
+    let v = db.instance().value_of(root).unwrap();
     // The Article object's value matches the Fig. 3 tuple type.
     for attr in [
         "title", "authors", "affil", "abstract", "sections", "acknowl", "status",
@@ -134,10 +134,10 @@ fn fig2_ingest_populates_fig3_shapes() {
     };
     for s in sections {
         let Value::Oid(o) = s else { panic!() };
-        match db.store().instance().value_of(*o).unwrap() {
+        match db.instance().value_of(*o).unwrap() {
             Value::Union(m, _) => assert_eq!(*m, sym("a1")),
             other => panic!("{other}"),
         }
     }
-    assert!(db.store().check().is_empty());
+    assert!(db.check().is_empty());
 }

@@ -8,8 +8,8 @@ use docql::prelude::*;
 use docql_corpus::{generate_article, ArticleParams};
 use std::collections::BTreeSet;
 
-fn db() -> Database {
-    let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+fn db() -> DocStore {
+    let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     for seed in 0..3u64 {
         let doc = generate_article(&ArticleParams {
             seed,
@@ -18,9 +18,9 @@ fn db() -> Database {
             plant_every: 2,
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc).unwrap();
+        db.ingest_document(&doc).unwrap();
     }
-    let root = db.store().documents()[0];
+    let root = db.documents()[0];
     db.bind("my_article", root).unwrap();
     db
 }
@@ -60,7 +60,7 @@ fn liberal_mode_reaches_cross_references() {
     // loop detection allows longer trails, so strictly more paths exist.
     let db = db();
     let count = |sem: PathSemantics| {
-        let mut engine = db.store().engine();
+        let mut engine = db.engine();
         engine.semantics = sem;
         engine.run("my_article PATH_p").unwrap().len()
     };
@@ -80,7 +80,7 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
     // the answer. This is the loop-detection regression for governance.
     let db = db();
     let q = "my_article PATH_p";
-    let mut engine = db.store().engine();
+    let mut engine = db.engine();
     engine.semantics = PathSemantics::Liberal;
     let unguarded = engine.run(q).unwrap();
     assert!(!unguarded.is_empty());
@@ -116,7 +116,7 @@ fn both_modes_agree_under_restricted_semantics() {
         "select name(ATT_a) from my_article PATH_p.ATT_a(v) where v contains (\"draft\")",
     ] {
         let i: BTreeSet<_> = db.query(q).unwrap().rows.into_iter().collect();
-        let mut engine = db.store().engine();
+        let mut engine = db.engine();
         engine.mode = Mode::Algebraic;
         let a: BTreeSet<_> = engine.run(q).unwrap().rows.into_iter().collect();
         assert_eq!(i, a, "{q}");
@@ -152,8 +152,8 @@ fn prelude_exports_cover_the_quickstart_surface() {
     fn assert_usable(_: &DocStore, _: &QueryResult, _: PathSemantics) {}
     let db = db();
     let r = db.query("select a from a in Articles").unwrap();
-    assert_usable(db.store(), &r, PathSemantics::Restricted);
-    let _engine: Engine<'_> = db.store().engine();
+    assert_usable(&db, &r, PathSemantics::Restricted);
+    let _engine: Engine<'_> = db.engine();
     let _v: Value = Value::Int(1);
     let _s: Sym = sym("x");
 }

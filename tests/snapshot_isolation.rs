@@ -161,7 +161,10 @@ fn pinned_snapshot_differential_holds_under_fault_injection() {
                 if case % 2 == 1 {
                     limits = limits.with_degrade();
                 }
-                match pinned.query_algebraic_with_limits(ARTICLE_QUERIES[qi], &limits) {
+                match pinned
+                    .query_traced(ARTICLE_QUERIES[qi], Mode::Algebraic, &limits)
+                    .0
+                {
                     Ok(r) if r.is_partial() => {} // degraded: legitimately partial
                     Ok(r) => {
                         assert_eq!(
