@@ -72,17 +72,14 @@ DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench durability | grep "^B13"
 echo "==> B14 planner-cost smoke (adversarial + parity shapes, 1 ms windows)"
 DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench planner_cost | grep "^B14"
 
-echo "==> B11 guard-overhead smoke (interleaved governed vs ungoverned)"
-cargo run -q --release -p docql-bench --example b11_interleaved
+echo "==> B11 guard-overhead smoke (interleaved governed vs ungoverned, 1 ms windows)"
+DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench guard_overhead | grep "^B11"
 
 echo "==> B12 mixed read/write smoke (snapshots vs global lock, short windows)"
 DOCQL_B12_MS=50 cargo run -q --release -p docql-bench --example b12_mixed
 
-echo "==> B15 trace-overhead smoke (recorder disabled/enabled/sink, 1 ms windows)"
+echo "==> B15 trace-overhead smoke (recorder disabled/enabled/sink + interleaved, 1 ms windows)"
 DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench trace_overhead | grep "^B15"
-
-echo "==> B15 interleaved smoke (drift-immune traced vs untraced)"
-cargo run -q --release -p docql-bench --example b15_interleaved
 
 echo "==> B16 serve-load smoke (HTTP over the wire, 1 ms windows)"
 DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench serve_load | grep "^B16"

@@ -7,7 +7,7 @@
 //! paths at run time**: plans only contain concrete navigation steps, which
 //! is exactly what the algebraization buys over the calculus interpreter.
 
-use crate::profile::{AlgebraMetrics, PlanProfile};
+use crate::profile::PlanProfile;
 use docql_calculus::{Atom, CalcValue, DataTerm, Env, Evaluator, Var};
 use docql_model::{Instance, Sym, Value};
 use docql_paths::select::{attr_select, deref1, index_select, list_items};
@@ -23,19 +23,18 @@ use std::fmt;
 /// plan cache keep index-aware plans without invalidation: the cached plan
 /// captures the *choice point*, the context supplies the index.
 ///
-/// The observability fields follow the same pattern: instrumentation is
-/// always compiled into the executor, and whether an execution is timed is
-/// decided here. With both fields `None` (the default) the only per-operator
-/// cost is two pointer-sized `Option` checks.
+/// The profile follows the same pattern: instrumentation is always compiled
+/// into the executor, and whether an execution is counted or timed is
+/// decided here. With no profile (the default) the only per-operator cost
+/// is one pointer-sized `Option` check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecCtx<'a> {
     /// The store's path-extent index, when index-backed evaluation is on.
     pub extents: Option<&'a PathExtentIndex>,
-    /// Per-operator profile for this execution (`EXPLAIN ANALYZE`). Must be
-    /// built from the plan being executed (see [`PlanProfile::new`]).
+    /// Per-operator profile for this execution (traces and `EXPLAIN
+    /// ANALYZE`). Must be built from the plan being executed (see
+    /// [`PlanProfile::new`]).
     pub profile: Option<&'a PlanProfile>,
-    /// Registry-level counters aggregated across queries.
-    pub metrics: Option<&'a AlgebraMetrics>,
     /// Execution governance: operator loops charge one row per emitted
     /// tuple, graph walks charge path fuel, and each operator start is a
     /// fault-injection point. `None` (the default) costs one pointer test
@@ -202,11 +201,11 @@ impl Op {
         self.run(instance, ev, ctx, vec![Env::new()], 0)
     }
 
-    /// Instrumentation shell around [`Op::run_inner`]: with neither a
-    /// profile nor metrics attached it adds two `Option` checks per operator
-    /// call; otherwise it times the (inclusive) execution and records the
-    /// emitted row count. `node` is this operator's pre-order id in
-    /// `ctx.profile` (`0` — never read — when unprofiled).
+    /// Instrumentation shell around [`Op::run_inner`]: without a profile it
+    /// adds one `Option` check per operator call; with one it records the
+    /// emitted row count, and the (inclusive) wall time when the profile is
+    /// timed. `node` is this operator's pre-order id in `ctx.profile` (`0`
+    /// — never read — when unprofiled).
     fn run(
         &self,
         instance: &Instance,
@@ -225,31 +224,19 @@ impl Op {
                 docql_guard::Flow::Abort(e) => return Err(crate::AlgebraError::from(e)),
             }
         }
-        if ctx.profile.is_none() && ctx.metrics.is_none() {
+        let Some(p) = ctx.profile else {
             return self.run_inner(instance, ev, ctx, input_rows, node);
-        }
-        if ctx.metrics.is_none() && ctx.profile.is_some_and(|p| !p.is_timed()) {
-            // Untimed profile (query tracing): count calls and rows, skip
-            // the clock — semi-join sub-plans re-enter here once per input
-            // row, and two `Instant::now` calls per entry would dominate.
-            let result = self.run_inner(instance, ev, ctx, input_rows, node);
-            if let (Ok(rows), Some(p)) = (&result, ctx.profile) {
-                p.record(node, 0, rows.len() as u64);
-            }
-            return result;
-        }
-        let start = std::time::Instant::now();
+        };
+        // Untimed profiles (query traces) skip the clock: semi-join
+        // sub-plans re-enter here once per input row, and two
+        // `Instant::now` calls per entry would dominate tight plans.
+        let start = p.is_timed().then(std::time::Instant::now);
         let result = self.run_inner(instance, ev, ctx, input_rows, node);
         if let Ok(rows) = &result {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let emitted = rows.len() as u64;
-            if let Some(p) = ctx.profile {
-                p.record(node, nanos, emitted);
-            }
-            if let Some(m) = ctx.metrics {
-                m.ops_executed.inc();
-                m.rows_emitted.add(emitted);
-            }
+            let nanos = start.map_or(0, |s| {
+                u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
+            });
+            p.record(node, nanos, rows.len() as u64);
         }
         result
     }
@@ -306,7 +293,7 @@ impl Op {
                     .extents
                     .and_then(|e| e.lookup(&scan.key).map(|pid| (e, pid)));
                 // Tallied locally (plain integers), flushed to the profile
-                // and registry counters once after the loop.
+                // once after the loop.
                 let mut index_hits = 0u64;
                 let mut walk_fallbacks = 0u64;
                 let mut result = Vec::new();
@@ -412,13 +399,9 @@ impl Op {
                         }
                     }
                 }
-                if index_hits != 0 || walk_fallbacks != 0 {
-                    if let Some(p) = ctx.profile {
+                if let Some(p) = ctx.profile {
+                    if index_hits != 0 || walk_fallbacks != 0 {
                         p.record_scan(node, index_hits, walk_fallbacks);
-                    }
-                    if let Some(m) = ctx.metrics {
-                        m.index_scan_extent_hits.add(index_hits);
-                        m.index_scan_walk_fallbacks.add(walk_fallbacks);
                     }
                 }
                 Ok(result)

@@ -1,5 +1,4 @@
-//! Per-operator execution profiles (`EXPLAIN ANALYZE`) and registry-level
-//! algebra counters.
+//! Per-operator execution profiles (query traces and `EXPLAIN ANALYZE`).
 //!
 //! A [`PlanProfile`] numbers the operators of one plan tree in **pre-order**
 //! (the order [`Op::explain`](crate::Op::explain) prints them) and holds one
@@ -9,10 +8,8 @@
 //! additionally records how many start values were answered from the
 //! path-extent index versus the walk fallback.
 //!
-//! [`AlgebraMetrics`] is the registry-facing aggregate of the same events:
-//! process-lifetime counters shared across queries, resolved once from a
-//! [`MetricsRegistry`] and threaded through
-//! [`ExecCtx::metrics`](crate::ExecCtx).
+//! Registry-level algebra counters are not recorded here: the engine sums
+//! them from the trace's operator spans (see [`PlanProfile::op_spans`]).
 //!
 //! Timing convention: a node's time **includes its children** (the
 //! PostgreSQL `EXPLAIN ANALYZE` convention), and `calls` counts executor
@@ -20,7 +17,6 @@
 //! row, so its `calls` can exceed 1 within a single query.
 
 use crate::plan::Op;
-use docql_obs::{Counter, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,20 +126,11 @@ impl PlanProfile {
         PlanProfile::from_shape(Arc::new(ProfileShape::of(plan)), true, usize::MAX)
     }
 
-    /// Like [`PlanProfile::new`], but the executor skips the per-operator
-    /// clock reads: `calls`, `rows`, and the scan split are still counted
-    /// (relaxed atomics), `nanos` stays zero. The sub-plan of a semi-join
-    /// re-enters the instrumentation shell once per input row, so two
-    /// `Instant::now` calls per entry dominate tight plans — this is what
-    /// lets query *tracing* collect estimated-vs-actual rows within its
-    /// few-percent overhead budget, where `EXPLAIN ANALYZE` keeps full
-    /// timing.
-    pub fn untimed(plan: &Op) -> PlanProfile {
-        PlanProfile::from_shape(Arc::new(ProfileShape::of(plan)), false, usize::MAX)
-    }
-
     /// A profile over a prebuilt (typically plan-cached) shape. `timed`
-    /// selects whether the executor reads the clock per operator call;
+    /// selects whether the executor reads the clock per operator call —
+    /// untimed, `calls`, `rows` and the scan split are still counted but
+    /// `nanos` stays zero, which is what keeps query tracing within its
+    /// few-percent overhead budget while `EXPLAIN ANALYZE` keeps full timing;
     /// `max_tracked` bounds the individually tracked operators (the rest
     /// share one overflow row — see the `nodes` field).
     pub fn from_shape(shape: Arc<ProfileShape>, timed: bool, max_tracked: usize) -> PlanProfile {
@@ -421,38 +408,6 @@ pub(crate) fn collect_labels(op: &Op, depth: u32, cap: usize, out: &mut Vec<(u32
     }
 }
 
-/// Registry-level counters for algebra execution, shared across queries.
-///
-/// Cloning shares the underlying cells (see [`Counter`]).
-#[derive(Clone, Debug, Default)]
-pub struct AlgebraMetrics {
-    /// Operator invocations (one per `calls` in profile terms).
-    pub ops_executed: Counter,
-    /// Rows emitted by all operators.
-    pub rows_emitted: Counter,
-    /// `IndexPathScan` start values answered from the path-extent index.
-    pub index_scan_extent_hits: Counter,
-    /// `IndexPathScan` start values answered by the fallback walk.
-    pub index_scan_walk_fallbacks: Counter,
-}
-
-impl AlgebraMetrics {
-    /// Free-standing counters, not attached to any registry.
-    pub fn new() -> AlgebraMetrics {
-        AlgebraMetrics::default()
-    }
-
-    /// Resolve (creating if absent) the algebra counters in `registry`.
-    pub fn register(registry: &MetricsRegistry) -> AlgebraMetrics {
-        AlgebraMetrics {
-            ops_executed: registry.counter("docql_algebra_ops_executed_total"),
-            rows_emitted: registry.counter("docql_algebra_rows_emitted_total"),
-            index_scan_extent_hits: registry.counter("docql_index_scan_extent_hits_total"),
-            index_scan_walk_fallbacks: registry.counter("docql_index_scan_walk_fallbacks_total"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,7 +509,7 @@ mod tests {
     #[test]
     fn untimed_profile_counts_without_timing() {
         let plan = sample_plan();
-        let p = PlanProfile::untimed(&plan);
+        let p = PlanProfile::from_shape(Arc::new(ProfileShape::of(&plan)), false, usize::MAX);
         assert!(!p.is_timed());
         assert!(PlanProfile::new(&plan).is_timed());
         p.record(0, 0, 2);

@@ -6,11 +6,14 @@
 //! path fuel all far above what the query needs), so every guard check
 //! runs but none ever trips. The governed column is the ≤ 5 % acceptance
 //! gate against the ungoverned baseline: what admission to the governance
-//! layer costs when it never intervenes.
+//! layer costs when it never intervenes. The gate is judged on the
+//! interleaved measurement printed after the table.
 
 use docql::prelude::*;
-use docql_bench::harness::{BenchmarkId, Criterion};
-use docql_bench::{article_store, criterion_group, criterion_main};
+use docql_bench::harness::{interleaved, overhead_pct, BenchmarkId, Criterion};
+use docql_bench::{
+    article_store, criterion_group, criterion_main, overhead_iters, OVERHEAD_QUERIES,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -18,59 +21,38 @@ fn bench_guard_overhead(c: &mut Criterion) {
     let mut store = article_store(10, 5);
     store.bind("my_article", store.documents()[0]).unwrap();
 
-    let queries: &[(&str, &str)] = &[
-        (
-            "Q1",
-            "select tuple (t: a.title, f_author: first(a.authors)) \
-             from a in Articles, s in a.sections \
-             where s.title contains (\"SGML\" and \"OODBMS\")",
-        ),
-        ("Q3", "select t from my_article PATH_p.title(t)"),
-        (
-            "Q5",
-            "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
-             where val contains (\"draft\")",
-        ),
-    ];
-
+    // Ample limits: every guard check runs, none ever trips.
     let ample = QueryLimits::none()
         .with_deadline(Duration::from_secs(3600))
         .with_row_budget(u64::MAX / 2)
         .with_path_fuel(u64::MAX / 2);
+    let ungoverned = |q: &str| store.query_algebraic(q).unwrap().len();
+    let governed = |q: &str| {
+        store
+            .query_traced(q, Mode::Algebraic, &ample)
+            .0
+            .unwrap()
+            .len()
+    };
 
     let mut group = c.benchmark_group("B11_guard_overhead");
     group.sample_size(20);
-    for (name, q) in queries {
+    for (name, q) in OVERHEAD_QUERIES {
         group.bench_function(BenchmarkId::new(name, "ungoverned"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| black_box(ungoverned(black_box(q))))
         });
         group.bench_function(BenchmarkId::new(name, "governed"), |b| {
-            b.iter(|| {
-                black_box(
-                    store
-                        .query_traced(black_box(q), Mode::Algebraic, &ample)
-                        .0
-                        .unwrap()
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(governed(black_box(q))))
         });
     }
     group.finish();
 
-    // Overhead summary on best-of-run times (minimum is the robust
-    // estimator under one-sided scheduler noise).
-    for (name, _) in queries {
-        let best = |variant: &str| {
-            c.samples
-                .iter()
-                .find(|s| s.name == format!("B11_guard_overhead/{name}/{variant}"))
-                .map(|s| s.best)
-        };
-        if let (Some(plain), Some(gov)) = (best("ungoverned"), best("governed")) {
-            let pct = (gov.as_secs_f64() / plain.as_secs_f64().max(1e-12) - 1.0) * 100.0;
-            println!("B11 summary: {name} — governed {pct:+.1}% vs ungoverned ({plain:?})");
-        }
+    for (name, q) in OVERHEAD_QUERIES {
+        let (plain, gov) = interleaved(|| ungoverned(q), || governed(q), overhead_iters(name));
+        println!(
+            "B11 interleaved: {name} — ungoverned {plain:?}, governed {gov:?}, overhead {:+.1}%",
+            overhead_pct(plain, gov)
+        );
     }
 }
 

@@ -1,14 +1,21 @@
 //! B10 — instrumentation overhead on the B6 query workload.
 //!
-//! Three variants per query: `disabled` is the production default (metrics
-//! registry off — the only cost on the query path is a handful of relaxed
-//! atomic loads), `enabled` records the lifecycle histograms and algebra
-//! counters, and `profiled` runs the full `EXPLAIN ANALYZE` machinery with
-//! per-operator timing. The disabled column is the ≤ 3 % acceptance gate
-//! against B6; the other two document what turning observability on costs.
+//! Three variants per query and path: `disabled` is the production default
+//! (metrics registry off — the only cost on the query path is a handful of
+//! relaxed atomic loads), `enabled` traces each query and feeds the
+//! lifecycle histograms and algebra counters from the finished trace, and
+//! `profiled` runs `EXPLAIN ANALYZE` (an uncached plan with per-operator
+//! timing). Paths are the default one (`interp`: `query()`, the cached
+//! interpreter the server runs) and the cached algebra (`algebraic`:
+//! `query_algebraic()`); profiling always executes algebraically. The
+//! disabled column is the acceptance gate against B6; the interleaved
+//! disabled-vs-enabled lines after the table document what turning metrics
+//! on costs.
 
-use docql_bench::harness::{BenchmarkId, Criterion};
-use docql_bench::{article_store, criterion_group, criterion_main};
+use docql_bench::harness::{interleaved, overhead_pct, BenchmarkId, Criterion};
+use docql_bench::{
+    article_store, criterion_group, criterion_main, overhead_iters, CACHED_PATHS, OVERHEAD_QUERIES,
+};
 use std::hint::black_box;
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -16,32 +23,19 @@ fn bench_obs_overhead(c: &mut Criterion) {
     store.bind("my_article", store.documents()[0]).unwrap();
     let none = docql::guard::QueryLimits::none();
 
-    let queries: &[(&str, &str)] = &[
-        (
-            "Q1",
-            "select tuple (t: a.title, f_author: first(a.authors)) \
-             from a in Articles, s in a.sections \
-             where s.title contains (\"SGML\" and \"OODBMS\")",
-        ),
-        ("Q3", "select t from my_article PATH_p.title(t)"),
-        (
-            "Q5",
-            "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
-             where val contains (\"draft\")",
-        ),
-    ];
-
     let mut group = c.benchmark_group("B10_obs_overhead");
     group.sample_size(20);
-    for (name, q) in queries {
-        store.set_metrics_enabled(false);
-        group.bench_function(BenchmarkId::new(name, "disabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
-        });
-        store.set_metrics_enabled(true);
-        group.bench_function(BenchmarkId::new(name, "enabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
-        });
+    for (name, q) in OVERHEAD_QUERIES {
+        for (path, run) in CACHED_PATHS {
+            store.set_metrics_enabled(false);
+            group.bench_function(BenchmarkId::new(name, format!("{path}/disabled")), |b| {
+                b.iter(|| black_box(run(&store, black_box(q))))
+            });
+            store.set_metrics_enabled(true);
+            group.bench_function(BenchmarkId::new(name, format!("{path}/enabled")), |b| {
+                b.iter(|| black_box(run(&store, black_box(q))))
+            });
+        }
         group.bench_function(BenchmarkId::new(name, "profiled"), |b| {
             b.iter(|| {
                 black_box(
@@ -58,25 +52,25 @@ fn bench_obs_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // Overhead summary on best-of-run times (minimum is the robust
-    // estimator under one-sided scheduler noise).
-    for (name, _) in queries {
-        let best = |variant: &str| {
-            c.samples
-                .iter()
-                .find(|s| s.name == format!("B10_obs_overhead/{name}/{variant}"))
-                .map(|s| s.best)
-        };
-        if let (Some(dis), Some(ena), Some(pro)) =
-            (best("disabled"), best("enabled"), best("profiled"))
-        {
-            let pct = |v: std::time::Duration| {
-                (v.as_secs_f64() / dis.as_secs_f64().max(1e-12) - 1.0) * 100.0
-            };
+    // Metrics off vs on, A/B-interleaved (toggling the registry inside
+    // each side, one relaxed store).
+    for (path, run) in CACHED_PATHS {
+        for (name, q) in OVERHEAD_QUERIES {
+            let (off, on) = interleaved(
+                || {
+                    store.set_metrics_enabled(false);
+                    run(&store, q)
+                },
+                || {
+                    store.set_metrics_enabled(true);
+                    run(&store, q)
+                },
+                overhead_iters(name),
+            );
+            store.set_metrics_enabled(false);
             println!(
-                "B10 summary: {name} — enabled {:+.1}% , profiled {:+.1}% vs disabled ({dis:?})",
-                pct(ena),
-                pct(pro),
+                "B10 interleaved: {name} {path} — disabled {off:?}, enabled {on:?}, overhead {:+.1}%",
+                overhead_pct(off, on)
             );
         }
     }

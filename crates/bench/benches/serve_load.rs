@@ -6,7 +6,9 @@
 //! The pool is sized to the largest connection count so the measurement
 //! captures serving-tier overhead (socket + parse + stream) rather than
 //! queueing; the `DOCQL_BENCH_MS` window keeps CI smoke runs to a few
-//! milliseconds per point.
+//! milliseconds per point. A connection the server closes after its
+//! `max_requests_per_conn` responses (the last one says `Connection:
+//! close`) is reopened, and each point reports how many reopens it made.
 
 use docql::store::{DocStore, SharedStore};
 use docql_bench::article_store;
@@ -53,11 +55,12 @@ fn main() {
         let started = Instant::now();
         let threads: Vec<_> = (0..conns)
             .map(|_| {
-                std::thread::spawn(move || -> (u64, Vec<u64>) {
-                    let mut client =
-                        HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
+                std::thread::spawn(move || -> (u64, u64, Vec<u64>) {
+                    let connect =
+                        || HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
+                    let mut client = connect();
                     let mut latencies = Vec::new();
-                    let mut errors = 0u64;
+                    let (mut errors, mut reconnects) = (0u64, 0u64);
                     let deadline = Instant::now() + window;
                     while Instant::now() < deadline {
                         let t0 = Instant::now();
@@ -65,19 +68,27 @@ fn main() {
                             Ok(resp) if resp.status == 200 => {
                                 let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                                 latencies.push(ns);
+                                if resp
+                                    .header("connection")
+                                    .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+                                {
+                                    client = connect();
+                                    reconnects += 1;
+                                }
                             }
                             Ok(_) | Err(_) => errors += 1,
                         }
                     }
-                    (errors, latencies)
+                    (errors, reconnects, latencies)
                 })
             })
             .collect();
         let mut latencies: Vec<u64> = Vec::new();
-        let mut errors = 0u64;
+        let (mut errors, mut reconnects) = (0u64, 0u64);
         for t in threads {
-            let (e, mut l) = t.join().expect("load thread");
+            let (e, r, mut l) = t.join().expect("load thread");
             errors += e;
+            reconnects += r;
             latencies.append(&mut l);
         }
         let elapsed = started.elapsed().as_secs_f64();
@@ -87,7 +98,7 @@ fn main() {
         println!(
             "B16 serve_load: conns={conns:>2} — {qps:>9.0} req/s, \
              p50 {:.1} us, p95 {:.1} us, p99 {:.1} us \
-             ({} requests, {errors} errors)",
+             ({} requests, {errors} errors, {reconnects} reconnects)",
             us(0.50),
             us(0.95),
             us(0.99),

@@ -9,6 +9,10 @@
 //!
 //! Set `DOCQL_BENCH_MS` to change the per-benchmark measurement window
 //! (milliseconds, default 25).
+//!
+//! [`interleaved`] is the A/B methodology for few-percent overhead gates
+//! (B10, B11, B15): criterion-style variants run one after another, so slow
+//! drift between the passes can dwarf the effect being measured.
 
 use std::time::{Duration, Instant};
 
@@ -196,6 +200,37 @@ fn run_one<F: FnOnce(&mut Bencher)>(c: &mut Criterion, name: String, f: F) {
     });
 }
 
+/// Best-of-run wall time per call of `a` and of `b`, measured
+/// A/B-interleaved: each of `iters` rounds runs `a` once and then `b` once,
+/// so slow drift (CPU frequency, noisy neighbours) hits both sides alike
+/// and cancels. Both sides are warmed first. The minimum is the robust
+/// estimator under one-sided scheduler noise.
+pub fn interleaved<RA, RB>(
+    mut a: impl FnMut() -> RA,
+    mut b: impl FnMut() -> RB,
+    iters: u64,
+) -> (Duration, Duration) {
+    for _ in 0..3 {
+        std::hint::black_box(a());
+        std::hint::black_box(b());
+    }
+    let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
+    for _ in 0..iters.max(1) {
+        let t = Instant::now();
+        std::hint::black_box(a());
+        best_a = best_a.min(t.elapsed());
+        let t = Instant::now();
+        std::hint::black_box(b());
+        best_b = best_b.min(t.elapsed());
+    }
+    (best_a, best_b)
+}
+
+/// `b`'s overhead over `a` in percent (`+5.0` = 5 % slower).
+pub fn overhead_pct(a: Duration, b: Duration) -> f64 {
+    (b.as_secs_f64() / a.as_secs_f64().max(1e-12) - 1.0) * 100.0
+}
+
 /// Render a duration with an adaptive unit.
 pub fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
@@ -258,6 +293,25 @@ mod tests {
         assert_eq!(per_iter_duration(total, 7), total / 7);
         // Zero iterations must not divide by zero.
         assert_eq!(per_iter_duration(total, 0), total);
+    }
+
+    #[test]
+    fn interleaved_alternates_and_keeps_the_minimum() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b) = interleaved(
+            || order.borrow_mut().push('a'),
+            || {
+                order.borrow_mut().push('b');
+                std::thread::sleep(Duration::from_millis(1));
+            },
+            2,
+        );
+        assert_eq!(order.borrow().iter().collect::<String>(), "ababababab");
+        assert!(b >= Duration::from_millis(1) && a < b, "{a:?} vs {b:?}");
+        assert!(
+            (overhead_pct(Duration::from_micros(100), Duration::from_micros(105)) - 5.0).abs()
+                < 1e-9
+        );
     }
 
     #[test]

@@ -11,6 +11,45 @@ use docql_corpus::{
 };
 use std::sync::Arc;
 
+/// The overhead benches' workload (B10, B11, B15): a text-predicate join
+/// (Q1), a cached point lookup (Q3), and a generalized-path query (Q5),
+/// over [`article_store`]`(10, 5)` with `my_article` bound.
+pub const OVERHEAD_QUERIES: &[(&str, &str)] = &[
+    (
+        "Q1",
+        "select tuple (t: a.title, f_author: first(a.authors)) \
+         from a in Articles, s in a.sections \
+         where s.title contains (\"SGML\" and \"OODBMS\")",
+    ),
+    ("Q3", "select t from my_article PATH_p.title(t)"),
+    (
+        "Q5",
+        "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
+         where val contains (\"draft\")",
+    ),
+];
+
+/// One way of running a query on a store, returning the row count.
+pub type QueryPath = fn(&DocStore, &str) -> usize;
+
+/// The two cached execution paths the overhead benches time: the default
+/// one (`query()`, the cached interpreter the server runs) and the cached
+/// algebra (`query_algebraic()`).
+pub const CACHED_PATHS: &[(&str, QueryPath)] = &[
+    ("interp", |s, q| s.query(q).unwrap().len()),
+    ("algebraic", |s, q| s.query_algebraic(q).unwrap().len()),
+];
+
+/// Interleaved rounds per query for the overhead benches: fewer for the
+/// generalized-path Q5, whose single run costs ~10× a Q1/Q3 run.
+pub fn overhead_iters(name: &str) -> u64 {
+    if name == "Q5" {
+        200
+    } else {
+        2000
+    }
+}
+
 /// A store of `n_docs` generated articles with `sections` sections each.
 pub fn article_store(n_docs: usize, sections: usize) -> DocStore {
     let mut store = DocStore::new(

@@ -76,7 +76,7 @@ impl CachedPlan {
         &self,
         schema: &Schema,
         stats: Option<&dyn StatsSource>,
-    ) -> Result<(AlgebraPlans, u64), O2sqlError> {
+    ) -> Result<(AlgebraPlans, u64), AlgebraError> {
         fn collect(
             t: &Translated,
             schema: &Schema,
@@ -94,10 +94,7 @@ impl CachedPlan {
         }
         let version = stats.map_or(0, StatsSource::version);
         let mut out = Vec::new();
-        let plans = match collect(&self.translated, schema, stats, &mut out) {
-            Ok(()) => Ok(Arc::new(out)),
-            Err(e) => Err(e),
-        };
+        let plans = collect(&self.translated, schema, stats, &mut out).map(|()| Arc::new(out));
         let mut guard = self.slot_lock();
         let slot = guard.get_or_insert(AlgebraSlot {
             plans,
@@ -129,10 +126,10 @@ impl CachedPlan {
     }
 }
 
-fn slot_result(slot: &AlgebraSlot) -> Result<(AlgebraPlans, u64), O2sqlError> {
+fn slot_result(slot: &AlgebraSlot) -> Result<(AlgebraPlans, u64), AlgebraError> {
     match &slot.plans {
         Ok(plans) => Ok((Arc::clone(plans), slot.stats_version)),
-        Err(e) => Err(O2sqlError::Eval(e.to_string())),
+        Err(e) => Err(e.clone()),
     }
 }
 
@@ -198,20 +195,25 @@ impl PlanCache {
         registry.register_gauge("docql_plan_cache_entries", &self.entries);
     }
 
-    /// Look up `src`, or compile it with `compile` and cache the result.
-    /// Compilation runs outside the lock, so a slow compile never blocks
-    /// concurrent lookups (two threads may race to compile the same text;
-    /// both get valid plans and one insertion wins).
-    pub fn get_or_compile<F>(&self, src: &str, compile: F) -> Result<Arc<CachedPlan>, O2sqlError>
+    /// Look up `src`, or compile it with `compile` and cache the result;
+    /// the flag says whether the lookup hit. Compilation runs outside the
+    /// lock, so a slow compile never blocks concurrent lookups (two threads
+    /// may race to compile the same text; both get valid plans and one
+    /// insertion wins).
+    pub fn get_or_compile<F>(
+        &self,
+        src: &str,
+        compile: F,
+    ) -> Result<(Arc<CachedPlan>, bool), O2sqlError>
     where
         F: FnOnce() -> Result<CachedPlan, O2sqlError>,
     {
         if let Some(hit) = self.lookup(src) {
-            return Ok(hit);
+            return Ok((hit, true));
         }
         let plan = Arc::new(compile()?);
         self.insert(src, Arc::clone(&plan));
-        Ok(plan)
+        Ok((plan, false))
     }
 
     /// Look up `src`, refreshing its recency; counts a hit or a miss.

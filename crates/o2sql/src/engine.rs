@@ -1,11 +1,11 @@
 //! The query engine façade: parse → translate → (type-check) → evaluate.
 
-use crate::cache::{CachedPlan, PlanCache};
-use crate::metrics::{EngineMetrics, QueryProfile};
+use crate::cache::{AlgebraPlans, CachedPlan, PlanCache};
+use crate::metrics::QueryProfile;
 use crate::parser::parse;
 use crate::translate::{translate, Translated};
 use crate::O2sqlError;
-use docql_algebra::{Algebraized, PlanProfile};
+use docql_algebra::{AlgebraError, Algebraized, PlanProfile};
 use docql_calculus::{infer_types, CalcValue, Evaluator, Interp, TypeInfo};
 use docql_model::Instance;
 use std::collections::BTreeSet;
@@ -20,6 +20,9 @@ use crate::ast::SetOpKind;
 /// thousands of union branches, and an unbounded span list would dominate
 /// both the tracing overhead and the flight-recorder ring's memory.
 pub const MAX_TRACE_OP_SPANS: usize = 64;
+
+/// An evaluated query with each executed algebra plan and its profile.
+type Executed = (QueryResult, Vec<(Arc<Algebraized>, PlanProfile)>);
 
 /// A query result: labelled columns and deduplicated rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,11 +128,6 @@ pub struct Engine<'a> {
     /// (and cached) plans serve both settings — the choice is resolved at
     /// evaluation time.
     pub extents: Option<&'a docql_paths::PathExtentIndex>,
-    /// Query-lifecycle metrics. Like `extents`, instrumentation is attached
-    /// per engine: `None` (the default) costs nothing, and an attached
-    /// `EngineMetrics` whose registry is disabled costs one relaxed atomic
-    /// load per query.
-    pub metrics: Option<&'a EngineMetrics>,
     /// Resource governor for query execution: deadline, row budget, path
     /// fuel and cooperative cancellation (see [`docql_guard::Guard`]).
     /// `None` (the default) costs nothing on any execution path. Attach a
@@ -147,10 +145,12 @@ pub struct Engine<'a> {
     /// (feedback re-planning). `None` (the default) is the heuristic
     /// planner: textual order, no estimates.
     pub stats: Option<&'a dyn docql_algebra::StatsSource>,
-    /// Structured trace under construction for this query (the flight
-    /// recorder path). When attached, the engine stamps phase timings,
-    /// plan-cache and re-plan outcomes, and per-operator spans with
-    /// est-vs-actual rows into it. `None` (the default) costs nothing.
+    /// Structured trace under construction for this query — the only
+    /// record the engine writes timings into (metrics, the flight recorder,
+    /// the slow log and `EXPLAIN ANALYZE` all read it). When attached, the
+    /// engine stamps phase timings, plan-cache and re-plan outcomes, and
+    /// per-operator spans with est-vs-actual rows into it. `None` (the
+    /// default) costs nothing.
     pub trace: Option<&'a docql_obs::TraceBuilder>,
 }
 
@@ -163,7 +163,6 @@ impl<'a> Engine<'a> {
             mode: Mode::Interpret,
             semantics: docql_paths::PathSemantics::Restricted,
             extents: None,
-            metrics: None,
             guard: None,
             stats: None,
             trace: None,
@@ -210,172 +209,121 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The metrics to record into, if any — the per-query enable gate.
-    #[inline]
-    fn obs(&self) -> Option<&'a EngineMetrics> {
-        self.metrics.filter(|m| m.enabled())
-    }
-
-    /// Parse, translate, and evaluate a query.
+    /// Parse, translate, and evaluate a query (uncached: in algebraic mode
+    /// the §5.4 algebraization runs on every call).
     pub fn run(&self, src: &str) -> Result<QueryResult, O2sqlError> {
-        let translated = self.parse_translate(src)?;
-        self.eval_translated(&translated)
+        self.eval_plan(&self.compile_plan(src)?)
     }
 
-    /// Parse then translate, recording the two phase timings when metrics
-    /// are attached and enabled, and into the trace when one is attached.
-    fn parse_translate(&self, src: &str) -> Result<Translated, O2sqlError> {
-        let m = self.obs();
-        if m.is_none() && self.trace.is_none() {
-            let ast = parse(src)?;
-            return translate(&ast, self.instance.schema());
-        }
-        let t0 = Instant::now();
-        let ast = parse(src)?;
-        let parsed = t0.elapsed();
-        let t1 = Instant::now();
-        let translated = translate(&ast, self.instance.schema());
-        let translated_d = t1.elapsed();
-        if let Some(m) = m {
-            m.parse_ns.record_duration(parsed);
-            m.translate_ns.record_duration(translated_d);
-        }
-        if let Some(tb) = self.trace {
-            tb.phase("parse", parsed);
-            tb.phase("translate", translated_d);
-        }
-        translated
-    }
-
-    /// Run `f` as the execute phase: counts the query and records the
-    /// execute histogram when metrics are attached and enabled, and stamps
-    /// the execute phase into the trace when one is attached.
-    fn timed_execute<T>(&self, f: impl FnOnce() -> Result<T, O2sqlError>) -> Result<T, O2sqlError> {
-        let m = self.obs();
-        if let Some(m) = m {
-            m.queries.inc();
-        }
-        if m.is_none() && self.trace.is_none() {
+    /// Run `f` as the lifecycle phase `name`, stamping its wall time into
+    /// the trace when one is attached.
+    fn phase<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let Some(tb) = self.trace else {
             return f();
-        }
+        };
         let t0 = Instant::now();
-        let result = f();
-        let elapsed = t0.elapsed();
-        if let Some(m) = m {
-            m.execute_ns.record_duration(elapsed);
-        }
-        if let Some(tb) = self.trace {
-            tb.phase("execute", elapsed);
-        }
-        result
+        let out = f();
+        tb.phase(name, t0.elapsed());
+        out
     }
 
     /// Evaluate a query through a plan cache: on a hit the lex → parse →
     /// translate (and, in algebraic mode, algebraization) work is skipped
     /// and only evaluation runs. Results are identical to [`Engine::run`].
     pub fn run_cached(&self, src: &str, cache: &PlanCache) -> Result<QueryResult, O2sqlError> {
-        let plan = match self.trace {
-            None => cache.get_or_compile(src, || self.compile_plan(src))?,
-            // Traced path: the same lookup → compile → insert sequence
-            // `get_or_compile` performs (hit/miss counters included), with
-            // the outcome stamped into the trace.
-            Some(tb) => match cache.lookup(src) {
-                Some(plan) => {
-                    tb.set_cache(true);
-                    plan
-                }
-                None => {
-                    tb.set_cache(false);
-                    let plan = Arc::new(self.compile_plan(src)?);
-                    cache.insert(src, Arc::clone(&plan));
-                    plan
-                }
-            },
-        };
+        let (plan, hit) = cache.get_or_compile(src, || self.compile_plan(src))?;
+        if let Some(tb) = self.trace {
+            tb.set_cache(hit);
+        }
         self.eval_plan(&plan)
     }
 
     /// Compile a query into a cacheable plan (parse + translate; algebraic
     /// plans are added lazily on the first algebraic run).
     pub fn compile_plan(&self, src: &str) -> Result<CachedPlan, O2sqlError> {
-        Ok(CachedPlan::new(self.parse_translate(src)?))
+        let ast = self.phase("parse", || parse(src))?;
+        let translated = self.phase("translate", || translate(&ast, self.instance.schema()))?;
+        Ok(CachedPlan::new(translated))
     }
 
     /// Evaluate an already-compiled plan (see [`Engine::compile_plan`]).
     pub fn eval_plan(&self, plan: &CachedPlan) -> Result<QueryResult, O2sqlError> {
-        match self.mode {
-            Mode::Interpret => self.eval_translated(&plan.translated),
-            Mode::Algebraic => {
-                // Time the algebraization only when it actually runs; a
-                // memoised plan would otherwise record a no-op sample on
-                // every cached execution.
-                let fresh = !plan.is_algebraized();
-                let timed = fresh && (self.obs().is_some() || self.trace.is_some());
-                let (plans, planned_version) = if timed {
-                    let t0 = Instant::now();
-                    let plans = plan.algebra_plans(self.instance.schema(), self.stats);
-                    let elapsed = t0.elapsed();
-                    if let Some(m) = self.obs() {
-                        m.algebraize_ns.record_duration(elapsed);
-                        if self.stats.is_some() && plans.is_ok() {
-                            m.plans_costed.inc();
-                        }
-                    }
-                    if let Some(tb) = self.trace {
-                        tb.phase("algebraize", elapsed);
-                    }
-                    plans?
-                } else {
-                    plan.algebra_plans(self.instance.schema(), self.stats)?
-                };
-                // A traced run carries per-operator profiles (the same
-                // shape `profile()` builds) so the trace gets operator
-                // spans with est-vs-actual rows. Untimed: per-op clock
-                // reads would blow the tracing overhead budget; op wall
-                // times stay at zero unless metrics are also recording.
-                // The profile numbering and span labels come from the
-                // plan's cached trace shape, so a traced cached run adds
-                // one zeroed allocation per plan, not a tree walk.
-                let profiles: Option<Vec<PlanProfile>> = self.trace.map(|_| {
-                    plans
-                        .iter()
-                        .map(|a| {
-                            let ts = a.trace_shape(MAX_TRACE_OP_SPANS);
-                            PlanProfile::from_shape(
-                                Arc::clone(&ts.shape),
-                                false,
-                                MAX_TRACE_OP_SPANS,
-                            )
-                        })
-                        .collect()
-                });
-                let (rows, partial) = self.classify(self.timed_execute(|| {
-                    self.eval_rows_with(
-                        &plan.translated,
-                        Some(plans.as_slice()),
-                        &mut 0,
-                        profiles.as_deref(),
-                    )
-                }))?;
-                if let (Some(tb), Some(profiles)) = (self.trace, &profiles) {
-                    let mut spans = Vec::new();
-                    for (a, p) in plans.iter().zip(profiles) {
-                        let ts = a.trace_shape(MAX_TRACE_OP_SPANS);
-                        spans.extend(p.op_spans_with_labels(&ts.labels, a.estimates.as_ref()));
-                    }
-                    tb.set_operators(spans);
-                    if self.stats.is_some() {
-                        tb.set_stats_version(planned_version);
-                    }
-                }
-                self.check_replan(plan, &plans, planned_version, rows.len());
-                Ok(QueryResult {
-                    columns: plan.translated.columns.clone(),
-                    rows,
-                    partial,
-                })
-            }
+        self.execute(plan, false).map(|(result, _)| result)
+    }
+
+    /// The plan's algebraized set-op chain and the stats version it was
+    /// planned against. The `algebraize` phase is stamped only when the
+    /// algebraization actually runs — a memoised plan would otherwise
+    /// record a no-op sample on every cached execution.
+    fn algebraize(&self, plan: &CachedPlan) -> Result<(AlgebraPlans, u64), AlgebraError> {
+        let (plans, version) = if plan.is_algebraized() {
+            plan.algebra_plans(self.instance.schema(), self.stats)
+        } else {
+            self.phase("algebraize", || {
+                plan.algebra_plans(self.instance.schema(), self.stats)
+            })
+        }?;
+        if let (Some(tb), Some(_)) = (self.trace, self.stats) {
+            tb.set_stats_version(version);
         }
+        Ok((plans, version))
+    }
+
+    /// Evaluate `plan` in the engine's mode and, for an algebraic run,
+    /// return each executed plan with its per-operator profile. A traced
+    /// run profiles every plan and files the profiles into the trace as
+    /// operator spans; `timed` (`EXPLAIN ANALYZE`) also times each
+    /// operator and tracks all of them individually, where a plain trace
+    /// counts rows untimed — per-op clock reads would blow the tracing
+    /// overhead budget — and caps the tracked operators. The profile
+    /// numbering and span labels come from the plan's cached trace shape,
+    /// so a traced cached run adds one zeroed allocation per plan, not a
+    /// tree walk.
+    fn execute(&self, plan: &CachedPlan, timed: bool) -> Result<Executed, O2sqlError> {
+        let algebra = match self.mode {
+            Mode::Interpret => None,
+            Mode::Algebraic => Some(
+                self.algebraize(plan)
+                    .map_err(|e| O2sqlError::Eval(e.to_string()))?,
+            ),
+        };
+        let (plans, planned_version) = match &algebra {
+            Some((plans, version)) => (plans.as_slice(), *version),
+            None => (&[][..], 0),
+        };
+        let cap = if timed {
+            usize::MAX
+        } else {
+            MAX_TRACE_OP_SPANS
+        };
+        let profiles: Vec<PlanProfile> = match self.trace {
+            Some(_) => plans
+                .iter()
+                .map(|a| {
+                    let ts = a.trace_shape(MAX_TRACE_OP_SPANS);
+                    PlanProfile::from_shape(Arc::clone(&ts.shape), timed, cap)
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let (rows, partial) = self.classify(self.phase("execute", || {
+            self.eval_rows(&plan.translated, plans, &mut 0, &profiles)
+        }))?;
+        if let (Some(tb), false) = (self.trace, plans.is_empty()) {
+            let mut spans = Vec::new();
+            for (a, p) in plans.iter().zip(&profiles) {
+                let ts = a.trace_shape(MAX_TRACE_OP_SPANS);
+                spans.extend(p.op_spans_with_labels(&ts.labels, a.estimates.as_ref()));
+            }
+            tb.set_operators(spans);
+        }
+        self.check_replan(plan, plans, planned_version, rows.len());
+        let result = QueryResult {
+            columns: plan.translated.columns.clone(),
+            rows,
+            partial,
+        };
+        Ok((result, plans.iter().cloned().zip(profiles).collect()))
     }
 
     /// Feedback re-planning: compare the rows a cached plan actually
@@ -407,17 +355,11 @@ impl<'a> Engine<'a> {
         // +1 on both sides: estimates and results of 0 are common and must
         // not divide by zero or declare infinite divergence against 1 row.
         let ratio = (observed as f64 + 1.0) / (estimated + 1.0);
-        if let Some(m) = self.obs() {
-            m.estimate_error_pct.record((ratio * 100.0) as u64);
-        }
         let diverged = !(docql_algebra::REPLAN_DIVERGENCE.recip()
             ..=docql_algebra::REPLAN_DIVERGENCE)
             .contains(&ratio);
         if diverged && stats.version() != planned_version {
             plan.invalidate();
-            if let Some(m) = self.obs() {
-                m.replans.inc();
-            }
             if let Some(tb) = self.trace {
                 tb.set_replanned();
                 tb.event(
@@ -503,31 +445,16 @@ impl<'a> Engine<'a> {
         Ok(info)
     }
 
-    fn eval_translated(&self, t: &Translated) -> Result<QueryResult, O2sqlError> {
-        let (rows, partial) = self.classify(self.timed_execute(|| self.eval_rows(t)))?;
-        Ok(QueryResult {
-            columns: t.columns.clone(),
-            rows,
-            partial,
-        })
-    }
-
-    fn eval_rows(&self, t: &Translated) -> Result<Vec<Vec<CalcValue>>, O2sqlError> {
-        self.eval_rows_with(t, None, &mut 0, None)
-    }
-
-    /// Evaluate a translated query's set-op chain. When `plans` is given
-    /// (the cached-plan path), the algebraic mode consumes one
-    /// pre-algebraized plan per chain node in pre-order via `pos` instead
-    /// of re-running the §5.4 algebraization. `profiles`, when given, is
-    /// aligned with `plans` and attaches a per-operator profile to each
-    /// plan execution (the `EXPLAIN ANALYZE` path).
-    fn eval_rows_with(
+    /// Evaluate a translated query's set-op chain. In algebraic mode the
+    /// chain consumes one pre-algebraized plan per node, in pre-order via
+    /// `pos`. `profiles` is empty (unprofiled) or aligned with `plans`,
+    /// attaching a per-operator profile to each plan execution.
+    fn eval_rows(
         &self,
         t: &Translated,
-        plans: Option<&[Arc<Algebraized>]>,
+        plans: &[Arc<Algebraized>],
         pos: &mut usize,
-        profiles: Option<&[PlanProfile]>,
+        profiles: &[PlanProfile],
     ) -> Result<Vec<Vec<CalcValue>>, O2sqlError> {
         let left = match self.mode {
             Mode::Interpret => {
@@ -544,44 +471,24 @@ impl<'a> Engine<'a> {
                             .to_string(),
                     ));
                 }
+                let plan = plans.get(*pos).ok_or_else(|| {
+                    O2sqlError::Eval("set-op chain outgrew its algebra plans".to_string())
+                })?;
                 let ctx = docql_algebra::ExecCtx {
                     extents: self.extents,
-                    profile: profiles.and_then(|ps| ps.get(*pos)),
-                    metrics: self.obs().map(|m| &m.algebra),
+                    profile: profiles.get(*pos),
                     guard: self.guard,
                 };
-                match plans.and_then(|ps| ps.get(*pos)) {
-                    Some(plan) => {
-                        *pos += 1;
-                        docql_algebra::eval_plan_with(
-                            plan,
-                            &t.query,
-                            self.instance,
-                            self.interp,
-                            ctx,
-                        )
-                        .map_err(|e| O2sqlError::Eval(e.to_string()))?
-                    }
-                    None => {
-                        // Uncached run: algebraize now, with the same
-                        // statistics a cached run would plan against.
-                        let a = docql_algebra::algebraize_with_stats(
-                            &t.query,
-                            self.instance.schema(),
-                            self.stats,
-                        )
-                        .map_err(|e| O2sqlError::Eval(e.to_string()))?;
-                        docql_algebra::eval_plan_with(&a, &t.query, self.instance, self.interp, ctx)
-                            .map_err(|e| O2sqlError::Eval(e.to_string()))?
-                    }
-                }
+                *pos += 1;
+                docql_algebra::eval_plan_with(plan, &t.query, self.instance, self.interp, ctx)
+                    .map_err(|e| O2sqlError::Eval(e.to_string()))?
             }
         };
         match &t.set_op {
             None => Ok(left),
             Some((op, right)) => {
                 let right_rows: BTreeSet<Vec<CalcValue>> = self
-                    .eval_rows_with(right, plans, pos, profiles)?
+                    .eval_rows(right, plans, pos, profiles)?
                     .into_iter()
                     .collect();
                 Ok(combine_set_op(*op, left, right_rows))
@@ -589,11 +496,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Profile one query end to end: parse, translate, algebraize, and
-    /// execute it **algebraically** with a per-operator [`PlanProfile`]
-    /// attached to every plan in the set-op chain, timing each phase. The
-    /// result rows are the real query answer. Queries that cannot be
-    /// algebraized fall back to the calculus interpreter and say so in
+    /// Profile one query end to end (`EXPLAIN ANALYZE`): the normal
+    /// compile and evaluate path on an uncached plan, executed
+    /// **algebraically** with a timed [`PlanProfile`] on every plan in the
+    /// set-op chain. Phase timings come from the query's trace — the
+    /// attached one, or a private one when none is attached. The result
+    /// rows are the real query answer. Queries that cannot be algebraized
+    /// fall back to the calculus interpreter and say so in
     /// [`QueryProfile::note`] (no per-operator statistics then — the
     /// interpreter has no plan).
     ///
@@ -601,81 +510,35 @@ impl<'a> Engine<'a> {
     /// honours `self.extents`, so the report reflects the index-versus-walk
     /// choices the store would actually make.
     pub fn profile(&self, src: &str) -> Result<QueryProfile, O2sqlError> {
-        let t_total = Instant::now();
-        let mut phases = Vec::new();
-        let t0 = Instant::now();
-        let ast = parse(src)?;
-        phases.push(("parse", t0.elapsed()));
-        let t0 = Instant::now();
-        let translated = translate(&ast, self.instance.schema())?;
-        phases.push(("translate", t0.elapsed()));
-
-        // Algebraize the whole set-op chain up front (pre-order, the same
-        // order eval_rows_with consumes).
-        let t0 = Instant::now();
-        let mut chain = Vec::new();
-        let mut node = Some(&translated);
-        let mut algebra_err = None;
-        while let Some(t) = node {
-            match docql_algebra::algebraize_with_stats(&t.query, self.instance.schema(), self.stats)
-            {
-                Ok(a) => chain.push(Arc::new(a)),
-                Err(e) => {
-                    algebra_err = Some(e);
-                    break;
-                }
-            }
-            node = t.set_op.as_ref().map(|(_, right)| &**right);
-        }
-        phases.push(("algebraize", t0.elapsed()));
-
-        // Execution runs on a shadow engine so profiling works regardless
-        // of the engine's configured mode.
-        let mut shadow = Engine {
-            instance: self.instance,
-            interp: self.interp,
-            mode: Mode::Algebraic,
-            semantics: self.semantics,
-            extents: self.extents,
-            metrics: self.metrics,
-            guard: self.guard,
-            stats: self.stats,
-            trace: self.trace,
-        };
-        let (rows, partial, plans, note) = match algebra_err {
+        let private;
+        let tb = match self.trace {
+            Some(tb) => tb,
             None => {
-                let profiles: Vec<PlanProfile> =
-                    chain.iter().map(|a| PlanProfile::new(&a.plan)).collect();
-                let t0 = Instant::now();
-                let (rows, partial) = shadow.classify(shadow.timed_execute(|| {
-                    shadow.eval_rows_with(&translated, Some(&chain), &mut 0, Some(&profiles))
-                }))?;
-                phases.push(("execute", t0.elapsed()));
-                let plans = chain.into_iter().zip(profiles).collect();
-                (rows, partial, plans, None)
-            }
-            Some(e) => {
-                shadow.mode = Mode::Interpret;
-                let t0 = Instant::now();
-                let (rows, partial) =
-                    shadow.classify(shadow.timed_execute(|| shadow.eval_rows(&translated)))?;
-                phases.push(("execute", t0.elapsed()));
-                let note = format!(
-                    "not algebraizable ({e}); executed by the calculus interpreter                      — no per-operator statistics"
-                );
-                (rows, partial, Vec::new(), Some(note))
+                private = docql_obs::TraceBuilder::new(docql_obs::TraceId(0), src, 0);
+                &private
             }
         };
+        let traced = Engine {
+            trace: Some(tb),
+            ..*self
+        };
+        let plan = traced.compile_plan(src)?;
+        let note = traced.algebraize(&plan).err().map(|e| {
+            format!(
+                "not algebraizable ({e}); executed by the calculus interpreter                      — no per-operator statistics"
+            )
+        });
+        let mode = match note {
+            None => Mode::Algebraic,
+            Some(_) => Mode::Interpret,
+        };
+        let (result, plans) = Engine { mode, ..traced }.execute(&plan, true)?;
         Ok(QueryProfile {
-            result: QueryResult {
-                columns: translated.columns.clone(),
-                rows,
-                partial,
-            },
-            phases,
+            result,
+            phases: tb.phases(),
             plans,
             note,
-            total: t_total.elapsed(),
+            total: tb.elapsed(),
         })
     }
 }

@@ -1,30 +1,28 @@
 //! Query-lifecycle metrics and the `EXPLAIN ANALYZE` profile.
 //!
-//! [`EngineMetrics`] bundles the registry handles an [`Engine`] records
-//! into: per-phase histograms (parse → translate → algebraize → execute), a
-//! query counter, and the shared [`AlgebraMetrics`](docql_algebra::AlgebraMetrics). The engine checks
-//! [`EngineMetrics::enabled`] **once per query**; disabled, the query path
-//! performs one relaxed atomic load and nothing else.
+//! The engine writes timings into one record only: the query's
+//! [`TraceBuilder`](docql_obs::TraceBuilder). [`EngineMetrics`] bundles the
+//! registry handles the query lifecycle feeds — per-phase histograms
+//! (parse → translate → algebraize → execute), a query counter, planner
+//! counters, and the algebra operator counters — and
+//! [`EngineMetrics::record`] fills them from the finished
+//! [`QueryTrace`]. Nothing else in the engine touches them.
 //!
-//! [`QueryProfile`] is one profiled execution: the result, per-phase wall
-//! times, and a [`PlanProfile`] per algebra plan in the query's set-op
-//! chain — rendered by [`QueryProfile::render`] as the `EXPLAIN ANALYZE`
-//! report.
-//!
-//! [`Engine`]: crate::Engine
+//! [`QueryProfile`] is one profiled execution: the result, the trace's
+//! per-phase wall times, and a timed [`PlanProfile`] per algebra plan in
+//! the query's set-op chain — rendered by [`QueryProfile::render`] as the
+//! `EXPLAIN ANALYZE` report.
 
 use crate::engine::QueryResult;
 use docql_algebra::{Algebraized, PlanProfile};
-use docql_obs::{Counter, Histogram, MetricsRegistry, SharedRegistry};
+use docql_obs::{Counter, Histogram, MetricsRegistry, PhaseSpan, QueryTrace};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Registry handles for the query lifecycle, resolved once per store (not
-/// per query). Shared across engines serving the same registry.
+/// per query).
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {
-    /// The owning registry; its enable flag gates all recording.
-    pub registry: SharedRegistry,
     /// Queries executed (any mode).
     pub queries: Counter,
     /// Nanoseconds lexing + parsing query text.
@@ -47,14 +45,19 @@ pub struct EngineMetrics {
     /// rows + 1) / (estimated rows + 1)` — 100 is a perfect estimate,
     /// above is underestimation, below overestimation.
     pub estimate_error_pct: Histogram,
-    /// Per-operator registry counters for algebra execution.
-    pub algebra: docql_algebra::AlgebraMetrics,
+    /// Algebra operator invocations (the `calls` of every operator span).
+    pub ops_executed: Counter,
+    /// Rows emitted by all algebra operators.
+    pub rows_emitted: Counter,
+    /// `IndexPathScan` start values answered from the path-extent index.
+    pub index_scan_extent_hits: Counter,
+    /// `IndexPathScan` start values answered by the fallback walk.
+    pub index_scan_walk_fallbacks: Counter,
 }
 
 impl EngineMetrics {
     /// Resolve (creating if absent) the engine metrics in `registry`.
-    pub fn register(registry: SharedRegistry) -> EngineMetrics {
-        let algebra = docql_algebra::AlgebraMetrics::register(&registry);
+    pub fn register(registry: &MetricsRegistry) -> EngineMetrics {
         EngineMetrics {
             queries: registry.counter("docql_queries_total"),
             parse_ns: registry.histogram("docql_query_parse_ns"),
@@ -64,23 +67,59 @@ impl EngineMetrics {
             plans_costed: registry.counter("docql_planner_plans_costed_total"),
             replans: registry.counter("docql_planner_replans_total"),
             estimate_error_pct: registry.histogram("docql_planner_estimate_error_pct"),
-            algebra,
-            registry,
+            ops_executed: registry.counter("docql_algebra_ops_executed_total"),
+            rows_emitted: registry.counter("docql_algebra_rows_emitted_total"),
+            index_scan_extent_hits: registry.counter("docql_index_scan_extent_hits_total"),
+            index_scan_walk_fallbacks: registry.counter("docql_index_scan_walk_fallbacks_total"),
         }
     }
 
-    /// Free-standing metrics over a private, **enabled** registry (tests
-    /// and embedders without a store).
-    pub fn standalone() -> EngineMetrics {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.set_enabled(true);
-        EngineMetrics::register(registry)
-    }
-
-    /// The per-query gate: one relaxed load on the owning registry.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
+    /// Feed every engine metric from one finished query trace: a query
+    /// counts once it reached the execute phase; each phase span lands in
+    /// its histogram; the operator spans (whose overflow span aggregates
+    /// the operators past the span cap) sum into the algebra counters; and
+    /// the plan roots' estimated rows against the rows returned give the
+    /// estimate error.
+    pub fn record(&self, t: &QueryTrace) {
+        for p in &t.phases {
+            let histogram = match p.name {
+                "parse" => &self.parse_ns,
+                "translate" => &self.translate_ns,
+                "algebraize" => &self.algebraize_ns,
+                "execute" => {
+                    self.queries.inc();
+                    &self.execute_ns
+                }
+                _ => continue,
+            };
+            histogram.record(p.ns);
+        }
+        if t.phase_ns("algebraize").is_some() && t.stats_version.is_some() {
+            self.plans_costed.inc();
+        }
+        if t.replanned {
+            self.replans.inc();
+        }
+        let (mut calls, mut rows, mut hits, mut walks) = (0, 0, 0, 0);
+        let mut estimated = None;
+        for op in &t.operators {
+            calls += op.calls;
+            rows += op.rows;
+            hits += op.index_hits;
+            walks += op.walk_fallbacks;
+            if let (0, Some(est)) = (op.depth, op.est_rows) {
+                *estimated.get_or_insert(0u64) += est;
+            }
+        }
+        self.ops_executed.add(calls);
+        self.rows_emitted.add(rows);
+        self.index_scan_extent_hits.add(hits);
+        self.index_scan_walk_fallbacks.add(walks);
+        if let Some(est) = estimated {
+            // +1 on both sides, as in the engine's re-plan check.
+            let ratio = (t.rows as f64 + 1.0) / (est as f64 + 1.0);
+            self.estimate_error_pct.record((ratio * 100.0) as u64);
+        }
     }
 }
 
@@ -89,8 +128,9 @@ pub struct QueryProfile {
     /// The query result — profiling executes the query for real, so the
     /// rows are exactly what the unprofiled run returns.
     pub result: QueryResult,
-    /// Wall time per lifecycle phase, in execution order.
-    pub phases: Vec<(&'static str, Duration)>,
+    /// Wall time per lifecycle phase, in execution order — read from the
+    /// query's trace.
+    pub phases: Vec<PhaseSpan>,
     /// One algebra plan + recorded per-operator statistics per node of the
     /// query's set-op chain (pre-order). Empty when the query fell back to
     /// the calculus interpreter.
@@ -98,7 +138,7 @@ pub struct QueryProfile {
     /// Why there are no plans (e.g. the query is not algebraizable), when
     /// applicable.
     pub note: Option<String>,
-    /// Total wall time, parse through execute.
+    /// Total wall time of the trace when the profile was taken.
     pub total: Duration,
 }
 
@@ -121,7 +161,8 @@ impl QueryProfile {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("EXPLAIN ANALYZE\n");
-        for (name, d) in &self.phases {
+        for p in &self.phases {
+            let (name, d) = (p.name, Duration::from_nanos(p.ns));
             out.push_str(&format!("  {name:<10} {d:?}\n"));
         }
         out.push_str(&format!("  {:<10} {:?}\n", "total", self.total));

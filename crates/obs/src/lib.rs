@@ -36,8 +36,8 @@ pub use registry::{
 };
 pub use serve::ServeMetrics;
 pub use slowlog::{
-    log_slow_query, log_slow_query_json, slow_log_format, slow_query_json_line, slow_query_line,
-    slow_query_threshold, SlowLogFormat, SLOW_LOG_ENV, SLOW_LOG_FORMAT_ENV,
+    log_slow_query, slow_log_format, slow_query_json_line, slow_query_line, slow_query_threshold,
+    SlowLogFormat, SLOW_LOG_ENV, SLOW_LOG_FORMAT_ENV,
 };
 pub use trace::{
     json_escape, FlightRecorder, OpSpan, PhaseSpan, QueryTrace, TraceBuilder, TraceEvent, TraceId,

@@ -2,9 +2,11 @@
 //!
 //! Setting `DOCQL_LOG` to a threshold in milliseconds (integer or decimal,
 //! e.g. `DOCQL_LOG=2.5`) makes serving paths print one line to stderr for
-//! every query whose wall time meets the threshold. Unset (or unparsable),
-//! the log is off and the only cost on the query path is one cached
-//! `Option` check — the environment is read exactly once per process.
+//! every query whose wall time meets the threshold. The line is rendered
+//! from the query's finished [`QueryTrace`], so with the log on every query
+//! is traced. Unset (or unparsable), the log is off and the only cost on
+//! the query path is one cached `Option` check — the environment is read
+//! exactly once per process.
 
 use crate::trace::{json_escape, QueryTrace};
 use std::sync::OnceLock;
@@ -23,7 +25,7 @@ pub const SLOW_LOG_FORMAT_ENV: &str = "DOCQL_LOG_FORMAT";
 pub enum SlowLogFormat {
     /// The legacy one-line human-readable format.
     Plain,
-    /// One JSON object per slow query, carrying the trace when available.
+    /// One JSON object per slow query, carrying its trace's id and phases.
     Json,
 }
 
@@ -67,65 +69,45 @@ pub fn slow_query_threshold() -> Option<Duration> {
     })
 }
 
-/// Render the log line for a slow query (separated from printing so tests
-/// can pin the format).
-pub fn slow_query_line(src: &str, elapsed: Duration) -> String {
-    // Queries are logged on one line; embedded newlines become spaces.
-    let flat: String = src
-        .chars()
-        .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
-        .collect();
+/// Render the plain log line for a slow query from its trace (separated
+/// from printing so tests can pin the format). The trace's query text is
+/// already flattened to one line.
+pub fn slow_query_line(trace: &QueryTrace) -> String {
     format!(
         "[docql] slow query ({:.3} ms): {}",
-        elapsed.as_secs_f64() * 1e3,
-        flat.trim()
+        trace.total_ns as f64 / 1e6,
+        trace.query
     )
 }
 
-/// Print the slow-query line to stderr.
-pub fn log_slow_query(src: &str, elapsed: Duration) {
-    eprintln!("{}", slow_query_line(src, elapsed));
+/// The structured slow-log line: one JSON object with an `event` marker,
+/// carrying the trace id, per-phase timings, and the governance outcome.
+pub fn slow_query_json_line(t: &QueryTrace) -> String {
+    let phases: Vec<String> = t
+        .phases
+        .iter()
+        .map(|p| format!("\"{}\":{}", json_escape(p.name), p.ns))
+        .collect();
+    format!(
+        "{{\"event\":\"slow_query\",\"trace_id\":\"{}\",\"ms\":{:.3},\"query\":\"{}\",\"phases\":{{{}}},\"governance\":\"{}\",\"outcome\":\"{}\",\"rows\":{}}}",
+        t.id,
+        t.total_ns as f64 / 1e6,
+        json_escape(&t.query),
+        phases.join(","),
+        json_escape(&t.governance),
+        json_escape(&t.outcome),
+        t.rows
+    )
 }
 
-/// The structured slow-log line: one JSON object with an `event` marker.
-/// With a trace, it carries the trace id, per-phase timings, and the
-/// governance outcome; without one (tracing disabled), it degrades to the
-/// minimal `{event, ms, query}` shape.
-pub fn slow_query_json_line(src: &str, elapsed: Duration, trace: Option<&QueryTrace>) -> String {
-    let ms = elapsed.as_secs_f64() * 1e3;
-    match trace {
-        Some(t) => {
-            let phases: Vec<String> = t
-                .phases
-                .iter()
-                .map(|p| format!("\"{}\":{}", json_escape(p.name), p.ns))
-                .collect();
-            format!(
-                "{{\"event\":\"slow_query\",\"trace_id\":\"{}\",\"ms\":{ms:.3},\"query\":\"{}\",\"phases\":{{{}}},\"governance\":\"{}\",\"outcome\":\"{}\",\"rows\":{}}}",
-                t.id,
-                json_escape(&t.query),
-                phases.join(","),
-                json_escape(&t.governance),
-                json_escape(&t.outcome),
-                t.rows
-            )
-        }
-        None => {
-            let flat: String = src
-                .chars()
-                .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
-                .collect();
-            format!(
-                "{{\"event\":\"slow_query\",\"ms\":{ms:.3},\"query\":\"{}\"}}",
-                json_escape(flat.trim())
-            )
-        }
-    }
-}
-
-/// Print the structured slow-query line to stderr.
-pub fn log_slow_query_json(src: &str, elapsed: Duration, trace: Option<&QueryTrace>) {
-    eprintln!("{}", slow_query_json_line(src, elapsed, trace));
+/// Print the slow-query line for `trace` to stderr, in the process-wide
+/// [`slow_log_format`].
+pub fn log_slow_query(trace: &QueryTrace) {
+    let line = match slow_log_format() {
+        SlowLogFormat::Plain => slow_query_line(trace),
+        SlowLogFormat::Json => slow_query_json_line(trace),
+    };
+    eprintln!("{line}");
 }
 
 #[cfg(test)]
@@ -145,9 +127,16 @@ mod tests {
         assert_eq!(parse_threshold_ms(""), None);
     }
 
+    fn finished(query: &str, total: Duration) -> QueryTrace {
+        let b = crate::FlightRecorder::default().begin(query);
+        b.phase("parse", Duration::from_nanos(100));
+        b.phase("execute", Duration::from_nanos(900));
+        b.finish("partial", "row budget exhausted", None, 3, total)
+    }
+
     #[test]
     fn line_is_single_line_and_carries_timing() {
-        let line = slow_query_line("select t\nfrom x", Duration::from_micros(1500));
+        let line = slow_query_line(&finished("select t\nfrom x", Duration::from_micros(1500)));
         assert!(!line.contains('\n'));
         assert!(line.contains("1.500 ms"));
         assert!(line.contains("select t from x"));
@@ -163,30 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn json_line_without_trace_is_minimal() {
-        let line = slow_query_json_line("select \"t\"\nfrom x", Duration::from_micros(1500), None);
-        assert!(!line.contains('\n'));
-        assert!(line.starts_with("{\"event\":\"slow_query\""));
-        assert!(line.contains("\"ms\":1.500"));
-        assert!(line.contains("select \\\"t\\\" from x"));
-        assert!(line.ends_with('}'));
-    }
-
-    #[test]
     fn json_line_with_trace_carries_id_phases_governance() {
-        let r = crate::FlightRecorder::default();
-        let b = r.begin("select t from x");
-        b.phase("parse", Duration::from_nanos(100));
-        b.phase("execute", Duration::from_nanos(900));
-        let t = b.finish(
-            "partial",
-            "row budget exhausted",
-            None,
-            3,
-            Duration::from_millis(2),
-        );
-        let line = slow_query_json_line("select t from x", Duration::from_millis(2), Some(&t));
+        let t = finished("select t from x", Duration::from_millis(2));
+        let line = slow_query_json_line(&t);
+        assert!(line.starts_with("{\"event\":\"slow_query\""));
         assert!(line.contains(&format!("\"trace_id\":\"{}\"", t.id)));
+        assert!(line.contains("\"ms\":2.000"));
         assert!(line.contains("\"phases\":{\"parse\":100,\"execute\":900}"));
         assert!(line.contains("\"governance\":\"row budget exhausted\""));
         assert!(line.contains("\"outcome\":\"partial\""));

@@ -336,6 +336,11 @@ impl TraceBuilder {
         self.lock().phases.push(PhaseSpan { name, ns });
     }
 
+    /// The phases recorded so far, in call order.
+    pub fn phases(&self) -> Vec<PhaseSpan> {
+        self.lock().phases.clone()
+    }
+
     /// Record an event directly on this trace (e.g. `replan`), timestamped
     /// relative to the query start.
     pub fn event(&self, kind: &'static str, detail: String) {

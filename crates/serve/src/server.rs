@@ -126,7 +126,8 @@ pub struct ServerConfig {
     /// Value of the `Retry-After` header on `429`/`503` responses.
     pub retry_after_secs: u64,
     /// Requests served per connection before it is closed (a fairness
-    /// bound so one keep-alive peer cannot hold a worker forever).
+    /// bound so one keep-alive peer cannot hold a worker forever). The
+    /// last permitted response carries `Connection: close`.
     pub max_requests_per_conn: usize,
 }
 
@@ -414,7 +415,8 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
         stream.set_write_timeout(Some(cfg.write_timeout))?;
         stream.set_nodelay(true)?;
         let mut reader = io::BufReader::new(stream.try_clone()?);
-        for _ in 0..cfg.max_requests_per_conn.max(1) {
+        let max_requests = cfg.max_requests_per_conn.max(1);
+        for served in 1..=max_requests {
             match read_request(&mut reader, &cfg.parse) {
                 Err(e) => {
                     match &e {
@@ -449,7 +451,12 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                 }
                 Ok(req) => {
                     let started = Instant::now();
-                    let close = !req.keep_alive() || inner.draining.load(Ordering::SeqCst);
+                    // The connection's last permitted response says so,
+                    // letting the client reconnect instead of finding a
+                    // dead socket on its next request.
+                    let close = !req.keep_alive()
+                        || served == max_requests
+                        || inner.draining.load(Ordering::SeqCst);
                     let keep_going = respond(inner, &mut stream, &req, conn_id, close);
                     if inner.metrics.enabled() {
                         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -273,3 +273,27 @@ fn draining_healthz_and_routes_say_503() {
     );
     shutdown.join().unwrap();
 }
+
+#[test]
+fn last_permitted_request_on_a_connection_says_close() {
+    let config = ServerConfig {
+        max_requests_per_conn: 3,
+        ..ServerConfig::default()
+    };
+    let handle = start(config, 2);
+    let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+    let q = b"select t from my_article PATH_p.title(t)";
+    for n in 1..=3 {
+        let resp = client.post("/query", &[], q).unwrap();
+        assert_eq!(resp.status, 200);
+        let close = resp
+            .header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        assert_eq!(close, n == 3, "response {n} of 3");
+    }
+    assert!(
+        client.get("/healthz").is_err(),
+        "the server closed after the third response"
+    );
+    handle.shutdown();
+}

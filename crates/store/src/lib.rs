@@ -686,9 +686,15 @@ impl DocStore {
     /// The one governed execution path behind every query entry point:
     /// builds one [`Guard`](docql_guard::Guard) from the (already merged)
     /// `limits`, runs `exec` on an engine carrying it and the trace,
-    /// isolates panics at the query boundary, classifies governance
-    /// outcomes into the store's metric counters, files the trace and
-    /// feeds the slow-query log. `answer` views the rows `exec` produced.
+    /// isolates panics at the query boundary, and classifies governance
+    /// outcomes into the store's metric counters. `answer` views the rows
+    /// `exec` produced.
+    ///
+    /// A trace is begun whenever one of its consumers is on — metrics, the
+    /// flight recorder, or the slow log — and with all three off nothing is
+    /// traced or allocated. The finished trace is then handed to each
+    /// consumer that is on: the engine metrics, the recorder (which files
+    /// it; only a filed trace is returned), and the slow log.
     fn governed<T>(
         &self,
         src: &str,
@@ -696,7 +702,10 @@ impl DocStore {
         exec: impl FnOnce(Engine<'_>) -> Result<T, O2sqlError>,
         answer: fn(&T) -> &QueryResult,
     ) -> (Result<T, StoreError>, Option<Arc<docql_obs::QueryTrace>>) {
-        let trace = self.recorder.enabled().then(|| self.recorder.begin(src));
+        let metered = self.metrics.enabled();
+        let recording = self.recorder.enabled();
+        let trace = (metered || recording || self.slow_threshold.is_some())
+            .then(|| self.recorder.begin(src));
         let run = || -> Result<T, StoreError> {
             let guard = (!limits.is_none()).then(|| docql_guard::Guard::new(limits));
             let mut e = self.engine();
@@ -709,16 +718,14 @@ impl DocStore {
         // store. No store lock is held across evaluation here, and the
         // internal text-table lock recovers from poisoning (`read_table`),
         // so catching at this boundary leaves the store fully serviceable.
-        let start = (self.slow_threshold.is_some() || trace.is_some()).then(Instant::now);
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-                if self.metrics.enabled() {
+                if metered {
                     self.metrics.query_panics.inc();
                 }
                 Err(StoreError::QueryPanic(panic_message(payload.as_ref())))
             });
-        let elapsed = start.map(|s| s.elapsed());
-        if self.metrics.enabled() {
+        if metered {
             use docql_guard::ExecError;
             match &result {
                 Ok(r) if answer(r).is_partial() => self.metrics.queries_partial.inc(),
@@ -734,51 +741,45 @@ impl DocStore {
                 _ => {}
             }
         }
-        // Finish and file the trace: outcome classification mirrors the
-        // governance counters above, and the stored trace carries the MVCC
-        // snapshot identity this query ran against.
-        let trace = trace.map(|tb| {
-            let (outcome, governance, detail, rows) = match &result {
-                Ok(r) => {
-                    let r = answer(r);
-                    let rows = r.rows.len() as u64;
-                    match r.partial.as_ref() {
-                        Some(trip) => ("partial", trip.to_string(), None, rows),
-                        None => ("ok", "complete".to_string(), None, rows),
-                    }
+        let Some(tb) = trace else {
+            return (result, None);
+        };
+        // Finish the trace: outcome classification mirrors the governance
+        // counters above, and the trace carries the MVCC snapshot identity
+        // this query ran against.
+        let (outcome, governance, detail, rows) = match &result {
+            Ok(r) => {
+                let r = answer(r);
+                let rows = r.rows.len() as u64;
+                match r.partial.as_ref() {
+                    Some(trip) => ("partial", trip.to_string(), None, rows),
+                    None => ("ok", "complete".to_string(), None, rows),
                 }
-                Err(StoreError::Interrupted(e)) => ("error", e.to_string(), None, 0),
-                Err(StoreError::QueryPanic(m)) => {
-                    ("panic", "complete".to_string(), Some(m.clone()), 0)
-                }
-                Err(e) => ("error", "complete".to_string(), Some(e.to_string()), 0),
-            };
-            tb.set_snapshot(self.published_version, self.published_at.elapsed());
-            let qt = tb.finish(
-                outcome,
-                &governance,
-                detail,
-                rows,
-                elapsed.unwrap_or_default(),
-            );
-            let qt = self.recorder.record(qt);
-            if self.metrics.enabled() {
-                self.metrics.traces_recorded.inc();
             }
-            qt
-        });
-        if let (Some(threshold), Some(elapsed)) = (self.slow_threshold, elapsed) {
-            if elapsed >= threshold {
+            Err(StoreError::Interrupted(e)) => ("error", e.to_string(), None, 0),
+            Err(StoreError::QueryPanic(m)) => ("panic", "complete".to_string(), Some(m.clone()), 0),
+            Err(e) => ("error", "complete".to_string(), Some(e.to_string()), 0),
+        };
+        tb.set_snapshot(self.published_version, self.published_at.elapsed());
+        let total = tb.elapsed();
+        let qt = tb.finish(outcome, &governance, detail, rows, total);
+        if metered {
+            self.metrics.engine.record(&qt);
+        }
+        if let Some(threshold) = self.slow_threshold {
+            if total >= threshold {
                 self.metrics.slow_queries.inc();
-                match docql_obs::slow_log_format() {
-                    docql_obs::SlowLogFormat::Plain => docql_obs::log_slow_query(src, elapsed),
-                    docql_obs::SlowLogFormat::Json => {
-                        docql_obs::log_slow_query_json(src, elapsed, trace.as_deref());
-                    }
-                }
+                docql_obs::log_slow_query(&qt);
             }
         }
-        (result, trace)
+        if !recording {
+            return (result, None);
+        }
+        let qt = self.recorder.record(qt);
+        if metered {
+            self.metrics.traces_recorded.inc();
+        }
+        (result, Some(qt))
     }
 
     /// The query-plan cache (shared by every query path on this store).
@@ -846,7 +847,6 @@ impl DocStore {
         if self.use_cost_planning {
             e.stats = Some(self);
         }
-        e.metrics = Some(&self.metrics.engine);
         e
     }
 
@@ -1732,6 +1732,14 @@ mod tests {
         assert_eq!(snap.counter("docql_queries_total"), Some(2));
         assert_eq!(snap.histogram("docql_store_ingest_ns").unwrap().count, 1);
         assert!(snap.counter("docql_plan_cache_misses_total").unwrap() >= 1);
+        // Tracing is off, yet the algebraic run's operator spans still feed
+        // the algebra and index-scan counters.
+        assert!(snap.counter("docql_algebra_ops_executed_total").unwrap() > 0);
+        let scans = snap.counter("docql_index_scan_extent_hits_total").unwrap()
+            + snap
+                .counter("docql_index_scan_walk_fallbacks_total")
+                .unwrap();
+        assert!(scans > 0, "the title path is answered by index scans");
         let prom = store.metrics_registry().to_prometheus();
         assert!(prom.contains("docql_queries_total 2"));
         let json = store.metrics_registry().to_json();

@@ -19,8 +19,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct StoreMetrics {
     registry: SharedRegistry,
-    /// Query-lifecycle metrics, attached to every engine the store hands
-    /// out: phase histograms, query counter, per-operator algebra counters.
+    /// Query-lifecycle metrics, fed from each governed query's finished
+    /// trace: phase histograms, query counter, per-operator algebra counters.
     pub engine: EngineMetrics,
     /// Text-search counters, attached to the store's inverted index.
     pub text: TextMetrics,
@@ -92,7 +92,7 @@ pub struct StoreMetrics {
 impl StoreMetrics {
     /// Resolve (creating if absent) the store metrics in `registry`.
     pub fn register(registry: SharedRegistry) -> StoreMetrics {
-        let engine = EngineMetrics::register(Arc::clone(&registry));
+        let engine = EngineMetrics::register(&registry);
         let text = TextMetrics::register(Arc::clone(&registry));
         StoreMetrics {
             engine,

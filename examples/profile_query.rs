@@ -44,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
               where val contains (\"final\")";
     println!("=== profile of Q5 ===");
     let profile = db.profile(q5, &none)?;
-    for (phase, t) in &profile.phases {
-        println!("  phase {phase:<10} {t:?}");
+    for p in &profile.phases {
+        let t = std::time::Duration::from_nanos(p.ns);
+        println!("  phase {:<10} {t:?}", p.name);
     }
     let (hits, walks) = profile.scan_totals();
     println!("  scans: {hits} extent hit(s), {walks} walk fallback(s)");

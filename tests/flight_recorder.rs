@@ -12,7 +12,9 @@
 //!   keeps pinned-snapshot results byte-identical and never tears a trace:
 //!   every retained trace is internally consistent and fully formed;
 //! * the recent ring evicts oldest-first at capacity while the slow
-//!   reservoir retains its traces through bursts of fast queries.
+//!   reservoir retains its traces through bursts of fast queries;
+//! * `EXPLAIN ANALYZE` is a trace with operator timing on: the filed
+//!   trace, the report and the phase histograms agree on one record.
 
 use docql::prelude::*;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
@@ -442,4 +444,53 @@ fn recent_ring_evicts_oldest_while_slow_reservoir_retains() {
         "the reservoir still holds the outlier"
     );
     assert!(slow[0].slow);
+}
+
+/// The report's timing line for `phase` (`  parse      12.3µs`).
+fn report_line<'r>(report: &'r str, phase: &str) -> Option<&'r str> {
+    report.lines().find_map(|l| {
+        let mut words = l.split_whitespace();
+        (words.next() == Some(phase))
+            .then(|| words.next())
+            .flatten()
+    })
+}
+
+#[test]
+fn explain_analyze_trace_is_the_report_and_feeds_the_histograms() {
+    let store = article_store(6);
+    store.set_tracing_enabled(true);
+    store.set_metrics_enabled(true);
+    let q = format!("explain analyze {}", ARTICLE_QUERIES[2]);
+    let (result, trace) = store.query_traced(&q, Mode::Algebraic, &QueryLimits::none());
+    let report = match &result.unwrap().rows[0][0] {
+        CalcValue::Data(Value::Str(report)) => report.to_string(),
+        other => panic!("expected a string report, got {other:?}"),
+    };
+    let trace = trace.expect("the recorder is on");
+    for phase in ["parse", "translate", "algebraize", "execute"] {
+        let ns = trace
+            .phase_ns(phase)
+            .unwrap_or_else(|| panic!("trace lacks {phase}: {}", trace.to_json()));
+        assert_eq!(
+            report_line(&report, phase),
+            Some(format!("{:?}", Duration::from_nanos(ns)).as_str()),
+            "{phase} differs between trace and report:\n{report}"
+        );
+    }
+    assert!(!trace.operators.is_empty(), "{}", trace.to_json());
+    assert!(
+        trace.operators[0].ns > 0,
+        "operator spans are timed: {}",
+        trace.to_json()
+    );
+    let snap = store.metrics_registry().snapshot();
+    for phase in ["parse", "translate", "algebraize", "execute"] {
+        let name = format!("docql_query_{phase}_ns");
+        assert_eq!(
+            snap.histogram(&name).map(|h| h.count),
+            Some(1),
+            "{name} counts the query once"
+        );
+    }
 }
