@@ -47,6 +47,9 @@ panic_free=(
     "model:crates/model must stay panic-free"
     "durable:crates/durable must stay panic-free"
     "algebra:crates/algebra (planner) must stay panic-free"
+    "paths:crates/paths must stay panic-free (every ingest builds path extents through it)"
+    "mapping:crates/mapping must stay panic-free (every ingest loads its document through it)"
+    "guard:crates/guard must stay panic-free (it enforces limits on every governed query)"
     "obs:crates/obs must stay panic-free (tracing must never fail a query)"
     "serve:crates/serve must stay panic-free (a hostile request must never kill the server)"
 )

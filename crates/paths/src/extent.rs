@@ -77,13 +77,11 @@ struct TrieNode {
 /// A path-extent index over one document class.
 ///
 /// Built once per store from the schema (the path set and trie depend only
-/// on the schema), then filled per ingested document; incremental batch
-/// ingest builds shards with [`PathExtentIndex::empty_like`] and combines
-/// them with [`PathExtentIndex::merge`], mirroring the inverted text index.
-/// The path table and trie are schema-derived and frozen after
-/// construction, and per-root target lists are append-once — all three sit
-/// behind `Arc`, so cloning the index (the store's snapshot-fork path, and
-/// [`PathExtentIndex::empty_like`]) shares them and copies only the extent
+/// on the schema), then filled per ingested document by
+/// [`PathExtentIndex::index_document`]. The path table and trie are
+/// schema-derived and frozen after construction, and per-root target lists
+/// are append-once — all three sit behind `Arc`, so cloning the index (the
+/// store's snapshot-fork path) shares them and copies only the extent
 /// b-tree spines.
 #[derive(Debug, Clone)]
 pub struct PathExtentIndex {
@@ -194,35 +192,6 @@ impl PathExtentIndex {
         id
     }
 
-    /// An empty index sharing this one's path table and trie — the shard
-    /// primitive for parallel batch ingest (shards of the same prototype
-    /// agree on path ids, so [`PathExtentIndex::merge`] is a plain union).
-    pub fn empty_like(&self) -> PathExtentIndex {
-        PathExtentIndex {
-            paths: Arc::clone(&self.paths),
-            trie: Arc::clone(&self.trie),
-            extents: vec![BTreeMap::new(); self.extents.len()],
-            target_counts: vec![0; self.extents.len()],
-            roots: BTreeSet::new(),
-        }
-    }
-
-    /// Merge a shard built with [`PathExtentIndex::empty_like`] from this
-    /// index (or one structurally identical). Roots indexed by both sides
-    /// keep the shard's targets.
-    pub fn merge(&mut self, shard: PathExtentIndex) {
-        debug_assert_eq!(self.paths, shard.paths, "merging foreign extent shard");
-        for (pid, (mine, theirs)) in self.extents.iter_mut().zip(shard.extents).enumerate() {
-            for (root, targets) in theirs {
-                self.target_counts[pid] += targets.len() as u64;
-                if let Some(old) = mine.insert(root, targets) {
-                    self.target_counts[pid] -= old.len() as u64;
-                }
-            }
-        }
-        self.roots.extend(shard.roots);
-    }
-
     /// Index one document: a single depth-first traversal from `root`
     /// guided by the path trie, appending each reached value to its path's
     /// extent in walk order.
@@ -323,7 +292,7 @@ impl PathExtentIndex {
 
     /// Total targets materialised for one path across all indexed roots —
     /// the extent cardinality the cost model feeds on. O(1): maintained
-    /// incrementally at index/merge/restore time.
+    /// incrementally at index/restore time.
     pub fn path_target_count(&self, path: PathId) -> u64 {
         self.target_counts.get(path as usize).copied().unwrap_or(0)
     }
@@ -508,35 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_shards_equals_serial_indexing() {
-        let schema = schema();
-        let mut inst = Instance::new(schema.clone());
-        let a = doc(&mut inst, "A", &["x"]);
-        let b = doc(&mut inst, "B", &["y", "z"]);
-
-        let mut serial = PathExtentIndex::for_collection_root(&schema, sym("Docs"));
-        serial.index_document(&inst, a);
-        serial.index_document(&inst, b);
-
-        let mut merged = PathExtentIndex::for_collection_root(&schema, sym("Docs"));
-        let mut s1 = merged.empty_like();
-        let mut s2 = merged.empty_like();
-        s1.index_document(&inst, a);
-        s2.index_document(&inst, b);
-        merged.merge(s1);
-        merged.merge(s2);
-
-        assert_eq!(serial.root_count(), merged.root_count());
-        assert_eq!(serial.target_count(), merged.target_count());
-        for (key, pid) in serial.paths() {
-            let mid = merged.lookup(key).unwrap();
-            for r in [a, b] {
-                assert_eq!(serial.targets(pid, r), merged.targets(mid, r));
-            }
-        }
-    }
-
-    #[test]
     fn unknown_root_shape_yields_inert_index() {
         let schema = schema();
         let ix = PathExtentIndex::for_collection_root(&schema, sym("nonexistent"));
@@ -579,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn per_path_counts_track_index_merge_restore_and_clear() {
+    fn per_path_counts_track_index_restore_and_clear() {
         let schema = schema();
         let mut inst = Instance::new(schema.clone());
         let a = doc(&mut inst, "A", &["x", "y"]);
@@ -597,19 +537,11 @@ mod tests {
         assert_eq!(ix.path_target_count(pid), 0);
         ix.index_document(&inst, a);
         assert_eq!(ix.path_target_count(pid), 2);
-
-        // A merged shard adds its counts; re-merging the same root must not
-        // double-count (merge keeps the shard's targets).
-        let mut shard = ix.empty_like();
-        shard.index_document(&inst, b);
-        assert_eq!(shard.path_target_count(pid), 1);
-        ix.merge(shard.clone());
-        assert_eq!(ix.path_target_count(pid), 3);
-        ix.merge(shard);
+        ix.index_document(&inst, b);
         assert_eq!(ix.path_target_count(pid), 3);
 
         // Restores count too, including replacement of an existing root.
-        let mut restored = ix.empty_like();
+        let mut restored = PathExtentIndex::for_collection_root(&schema, sym("Docs"));
         assert!(restored.restore_targets(&key, a, vec![Value::str("x"), Value::str("y")]));
         assert_eq!(restored.path_target_count(pid), 2);
         assert!(restored.restore_targets(&key, a, vec![Value::str("x")]));

@@ -297,3 +297,33 @@ fn last_permitted_request_on_a_connection_says_close() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn malformed_ingest_is_400_and_publishes_no_snapshot() {
+    let handle = start(ServerConfig::default(), 2);
+    let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+    let published = |client: &mut HttpClient| {
+        let scrape = client.get("/metrics").unwrap().text();
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix("docql_store_snapshots_published_total "))
+            .map(|v| v.trim().parse::<u64>().unwrap())
+            .unwrap_or_else(|| panic!("scrape missing the publish counter:\n{scrape}"))
+    };
+
+    let before = published(&mut client);
+    let resp = client
+        .post("/ingest", &[], b"<article><title>unterminated")
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert_eq!(published(&mut client), before, "a failed ingest published");
+
+    // A well-formed ingest on the same server does publish.
+    let resp = client
+        .post("/ingest", &[], article_sgml(7).as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    assert_eq!(published(&mut client), before + 1);
+    drop(client);
+    handle.shutdown();
+}

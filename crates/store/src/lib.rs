@@ -110,11 +110,12 @@ impl From<O2sqlError> for StoreError {
 /// Ingest and updates take `&mut self`; every query path takes `&self` and
 /// `DocStore` is [`Sync`], so any number of reader threads may run O₂SQL
 /// queries, text searches and exports against one store concurrently (e.g.
-/// via [`std::thread::scope`], or [`SharedStore`] when readers and writers
-/// must interleave). The query-plan cache is internally synchronised and
-/// shared by all readers; plans stay *correct* across ingests (they depend
-/// only on the schema), though feedback re-planning may re-cost one whose
-/// estimates drifted far from what execution observed.
+/// from scoped threads borrowing `&DocStore`, or through [`SharedStore`]
+/// when readers and writers must interleave). The query-plan cache is
+/// internally synchronised and shared by all readers; plans stay *correct*
+/// across ingests (they depend only on the schema), though feedback
+/// re-planning may re-cost one whose estimates drifted far from what
+/// execution observed.
 ///
 /// [`DocStore::fork`] produces an independent copy in O(structure) — the
 /// document data (object values, position lists, extent targets, text) is
@@ -347,6 +348,26 @@ impl DocStore {
         self.ingest_document(&doc)
     }
 
+    /// Ingest a batch of SGML documents: parse and validate every text
+    /// with one [`DocParser`], then run [`DocStore::ingest_document`] on
+    /// each tree in input order — the same per-document loader
+    /// [`DocStore::ingest`] uses, so the result is identical to ingesting
+    /// the documents one by one.
+    ///
+    /// A parse/validation error anywhere aborts the batch before anything
+    /// is loaded (the store is unchanged). A load error — impossible for
+    /// documents that validated, barring mapping bugs — aborts mid-batch
+    /// with the already-loaded prefix retained. Returns the root oids in
+    /// input order.
+    pub fn ingest_batch(&mut self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
+        let parser = DocParser::new(&self.dtd)?;
+        let trees = docs
+            .iter()
+            .map(|text| parser.parse(text))
+            .collect::<Result<Vec<Document>, _>>()?;
+        trees.iter().map(|doc| self.ingest_document(doc)).collect()
+    }
+
     /// Ingest an already-parsed document tree. When metrics are enabled,
     /// records `docql_store_ingest_ns` (load through extent maintenance)
     /// and `docql_store_extent_build_ns`.
@@ -392,173 +413,6 @@ impl DocStore {
                 .stats_text_terms
                 .set(i64::try_from(self.index.term_count()).unwrap_or(i64::MAX));
         }
-    }
-
-    /// Ingest a batch of SGML documents, parallelising the per-document
-    /// pure work with [`std::thread::scope`]: parsing + validation fan out
-    /// across workers, loading runs serially (oid allocation mutates the
-    /// shared instance), then inverted-index construction is sharded per
-    /// worker and the shards merged ([`InvertedIndex::merge`]).
-    ///
-    /// Parse/validation errors abort the batch before anything is loaded
-    /// (the store is unchanged). A load error — impossible for documents
-    /// that validated, barring mapping bugs — aborts mid-batch with the
-    /// already-loaded prefix retained. Returns the root oids in input
-    /// order; results are identical to calling [`DocStore::ingest`] per
-    /// document.
-    pub fn ingest_batch(&mut self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let obs = self.metrics.enabled();
-        let t_batch = Instant::now();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(docs.len());
-        let chunk = docs.len().div_ceil(workers);
-        let dtd = &self.dtd;
-
-        // Phase 1: parallel parse + validate (pure per-document work). Each
-        // worker compiles the DTD's content models once and reuses the
-        // parser across its whole chunk — with a single worker (one-core
-        // hosts) we skip thread spawning entirely and keep just the
-        // amortisation.
-        let trees: Vec<Document> = if workers == 1 {
-            let parser = DocParser::new(dtd)?;
-            docs.iter()
-                .map(|text| parser.parse(text).map_err(StoreError::from))
-                .collect::<Result<_, _>>()?
-        } else {
-            let parsed: Result<Vec<Vec<Document>>, StoreError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = docs
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || -> Result<Vec<Document>, StoreError> {
-                            let parser = DocParser::new(dtd)?;
-                            slice
-                                .iter()
-                                .map(|text| parser.parse(text).map_err(StoreError::from))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| StoreError::Other("ingest parse worker panicked".into()))?
-                    })
-                    .collect()
-            });
-            parsed?.into_iter().flatten().collect()
-        };
-
-        // Phase 2: serial load into the shared instance.
-        let mut roots = Vec::with_capacity(trees.len());
-        let mut root_texts = Vec::with_capacity(trees.len());
-        for doc in &trees {
-            let loaded = load_document(&self.mapping, &mut self.instance, doc)?;
-            let text = self.register_loaded(&loaded);
-            roots.push(loaded.root);
-            root_texts.push(text);
-        }
-
-        // Phase 3: sharded inverted-index construction, merged in order
-        // (added straight to the main index when there is only one worker).
-        let pairs: Vec<(docql_text::DocId, &str)> = roots
-            .iter()
-            .zip(&root_texts)
-            .map(|(r, t)| (u64::from(r.0), t.as_str()))
-            .collect();
-        if workers == 1 {
-            for (id, text) in &pairs {
-                self.index.add(*id, text);
-            }
-        } else {
-            let ichunk = pairs.len().div_ceil(workers);
-            let shards: Result<Vec<InvertedIndex>, StoreError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .chunks(ichunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            let mut shard = InvertedIndex::new();
-                            for (id, text) in slice {
-                                shard.add(*id, text);
-                            }
-                            shard
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| StoreError::Other("ingest index worker panicked".into()))
-                    })
-                    .collect()
-            });
-            let shards = shards?;
-            if obs {
-                self.metrics.index_shard_merges.add(shards.len() as u64);
-            }
-            for shard in shards {
-                self.index.merge(shard);
-            }
-        }
-
-        // Phase 4: sharded path-extent construction over the freshly loaded
-        // documents, mirroring the inverted-index sharding: each worker
-        // fills an empty clone of the extent's path table, then the shards
-        // are merged (documents are disjoint, so merging is a plain union).
-        let t_ext = Instant::now();
-        if workers == 1 {
-            for &root in &roots {
-                self.extents.index_document(&self.instance, root);
-            }
-        } else {
-            let echunk = roots.len().div_ceil(workers);
-            let instance = &self.instance;
-            let prototype = &self.extents;
-            let shards: Result<Vec<docql_paths::PathExtentIndex>, StoreError> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = roots
-                        .chunks(echunk)
-                        .map(|slice| {
-                            scope.spawn(move || {
-                                let mut shard = prototype.empty_like();
-                                for &root in slice {
-                                    shard.index_document(instance, root);
-                                }
-                                shard
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().map_err(|_| {
-                                StoreError::Other("ingest extent worker panicked".into())
-                            })
-                        })
-                        .collect()
-                });
-            let shards = shards?;
-            if obs {
-                self.metrics.extent_shard_merges.add(shards.len() as u64);
-            }
-            for shard in shards {
-                self.extents.merge(shard);
-            }
-        }
-        if obs {
-            self.metrics.extent_build_ns.record(elapsed_ns(t_ext));
-            self.metrics.batch_ingest_ns.record(elapsed_ns(t_batch));
-            self.metrics.docs_ingested.add(roots.len() as u64);
-        }
-        self.documents.extend(roots.iter().copied());
-        self.bump_stats();
-        Ok(roots)
     }
 
     /// Record a loaded document's `text` inverse mapping, guaranteeing the
@@ -1171,7 +1025,7 @@ fn strip_explain_analyze(src: &str) -> Option<&str> {
 /// on. Clone the handle into each serving thread.
 ///
 /// For read-only fan-out over a store that is not being written, a plain
-/// `&DocStore` inside [`std::thread::scope`] is equivalent;
+/// `&DocStore` shared by scoped threads is equivalent;
 /// `SharedStore` is for workloads where ingest interleaves with serving.
 #[derive(Clone)]
 pub struct SharedStore {
@@ -1387,20 +1241,22 @@ impl SharedStore {
         self.read().set_tracing_enabled(on);
     }
 
-    /// Ingest one document in a write transaction (published on return).
+    /// Ingest one document in a write transaction, published on success
+    /// (a failed ingest publishes nothing).
     pub fn ingest(&self, sgml_text: &str) -> Result<Oid, StoreError> {
-        self.write().ingest(sgml_text)
+        self.write().commit(|store| store.ingest(sgml_text))
     }
 
-    /// Parallel batch ingest in a write transaction (published on return)
-    /// (see [`DocStore::ingest_batch`]).
+    /// Batch ingest in one write transaction, published on success (see
+    /// [`DocStore::ingest_batch`]; a failed batch publishes nothing).
     pub fn ingest_batch(&self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        self.write().ingest_batch(docs)
+        self.write().commit(|store| store.ingest_batch(docs))
     }
 
-    /// Bind a named root of persistence in a write transaction.
+    /// Bind a named root of persistence in a write transaction, published
+    /// on success (a failed bind publishes nothing).
     pub fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        self.write().bind(name, oid)
+        self.write().commit(|store| store.bind(name, oid))
     }
 
     /// Unwrap the store, if this is the last handle. Should a pinned
@@ -1454,10 +1310,23 @@ impl DerefMut for WriteTxn<'_> {
 impl WriteTxn<'_> {
     /// Abandon the transaction: the fork is discarded and the published
     /// snapshot stays exactly as it was — the explicit form of what a panic
-    /// does implicitly. Used by the durability layer to keep memory in sync
-    /// with the log when a WAL append fails mid-commit.
+    /// does implicitly.
     pub fn abort(mut self) {
         self.store = None;
+    }
+
+    /// Run `op` on the fork and settle the transaction by its outcome:
+    /// `Ok` publishes the fork, `Err` aborts it — a failed write never
+    /// publishes a snapshot.
+    fn commit<T>(
+        mut self,
+        op: impl FnOnce(&mut DocStore) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let out = op(&mut self);
+        if out.is_err() {
+            self.abort();
+        }
+        out
     }
 }
 
@@ -1665,6 +1534,34 @@ mod tests {
             "batch is atomic on parse errors"
         );
         assert_eq!(store.index_stats().0, 0);
+    }
+
+    #[test]
+    fn failed_shared_writes_publish_no_snapshot() {
+        let store = DocStore::new(docql_sgml::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+        store.set_metrics_enabled(true);
+        let shared = SharedStore::new(store);
+        let published = || shared.read().metrics().snapshots_published.get();
+
+        assert!(shared.ingest("<article><title>unterminated").is_err());
+        assert!(shared
+            .ingest_batch(&[FIG2_DOCUMENT, "<article><title>unterminated"])
+            .is_err());
+        assert!(shared.bind("no_such_root", Oid(0)).is_err());
+        assert_eq!(
+            shared.snapshot_version(),
+            0,
+            "failed writes publish nothing"
+        );
+        assert_eq!(published(), 0);
+        assert!(shared.read().documents().is_empty());
+
+        // A successful write still publishes exactly one version.
+        let root = shared.ingest(FIG2_DOCUMENT).unwrap();
+        assert!(shared.bind("no_such_root", root).is_err());
+        assert_eq!(shared.snapshot_version(), 1);
+        assert_eq!(published(), 1);
+        assert_eq!(shared.read().documents(), &[root]);
     }
 
     #[test]

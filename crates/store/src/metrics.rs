@@ -1,5 +1,5 @@
-//! Store-level metrics: ingest timings, shard-merge counts, text-search
-//! counters, and the slow-query tally.
+//! Store-level metrics: ingest timings, text-search counters, and the
+//! slow-query tally.
 //!
 //! Every [`DocStore`](crate::DocStore) owns one
 //! [`MetricsRegistry`] (disabled by default) and
@@ -24,21 +24,15 @@ pub struct StoreMetrics {
     pub engine: EngineMetrics,
     /// Text-search counters, attached to the store's inverted index.
     pub text: TextMetrics,
-    /// Nanoseconds per single-document ingest (load → text index → path
-    /// extents; parsing is timed by the batch histogram only).
+    /// Nanoseconds per document ingest (load → text index → path extents;
+    /// parsing excluded), recorded once per document by single and batch
+    /// ingest alike.
     pub ingest_ns: Histogram,
-    /// Nanoseconds per [`DocStore::ingest_batch`](crate::DocStore::ingest_batch)
-    /// call, covering the whole batch (parse fan-out through extent merge).
-    pub batch_ingest_ns: Histogram,
-    /// Nanoseconds building path extents at ingest time (per document on
-    /// the serial path, per batch phase on the sharded path).
+    /// Nanoseconds building path extents: one document's at ingest, every
+    /// document's on a full rebuild.
     pub extent_build_ns: Histogram,
     /// Documents ingested (single and batch).
     pub docs_ingested: Counter,
-    /// Inverted-index shards merged during parallel batch ingest.
-    pub index_shard_merges: Counter,
-    /// Path-extent shards merged during parallel batch ingest.
-    pub extent_shard_merges: Counter,
     /// Index-accelerated document searches
     /// ([`DocStore::find_documents`](crate::DocStore::find_documents)).
     pub text_index_searches: Counter,
@@ -98,11 +92,8 @@ impl StoreMetrics {
             engine,
             text,
             ingest_ns: registry.histogram("docql_store_ingest_ns"),
-            batch_ingest_ns: registry.histogram("docql_store_batch_ingest_ns"),
             extent_build_ns: registry.histogram("docql_store_extent_build_ns"),
             docs_ingested: registry.counter("docql_store_docs_ingested_total"),
-            index_shard_merges: registry.counter("docql_store_index_shard_merges_total"),
-            extent_shard_merges: registry.counter("docql_store_extent_shard_merges_total"),
             text_index_searches: registry.counter("docql_store_text_index_searches_total"),
             text_scan_searches: registry.counter("docql_store_text_scan_searches_total"),
             contains_evals: registry.counter("docql_calculus_contains_evals_total"),

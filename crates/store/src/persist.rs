@@ -28,7 +28,7 @@
 //! the durable prefix), and the handle refuses further writes until
 //! reopened — exactly the recovery path a real crash exercises.
 
-use crate::{SharedStore, StoreError, WriteTxn};
+use crate::{SharedStore, StoreError};
 use docql_durable::snapshot::{self, StoreImage, TermPostings};
 use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
 use docql_durable::DurableMetrics;
@@ -334,97 +334,54 @@ impl PersistentStore {
         Ok(())
     }
 
-    /// Durably ingest one SGML document: validate and load into a private
-    /// fork, fsync the WAL record, then publish the new snapshot. On any
-    /// failure the fork is discarded — readers never see a state the log
-    /// does not cover.
+    /// Durably ingest one SGML document: a one-document
+    /// [`PersistentStore::ingest_batch`], logged as one WAL record.
     pub fn ingest(&self, sgml_text: &str) -> Result<Oid, StoreError> {
-        let mut wal = self.lock_wal();
-        let txn = self.shared.write();
-        self.ingest_in(&mut wal, txn, sgml_text)
-    }
-
-    fn ingest_in(
-        &self,
-        wal: &mut Wal,
-        mut txn: WriteTxn<'_>,
-        sgml_text: &str,
-    ) -> Result<Oid, StoreError> {
-        let root = match txn.ingest(sgml_text) {
-            Ok(root) => root,
-            Err(e) => {
-                txn.abort();
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.log(
-            wal,
-            WalOp::Ingest {
-                sgml: sgml_text.to_string(),
-            },
-        ) {
-            txn.abort();
-            return Err(e);
-        }
-        drop(txn); // publish — the record is already durable
-        Ok(root)
+        self.ingest_batch(&[sgml_text])?
+            .pop()
+            .ok_or_else(|| StoreError::Other("ingest loaded no document".into()))
     }
 
     /// Durably ingest a batch: the documents are validated and loaded as
-    /// one [`crate::DocStore::ingest_batch`] (published atomically), but
-    /// logged as one WAL record *per document*, so recovery after a crash
-    /// mid-batch restores exactly the documents whose records were
-    /// fsynced.
+    /// one [`crate::DocStore::ingest_batch`] into a private fork, logged as
+    /// one fsynced WAL record *per document*, then published atomically.
+    /// On any failure the fork is discarded — readers never see a state the
+    /// log does not cover — and recovery after a crash mid-batch restores
+    /// exactly the documents whose records were fsynced.
     pub fn ingest_batch(&self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
         let mut wal = self.lock_wal();
-        let mut txn = self.shared.write();
-        let roots = match txn.ingest_batch(docs) {
-            Ok(roots) => roots,
-            Err(e) => {
-                txn.abort();
-                return Err(e);
-            }
-        };
-        for doc in docs {
-            if let Err(e) = self.log(
-                &mut wal,
-                WalOp::Ingest {
-                    sgml: doc.to_string(),
-                },
-            ) {
+        self.shared.write().commit(|store| {
+            let roots = store.ingest_batch(docs)?;
+            for doc in docs {
                 // A fault mid-batch is a crash mid-batch: the durable
                 // prefix keeps the documents logged so far, and the
                 // in-memory store publishes nothing (recovery's view and
                 // the readers' view only converge on reopen, as after a
                 // real crash).
-                txn.abort();
-                return Err(e);
+                self.log(
+                    &mut wal,
+                    WalOp::Ingest {
+                        sgml: doc.to_string(),
+                    },
+                )?;
             }
-        }
-        drop(txn);
-        Ok(roots)
+            Ok(roots)
+        })
     }
 
     /// Durably bind a named root of persistence to a document object.
     pub fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
         let mut wal = self.lock_wal();
-        let mut txn = self.shared.write();
-        if let Err(e) = txn.bind(name, oid) {
-            txn.abort();
-            return Err(e);
-        }
-        if let Err(e) = self.log(
-            &mut wal,
-            WalOp::Bind {
-                name: name.to_string(),
-                oid: oid.0,
-            },
-        ) {
-            txn.abort();
-            return Err(e);
-        }
-        drop(txn);
-        Ok(())
+        self.shared.write().commit(|store| {
+            store.bind(name, oid)?;
+            self.log(
+                &mut wal,
+                WalOp::Bind {
+                    name: name.to_string(),
+                    oid: oid.0,
+                },
+            )
+        })
     }
 
     /// Write the published snapshot as a new segment file, then truncate
@@ -629,27 +586,16 @@ fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), S
     Ok(())
 }
 
-/// Replay a WAL tail onto a store: consecutive ingests run as one batch
-/// (the batch path is documented to produce results identical to
-/// per-document ingest), binds apply in order between them.
+/// Replay a WAL tail onto a store, one record at a time in log order.
 fn replay(
     store: &mut crate::DocStore,
     records: &[docql_durable::WalRecord],
 ) -> Result<(), StoreError> {
-    let mut pending: Vec<&str> = Vec::new();
     for record in records {
         match &record.op {
-            WalOp::Ingest { sgml } => pending.push(sgml),
-            WalOp::Bind { name, oid } => {
-                if !pending.is_empty() {
-                    store.ingest_batch(&std::mem::take(&mut pending))?;
-                }
-                store.bind(name, Oid(*oid))?;
-            }
+            WalOp::Ingest { sgml } => store.ingest(sgml).map(drop)?,
+            WalOp::Bind { name, oid } => store.bind(name, Oid(*oid))?,
         }
-    }
-    if !pending.is_empty() {
-        store.ingest_batch(&pending)?;
     }
     Ok(())
 }

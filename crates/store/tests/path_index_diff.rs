@@ -188,8 +188,9 @@ fn agreement_survives_incremental_batch_ingest() {
     let q = "select t from Articles PATH_p.title(t)";
     assert_agree(&mut store, q);
 
-    // Incrementally add a batch (exercises the sharded extent build and
-    // merge); every query must still agree, including over the new docs.
+    // Incrementally add a batch (exercises per-document extent indexing
+    // on an already-populated index); every query must still agree,
+    // including over the new docs.
     let texts: Vec<String> = (100..106u64)
         .map(|seed| {
             generate_article(&ArticleParams {

@@ -222,8 +222,8 @@ fn agreement_survives_incremental_batch_ingest() {
     let q = "select t from Articles PATH_p.title(t)";
     assert_agree(&mut store, q);
 
-    // Incrementally add a batch (exercises the sharded extent build whose
-    // per-path counters feed the stats); every query must still agree, and
+    // Incrementally add a batch (exercises the extent build whose per-path
+    // counters feed the stats); every query must still agree, and
     // the stats version must have moved.
     let v_before = store.stats_version();
     let texts: Vec<String> = (100..106u64)

@@ -71,44 +71,6 @@ impl InvertedIndex {
         self.docs.insert(doc, base + toks.len() as u32);
     }
 
-    /// Merge another index into this one — the reduce step of sharded
-    /// (parallel) index construction: workers each build an
-    /// [`InvertedIndex`] over a disjoint slice of documents and the shards
-    /// are merged into the store's index.
-    ///
-    /// Shares [`InvertedIndex::add`]'s append semantics for documents
-    /// present on both sides: `other`'s positions for such a document are
-    /// shifted past this index's recorded word count, as if `other`'s text
-    /// had been `add`ed after this one's.
-    pub fn merge(&mut self, other: InvertedIndex) {
-        // Word-count base per incoming document (0 for new documents).
-        let bases: BTreeMap<DocId, u32> = other
-            .docs
-            .keys()
-            .map(|d| (*d, *self.docs.get(d).unwrap_or(&0)))
-            .collect();
-        for (term, postings) in other.postings {
-            let slot = self.postings.entry(term).or_default();
-            for (doc, positions) in postings {
-                let base = *bases.get(&doc).unwrap_or(&0);
-                match slot.entry(doc) {
-                    std::collections::btree_map::Entry::Vacant(e) if base == 0 => {
-                        // New document: adopt the shard's list wholesale (and
-                        // keep sharing it if the shard was itself a clone).
-                        e.insert(positions);
-                    }
-                    e => {
-                        let dst = Arc::make_mut(e.or_default());
-                        dst.extend(positions.iter().map(|p| p + base));
-                    }
-                }
-            }
-        }
-        for (doc, count) in other.docs {
-            *self.docs.entry(doc).or_insert(0) += count;
-        }
-    }
-
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
         self.docs.len()
@@ -498,55 +460,6 @@ mod tests {
         assert_eq!(ix.positions(7, "part"), &[1, 3]);
         assert_eq!(
             ix.phrase_docs(&["second".into(), "part".into()]),
-            BTreeSet::from([7])
-        );
-    }
-
-    #[test]
-    fn merge_of_shards_equals_sequential_build() {
-        let texts: &[(DocId, &str)] = &[
-            (1, "Structured documents can benefit from database support"),
-            (2, "an SGML document in an OODBMS"),
-            (3, "queries over complex objects; the complex object model"),
-            (4, "paths navigate the logical structure"),
-        ];
-        let mut sequential = InvertedIndex::new();
-        for (d, t) in texts {
-            sequential.add(*d, t);
-        }
-        let mut merged = InvertedIndex::new();
-        for shard_docs in texts.chunks(2) {
-            let mut shard = InvertedIndex::new();
-            for (d, t) in shard_docs {
-                shard.add(*d, t);
-            }
-            merged.merge(shard);
-        }
-        assert_eq!(merged.doc_count(), sequential.doc_count());
-        assert_eq!(merged.term_count(), sequential.term_count());
-        for word in ["complex", "SGML", "structure", "the"] {
-            assert_eq!(merged.docs_with_word(word), sequential.docs_with_word(word));
-        }
-        assert_eq!(
-            merged.positions(3, "complex"),
-            sequential.positions(3, "complex")
-        );
-    }
-
-    #[test]
-    fn merge_overlapping_doc_appends_like_add() {
-        let mut by_add = InvertedIndex::new();
-        by_add.add(7, "first part");
-        by_add.add(7, "second part");
-        let mut left = InvertedIndex::new();
-        left.add(7, "first part");
-        let mut right = InvertedIndex::new();
-        right.add(7, "second part");
-        left.merge(right);
-        assert_eq!(left.doc_count(), 1);
-        assert_eq!(left.positions(7, "part"), by_add.positions(7, "part"));
-        assert_eq!(
-            left.phrase_docs(&["second".into(), "part".into()]),
             BTreeSet::from([7])
         );
     }

@@ -1,7 +1,7 @@
 //! Concurrent serving: batch ingest, a shared store, and the plan cache.
 //!
-//! Builds a corpus with `ingest_batch` (parse/validate fan out across
-//! threads), converts the database into a [`SharedStore`], and serves the
+//! Builds a corpus with `ingest_batch` (parse all, then load each),
+//! converts the database into a [`SharedStore`], and serves the
 //! same O₂SQL queries from several reader threads while a writer keeps
 //! ingesting. Ends with the plan-cache hit/miss counters.
 //!
@@ -17,9 +17,8 @@ const READERS: usize = 4;
 const ROUNDS: usize = 25;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Generate a corpus and batch-ingest it: parsing and validation run
-    //    on one thread per core, loading is serial (oid allocation), and
-    //    the inverted index is built in shards and merged.
+    // 1. Generate a corpus and batch-ingest it: every text is parsed and
+    //    validated first, then each tree is loaded and indexed in order.
     let texts: Vec<String> = (0..24u64)
         .map(|seed| {
             generate_article(&ArticleParams {

@@ -4,7 +4,7 @@
 //!   writer interleaved) must see results byte-identical to single-threaded
 //!   execution;
 //! * the plan cache must hit on repeats without changing any result;
-//! * parallel batch ingest must be indistinguishable from serial ingest;
+//! * batch ingest must be indistinguishable from per-document ingest;
 //! * index-backed and scan text search must agree over the synthetic
 //!   corpus.
 //!
