@@ -1,5 +1,5 @@
 //! Execution governance for docql queries: deadlines, budgets, cooperative
-//! cancellation, admission control, and deterministic fault injection.
+//! cancellation, and deterministic fault injection.
 //!
 //! The query pipeline (algebra operators, the calculus interpreter, path
 //! enumeration, text scans) is cooperative: long loops periodically consult a
@@ -27,7 +27,7 @@ pub use rng::SeededRng;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which budget ran out.
@@ -48,9 +48,6 @@ pub enum ExecError {
     BudgetExhausted(Resource),
     /// The query's [`CancelToken`] was cancelled.
     Cancelled,
-    /// The admission gate refused the query (too many concurrent queries,
-    /// and the bounded wait timed out).
-    AdmissionRejected,
 }
 
 impl std::fmt::Display for ExecError {
@@ -62,9 +59,6 @@ impl std::fmt::Display for ExecError {
                 write!(f, "path-step fuel exhausted")
             }
             ExecError::Cancelled => write!(f, "query cancelled"),
-            ExecError::AdmissionRejected => {
-                write!(f, "admission rejected: too many concurrent queries")
-            }
         }
     }
 }
@@ -270,8 +264,6 @@ fn trip_code(e: ExecError) -> u8 {
         ExecError::BudgetExhausted(Resource::Rows) => TRIP_ROWS,
         ExecError::BudgetExhausted(Resource::PathFuel) => TRIP_FUEL,
         ExecError::Cancelled => TRIP_CANCELLED,
-        // The gate rejects before a guard exists; never recorded as a trip.
-        ExecError::AdmissionRejected => TRIP_CANCELLED,
     }
 }
 
@@ -584,85 +576,6 @@ impl IoFaultStream {
     }
 }
 
-/// Admission control: a bounded-concurrency gate with a bounded wait.
-/// Queries `admit()` before touching the store; over-limit arrivals block up
-/// to `max_wait` for a permit, then fail with
-/// [`ExecError::AdmissionRejected`]. Dropping the [`Permit`] releases the
-/// slot. Writers are unaffected — the gate applies only where callers choose
-/// to consult it (read-side serving paths).
-#[derive(Debug)]
-pub struct AdmissionGate {
-    max: usize,
-    max_wait: Duration,
-    active: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl AdmissionGate {
-    /// A gate admitting at most `max` concurrent holders; arrivals beyond
-    /// that wait up to `max_wait` for a slot.
-    pub fn new(max: usize, max_wait: Duration) -> AdmissionGate {
-        AdmissionGate {
-            max: max.max(1),
-            max_wait,
-            active: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Acquire a slot or fail after the bounded wait.
-    pub fn admit(&self) -> Result<Permit<'_>, ExecError> {
-        let deadline = Instant::now() + self.max_wait;
-        let mut active = self
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *active >= self.max {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ExecError::AdmissionRejected);
-            }
-            let (guard, timeout) = self
-                .freed
-                .wait_timeout(active, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            active = guard;
-            if timeout.timed_out() && *active >= self.max {
-                return Err(ExecError::AdmissionRejected);
-            }
-        }
-        *active += 1;
-        Ok(Permit { gate: self })
-    }
-
-    /// Holders right now (diagnostics).
-    pub fn active(&self) -> usize {
-        *self
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// An admitted slot; dropping releases it and wakes one waiter.
-#[derive(Debug)]
-pub struct Permit<'a> {
-    gate: &'a AdmissionGate,
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let mut active = self
-            .gate
-            .active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *active = active.saturating_sub(1);
-        drop(active);
-        self.gate.freed.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,30 +793,5 @@ mod tests {
             }
         }));
         assert!(r.is_err(), "seed {seed} must panic deterministically");
-    }
-
-    #[test]
-    fn admission_gate_bounds_concurrency_and_times_out() {
-        let gate = AdmissionGate::new(2, Duration::from_millis(20));
-        let p1 = gate.admit().unwrap();
-        let p2 = gate.admit().unwrap();
-        assert_eq!(gate.active(), 2);
-        assert_eq!(gate.admit().err(), Some(ExecError::AdmissionRejected));
-        drop(p1);
-        let p3 = gate.admit().unwrap();
-        drop(p2);
-        drop(p3);
-        assert_eq!(gate.active(), 0);
-    }
-
-    #[test]
-    fn admission_gate_waiter_wakes_on_release() {
-        let gate = Arc::new(AdmissionGate::new(1, Duration::from_secs(5)));
-        let p = gate.admit().unwrap();
-        let g2 = Arc::clone(&gate);
-        let waiter = thread::spawn(move || g2.admit().map(|_| ()).is_ok());
-        thread::sleep(Duration::from_millis(10));
-        drop(p);
-        assert!(waiter.join().unwrap(), "waiter admitted after release");
     }
 }

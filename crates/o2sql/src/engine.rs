@@ -169,25 +169,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Run a query under per-call limits: builds a fresh
-    /// [`docql_guard::Guard`] from `limits` and evaluates with it attached
-    /// (plain [`Engine::run`] when `limits` is all-`None`).
-    pub fn run_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, O2sqlError> {
-        if limits.is_none() {
-            return self.run(src);
-        }
-        let guard = docql_guard::Guard::new(limits);
-        let limited = Engine {
-            guard: Some(&guard),
-            ..*self
-        };
-        limited.run(src)
-    }
-
     /// Classify an evaluation outcome against the attached guard: the
     /// sticky trip is the authoritative signal (inner errors are stringly),
     /// so a tripped strict-mode guard yields
@@ -383,8 +364,7 @@ impl<'a> Engine<'a> {
     /// EXPLAIN: the calculus translation and, when algebraizable, the
     /// compiled §5.4 plan tree.
     pub fn explain(&self, src: &str) -> Result<String, O2sqlError> {
-        let ast = parse(src)?;
-        let translated = translate(&ast, self.instance.schema())?;
+        let translated = self.compile(src)?;
         let mut out = String::new();
         out.push_str("calculus: ");
         out.push_str(&translated.query.to_string());
@@ -433,8 +413,7 @@ impl<'a> Engine<'a> {
     /// constructors whose elements have no common supertype ("sets
     /// containing integers and characters are forbidden").
     pub fn check(&self, src: &str) -> Result<TypeInfo, O2sqlError> {
-        let ast = parse(src)?;
-        let translated = translate(&ast, self.instance.schema())?;
+        let translated = self.compile(src)?;
         let mut info = infer_types(&translated.query, self.instance.schema());
         check_constructors(
             &translated.query.body,

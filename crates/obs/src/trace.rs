@@ -653,11 +653,8 @@ impl FlightRecorder {
     /// Record one per-connection lifecycle event from the serving tier
     /// (`conn_open`, `conn_close`, `conn_timeout`, `conn_disconnect`, …),
     /// tagged with the server's connection id so the events of one socket
-    /// can be grepped out of the shared timeline.
+    /// can be grepped out of the shared timeline. A no-op when disabled.
     pub fn connection_event(&self, kind: &'static str, conn_id: u64, detail: &str) {
-        if !self.enabled() {
-            return;
-        }
         self.global_event(kind, format!("conn={conn_id} {detail}"));
     }
 

@@ -229,7 +229,6 @@ pub fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         499 => "Client Closed Request",
         500 => "Internal Server Error",

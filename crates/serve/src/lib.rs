@@ -8,8 +8,9 @@
 //! - [`http`] — the bounded request parser (hard head/body ceilings →
 //!   `431`/`413`/`400`, socket deadlines → `408`) and response writers,
 //!   including chunked streaming with governance trailers.
-//! - [`server`] — the fixed accept/worker pool, backpressure (`503` +
-//!   `Retry-After`), per-request `X-Docql-*` limits, cancel-on-disconnect,
+//! - [`server`] — the fixed accept/worker pool (the one concurrency
+//!   limit), backpressure (`503` + `Retry-After`), per-request
+//!   `X-Docql-*` limits, cancel-on-disconnect,
 //!   and graceful drain + checkpoint-on-shutdown.
 //! - [`client`] — the small blocking client the tests, chaos battery, CI
 //!   smoke step, and bench B16 drive the server with.

@@ -10,6 +10,10 @@
 //! the `my_article`/`my_old_article` roots; `--dtd FILE` and `--roots
 //! a,b` override it at creation time.
 //!
+//! `--workers` is the one concurrency limit: at most that many queries
+//! run at once, and up to `--queue` more connections wait for a worker
+//! before the server answers `503`.
+//!
 //! On `SIGINT`/`SIGTERM` (or `POST /admin/shutdown`) the server stops
 //! accepting, drains in-flight queries under `--drain-ms`, force-cancels
 //! stragglers, and checkpoints a persistent store before exiting.
@@ -26,7 +30,6 @@ struct Args {
     dir: Option<String>,
     dtd: Option<String>,
     roots: Vec<String>,
-    admit: Option<(usize, u64)>,
     segment_retain: Option<usize>,
 }
 
@@ -38,8 +41,8 @@ fn usage() -> ! {
          --dir PATH              persistent store directory (default: in-memory)\n\
          --dtd FILE              schema file for a new store (default: built-in article DTD)\n\
          --roots a,b             named roots for a new store (default my_article,my_old_article)\n\
-         --workers N             worker threads (default 8)\n\
-         --queue N               accepted-connection queue depth (default 64)\n\
+         --workers N             worker threads = max concurrent queries (default 8)\n\
+         --queue N               connections waiting for a worker; beyond it 503 (default 64)\n\
          --read-timeout-ms N     per-connection read deadline (default 5000)\n\
          --write-timeout-ms N    per-connection write deadline (default 5000)\n\
          --drain-ms N            graceful-shutdown drain deadline (default 5000)\n\
@@ -50,7 +53,6 @@ fn usage() -> ! {
          --row-budget N          default query row budget\n\
          --path-fuel N           default query path fuel\n\
          --degrade               default to partial results instead of errors on trips\n\
-         --admit N[,WAIT_MS]     admission gate: max concurrent queries (default wait 100ms)\n\
          --retain N              checkpoint segments kept by GC (default 2)"
     );
     std::process::exit(2)
@@ -65,7 +67,6 @@ fn parse_args() -> Args {
         dir: None,
         dtd: None,
         roots: vec!["my_article".to_string(), "my_old_article".to_string()],
-        admit: None,
         segment_retain: None,
     };
     let mut it = std::env::args().skip(1);
@@ -132,17 +133,6 @@ fn parse_args() -> Args {
                 args.config.default_limits.path_fuel = Some(parse_num(need(&mut it, &flag), &flag));
             }
             "--degrade" => args.config.default_limits.degrade = true,
-            "--admit" => {
-                let v = need(&mut it, "--admit");
-                let (n, wait) = match v.split_once(',') {
-                    Some((n, w)) => (
-                        parse_num(n.to_string(), "--admit") as usize,
-                        parse_num(w.to_string(), "--admit"),
-                    ),
-                    None => (parse_num(v, "--admit") as usize, 100),
-                };
-                args.admit = Some((n, wait));
-            }
             "--retain" => {
                 args.segment_retain = Some(parse_num(need(&mut it, &flag), &flag) as usize);
             }
@@ -206,9 +196,6 @@ fn main() -> ExitCode {
             }
         }
     };
-    if let Some((n, wait_ms)) = args.admit {
-        store.set_admission_limit(n, Duration::from_millis(wait_ms));
-    }
 
     let handle = match Server::start(args.config, store) {
         Ok(h) => h,

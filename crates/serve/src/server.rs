@@ -6,7 +6,10 @@
 //!
 //! - **Backpressure** — accepted connections go through a bounded queue to
 //!   the worker pool; a full queue answers `503` + `Retry-After` from the
-//!   accept thread instead of piling up unbounded.
+//!   accept thread instead of piling up unbounded. The pool plus this
+//!   queue is the server's only concurrency limit: at most `workers`
+//!   queries run at once, later connections wait in the queue, and lower
+//!   `--workers` is how an operator caps concurrent queries.
 //! - **Slow-loris defense** — every connection socket carries OS read and
 //!   write deadlines; a peer dribbling bytes gets `408` and the worker
 //!   moves on.
@@ -14,7 +17,7 @@
 //!   request can make the server buffer (`431`/`413`/`400`).
 //! - **Governed queries** — `X-Docql-*` headers become per-request
 //!   [`QueryLimits`] merged over the server's defaults; guard trips map to
-//!   distinct statuses (`504`/`422`/`499`/`429`) and the flight-recorder
+//!   distinct statuses (`504`/`422`/`499`) and the flight-recorder
 //!   trace id is echoed in `X-Docql-Trace-Id`.
 //! - **Cancel on disconnect** — while a query runs, its guard polls a
 //!   [`CancelProbe`] that peeks the connection socket; a vanished client
@@ -57,8 +60,7 @@ impl ServeStore {
         }
     }
 
-    /// The admission-gated general query entry point (see
-    /// [`SharedStore::query_traced`]).
+    /// The general query entry point (see [`SharedStore::query_traced`]).
     pub fn query_traced(
         &self,
         src: &str,
@@ -68,14 +70,6 @@ impl ServeStore {
         match self {
             ServeStore::Shared(s) => s.query_traced(src, mode, limits),
             ServeStore::Persistent(p) => p.query_traced(src, mode, limits),
-        }
-    }
-
-    /// Cap concurrent queries (see [`SharedStore::set_admission_limit`]).
-    pub fn set_admission_limit(&self, max: usize, max_wait: Duration) {
-        match self {
-            ServeStore::Shared(s) => s.set_admission_limit(max, max_wait),
-            ServeStore::Persistent(p) => p.set_admission_limit(max, max_wait),
         }
     }
 
@@ -107,7 +101,8 @@ impl ServeStore {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads — the concurrency ceiling for connections.
+    /// Worker threads — the concurrency ceiling for connections, and so
+    /// for queries.
     pub workers: usize,
     /// Accepted connections waiting for a worker; beyond this the accept
     /// thread answers `503`.
@@ -123,7 +118,7 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for in-flight
     /// connections before force-cancelling their queries.
     pub drain_deadline: Duration,
-    /// Value of the `Retry-After` header on `429`/`503` responses.
+    /// Value of the `Retry-After` header on `503` responses.
     pub retry_after_secs: u64,
     /// Requests served per connection before it is closed (a fairness
     /// bound so one keep-alive peer cannot hold a worker forever). The
@@ -356,8 +351,8 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
 fn reject_busy(inner: &Inner, mut stream: TcpStream) {
     if inner.metrics.enabled() {
         inner.metrics.connections_rejected_busy.inc();
-        inner.metrics.count_status(503);
     }
+    inner.metrics.count_status(503);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let _ = write_response(
         &mut stream,
@@ -396,11 +391,9 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<TcpStream>>) {
             if inner.metrics.enabled() {
                 inner.metrics.worker_panics.inc();
             }
-            if inner.recorder.enabled() {
-                inner
-                    .recorder
-                    .connection_event("conn_panic", conn_id, "worker caught a panic");
-            }
+            inner
+                .recorder
+                .connection_event("conn_panic", conn_id, "worker caught a panic");
         }
     }
 }
@@ -424,15 +417,13 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                             if inner.metrics.enabled() {
                                 inner.metrics.read_timeouts.inc();
                             }
-                            if inner.recorder.enabled() {
-                                inner.recorder.connection_event(
-                                    "conn_read_timeout",
-                                    conn_id,
-                                    "request read deadline",
-                                );
-                            }
+                            inner.recorder.connection_event(
+                                "conn_read_timeout",
+                                conn_id,
+                                "request read deadline",
+                            );
                         }
-                        HttpError::Closed if inner.recorder.enabled() => {
+                        HttpError::Closed => {
                             inner
                                 .recorder
                                 .connection_event("conn_closed", conn_id, "peer closed");
@@ -440,9 +431,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                         _ => {}
                     }
                     if let Some(status) = e.status() {
-                        if inner.metrics.enabled() {
-                            inner.metrics.count_status(status);
-                        }
+                        inner.metrics.count_status(status);
                         let mut body = e.message();
                         body.push('\n');
                         let _ = write_response(&mut stream, status, &[], body.as_bytes(), true);
@@ -487,9 +476,7 @@ fn send(
     body: &[u8],
     close: bool,
 ) -> bool {
-    if inner.metrics.enabled() {
-        inner.metrics.count_status(status);
-    }
+    inner.metrics.count_status(status);
     write_response(stream, status, headers, body, close).is_ok()
 }
 
@@ -582,11 +569,9 @@ fn respond(
         }
         ("POST", "/admin/shutdown") => {
             inner.shutdown_requested.store(true, Ordering::SeqCst);
-            if inner.recorder.enabled() {
-                inner
-                    .recorder
-                    .connection_event("shutdown_requested", conn_id, "admin endpoint");
-            }
+            inner
+                .recorder
+                .connection_event("shutdown_requested", conn_id, "admin endpoint");
             send(inner, stream, 202, &[], b"draining\n", close)
         }
         (_, "/healthz" | "/metrics" | "/metrics.json" | "/traces") => {
@@ -605,7 +590,6 @@ fn error_status(e: &StoreError) -> u16 {
         StoreError::Interrupted(ExecError::DeadlineExceeded) => 504,
         StoreError::Interrupted(ExecError::BudgetExhausted(_)) => 422,
         StoreError::Interrupted(ExecError::Cancelled) => 499,
-        StoreError::Interrupted(ExecError::AdmissionRejected) => 429,
         StoreError::QueryPanic(_) => 500,
         StoreError::Sgml(_) | StoreError::Map(_) | StoreError::Query(_) => 400,
         StoreError::Other(_) => 500,
@@ -715,20 +699,15 @@ fn serve_query(
     match result {
         Err(e) => {
             let status = error_status(&e);
-            if status == 429 || status == 503 {
-                headers.push(("Retry-After", inner.config.retry_after_secs.to_string()));
-            }
             if status == 499 {
                 if inner.metrics.enabled() {
                     inner.metrics.client_disconnects.inc();
                 }
-                if inner.recorder.enabled() {
-                    inner.recorder.connection_event(
-                        "conn_disconnect_cancel",
-                        conn_id,
-                        "query cancelled",
-                    );
-                }
+                inner.recorder.connection_event(
+                    "conn_disconnect_cancel",
+                    conn_id,
+                    "query cancelled",
+                );
             }
             let body = format!("{e}\n");
             send(inner, stream, status, &headers, body.as_bytes(), close)

@@ -141,7 +141,7 @@ fn chaos_battery_leaves_the_server_standing() {
                         }
                         ok_count.fetch_add(1, Ordering::Relaxed);
                     }
-                    Ok(resp) if resp.status == 503 || resp.status == 429 => {
+                    Ok(resp) if resp.status == 503 => {
                         std::thread::sleep(Duration::from_millis(5));
                     }
                     Ok(resp) => return Err(format!("unexpected status {}", resp.status)),

@@ -245,7 +245,6 @@ fn golden_reason_phrases_cover_the_emitted_statuses() {
         (408, "Request Timeout"),
         (413, "Payload Too Large"),
         (422, "Unprocessable Entity"),
-        (429, "Too Many Requests"),
         (431, "Request Header Fields Too Large"),
         (499, "Client Closed Request"),
         (500, "Internal Server Error"),

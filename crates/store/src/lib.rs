@@ -44,9 +44,10 @@ pub enum StoreError {
     Map(MapError),
     /// Query failed.
     Query(O2sqlError),
-    /// Execution stopped by the resource governor or the admission gate —
-    /// the structured taxonomy of [`docql_guard::ExecError`] (deadline,
-    /// budget, cancellation, admission).
+    /// Execution stopped by the resource governor — the structured
+    /// taxonomy of [`docql_guard::ExecError`] (deadline, budget,
+    /// cancellation). Concurrency is not limited here: callers that need
+    /// a cap bound their own worker count (the HTTP server's `--workers`).
     Interrupted(docql_guard::ExecError),
     /// A panic was caught at the query boundary; the store remains
     /// serviceable (no lock is left poisoned — internal tables recover).
@@ -1053,11 +1054,6 @@ struct SharedInner {
     /// `current` and publishes back, so two concurrent writers would lose
     /// updates. Readers never touch this lock.
     writer: Mutex<()>,
-    /// Admission gate for the query paths (`None` = unbounded, the
-    /// default). Shared by all clones; only readers are gated — write
-    /// transactions bypass it, so a saturated gate can never starve the
-    /// writer.
-    gate: RwLock<Option<Arc<docql_guard::AdmissionGate>>>,
 }
 
 impl SharedStore {
@@ -1071,64 +1067,7 @@ impl SharedStore {
                     at: Instant::now(),
                 }),
                 writer: Mutex::new(()),
-                gate: RwLock::new(None),
             }),
-        }
-    }
-
-    /// Cap concurrent queries at `max`: the `max + 1`-th query waits up to
-    /// `max_wait` for a slot, then fails with
-    /// [`StoreError::Interrupted`]`(`[`AdmissionRejected`](docql_guard::ExecError::AdmissionRejected)`)`.
-    /// Applies to every clone of this handle.
-    pub fn set_admission_limit(&self, max: usize, max_wait: Duration) {
-        *self
-            .inner
-            .gate
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) =
-            Some(Arc::new(docql_guard::AdmissionGate::new(max, max_wait)));
-    }
-
-    /// Remove the admission cap (queries are admitted unconditionally).
-    pub fn clear_admission_limit(&self) {
-        *self
-            .inner
-            .gate
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    /// Queries currently admitted (0 when no gate is set).
-    pub fn admission_active(&self) -> usize {
-        self.inner
-            .gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map_or(0, |g| g.active())
-    }
-
-    /// Run `f` holding an admission permit (when a gate is configured),
-    /// counting rejections into the store's metrics.
-    fn admitted<T>(&self, f: impl FnOnce() -> Result<T, StoreError>) -> Result<T, StoreError> {
-        let gate = self
-            .inner
-            .gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        match gate {
-            None => f(),
-            Some(g) => match g.admit() {
-                Ok(_permit) => f(),
-                Err(e) => {
-                    let store = self.read();
-                    if store.metrics.enabled() {
-                        store.metrics.admission_rejected.inc();
-                    }
-                    Err(StoreError::Interrupted(e))
-                }
-            },
         }
     }
 
@@ -1199,21 +1138,17 @@ impl SharedStore {
         }
     }
 
-    /// Run an O₂SQL query against the current snapshot (plan-cached), subject to the
-    /// admission gate when one is set.
+    /// Run an O₂SQL query against the current snapshot (plan-cached).
     pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query(src))
+        self.read().query(src)
     }
 
-    /// Run an algebraic-mode query against the current snapshot (plan-cached),
-    /// subject to the admission gate when one is set.
+    /// Run an algebraic-mode query against the current snapshot (plan-cached).
     pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_algebraic(src))
+        self.read().query_algebraic(src)
     }
 
-    /// [`DocStore::query_traced`] against the current snapshot, subject
-    /// to the admission gate. An admission rejection returns before any
-    /// trace is begun, so the trace slot is `None` in that case.
+    /// [`DocStore::query_traced`] against the current snapshot.
     pub fn query_traced(
         &self,
         src: &str,
@@ -1223,10 +1158,7 @@ impl SharedStore {
         Result<QueryResult, StoreError>,
         Option<Arc<docql_obs::QueryTrace>>,
     ) {
-        match self.admitted(|| Ok(self.read().query_traced(src, mode, limits))) {
-            Ok(pair) => pair,
-            Err(e) => (Err(e), None),
-        }
+        self.read().query_traced(src, mode, limits)
     }
 
     /// Turn metric recording on or off (see

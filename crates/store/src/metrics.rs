@@ -53,9 +53,6 @@ pub struct StoreMetrics {
     pub queries_cancelled: Counter,
     /// Queries that returned a flagged partial result (degrade mode).
     pub queries_partial: Counter,
-    /// Queries turned away by the admission gate (max concurrency reached
-    /// and the bounded wait timed out).
-    pub admission_rejected: Counter,
     /// Panics caught at the query boundary (the store stayed serviceable).
     pub query_panics: Counter,
     /// Query traces retained by the flight recorder (see
@@ -104,7 +101,6 @@ impl StoreMetrics {
                 .counter("docql_store_queries_budget_exhausted_total"),
             queries_cancelled: registry.counter("docql_store_queries_cancelled_total"),
             queries_partial: registry.counter("docql_store_queries_partial_total"),
-            admission_rejected: registry.counter("docql_store_admission_rejected_total"),
             query_panics: registry.counter("docql_store_query_panics_total"),
             traces_recorded: registry.counter("docql_store_traces_recorded_total"),
             snapshots_published: registry.counter("docql_store_snapshots_published_total"),

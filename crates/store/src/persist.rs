@@ -39,7 +39,7 @@ use docql_obs::QueryTrace;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What recovery found and did while opening a store directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -261,11 +261,6 @@ impl PersistentStore {
         limits: &QueryLimits,
     ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
         self.shared.query_traced(src, mode, limits)
-    }
-
-    /// Cap concurrent queries (see [`SharedStore::set_admission_limit`]).
-    pub fn set_admission_limit(&self, max: usize, max_wait: Duration) {
-        self.shared.set_admission_limit(max, max_wait);
     }
 
     /// The persistence metric handles (registered in the store's

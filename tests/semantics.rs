@@ -2,6 +2,7 @@
 //! path-variable interpretations, set operations over select queries, and
 //! the method-signature bookkeeping the paper carries "for completeness".
 
+use docql::guard::Guard;
 use docql::model::{MethodSig, Schema, Type};
 use docql::o2sql::Mode;
 use docql::prelude::*;
@@ -85,9 +86,14 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
     let unguarded = engine.run(q).unwrap();
     assert!(!unguarded.is_empty());
 
+    // Each case attaches a fresh guard: trips are sticky.
+    let scarce = Guard::new(&QueryLimits::none().with_path_fuel(5));
+    let degrade = Guard::new(&QueryLimits::none().with_path_fuel(5).with_degrade());
+    let ample = Guard::new(&QueryLimits::none().with_path_fuel(100_000_000));
+
     // Scarce fuel: prompt, typed termination mid-cycle.
-    let scarce = QueryLimits::none().with_path_fuel(5);
-    match engine.run_with_limits(q, &scarce) {
+    engine.guard = Some(&scarce);
+    match engine.run(q) {
         Err(docql::o2sql::O2sqlError::Interrupted(ExecError::BudgetExhausted(
             docql::guard::Resource::PathFuel,
         ))) => {}
@@ -96,14 +102,14 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
     }
 
     // Scarce fuel in degrade mode: a flagged prefix of the full answer.
-    let degrade = QueryLimits::none().with_path_fuel(5).with_degrade();
-    let partial = engine.run_with_limits(q, &degrade).unwrap();
+    engine.guard = Some(&degrade);
+    let partial = engine.run(q).unwrap();
     assert!(partial.is_partial());
     assert!(partial.len() < unguarded.len());
 
     // Ample fuel: differential — exactly the unguarded answer, unflagged.
-    let ample = QueryLimits::none().with_path_fuel(100_000_000);
-    let governed = engine.run_with_limits(q, &ample).unwrap();
+    engine.guard = Some(&ample);
+    let governed = engine.run(q).unwrap();
     assert!(!governed.is_partial());
     assert_eq!(governed.rows, unguarded.rows);
 }
