@@ -47,6 +47,8 @@ panic_free=(
     "model:crates/model must stay panic-free"
     "durable:crates/durable must stay panic-free"
     "algebra:crates/algebra (planner) must stay panic-free"
+    "calculus:crates/calculus must stay panic-free (every query evaluates through it)"
+    "text:crates/text must stay panic-free (contains patterns are parsed from query text)"
     "paths:crates/paths must stay panic-free (every ingest builds path extents through it)"
     "mapping:crates/mapping must stay panic-free (every ingest loads its document through it)"
     "guard:crates/guard must stay panic-free (it enforces limits on every governed query)"

@@ -229,11 +229,11 @@ impl<'a> Evaluator<'a> {
         while !remaining.is_empty() {
             let pick = remaining
                 .iter()
-                .position(|f| self.runnable(f, &bound).is_some());
+                .enumerate()
+                .find_map(|(i, f)| Some((i, self.runnable(f, &bound)?)));
             match pick {
-                Some(i) => {
+                Some((i, provides)) => {
                     let f = remaining.remove(i);
-                    let provides = self.runnable(f, &bound).expect("checked");
                     envs = self.eval_formula(f, envs)?;
                     bound.extend(provides);
                     if envs.is_empty() {
@@ -261,11 +261,12 @@ impl<'a> Evaluator<'a> {
                 let mut b = bound.clone();
                 let mut remaining: Vec<&Formula> = fs.iter().collect();
                 while !remaining.is_empty() {
-                    let pick = remaining
+                    let (pick, provides) = remaining
                         .iter()
-                        .position(|g| self.runnable(g, &b).is_some())?;
-                    let g = remaining.remove(pick);
-                    b.extend(self.runnable(g, &b).expect("checked"));
+                        .enumerate()
+                        .find_map(|(i, g)| Some((i, self.runnable(g, &b)?)))?;
+                    remaining.remove(pick);
+                    b.extend(provides);
                 }
                 Some(b.difference(bound).copied().collect())
             }

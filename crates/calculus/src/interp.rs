@@ -100,7 +100,8 @@ impl<'a> InterpCtx<'a> {
 impl InterpCtx<'_> {
     /// Collect the textual content of a value, dereferencing objects
     /// (cycle-safe). The IRS predicates apply to logical objects through
-    /// this view when no loader-supplied `text` table overrides it.
+    /// this view, and `text(o)` falls back to it for an object that carries
+    /// no loader-recorded text.
     pub fn textify(&self, v: &Value) -> String {
         let mut out = String::new();
         let mut visited = std::collections::HashSet::new();
@@ -205,8 +206,7 @@ impl Interp {
         i.register_func("set_to_list", f_set_to_list);
         i.register_func("first", f_first);
         i.register_func("count", f_count);
-        i.register_func("text", f_identity_text);
-        i.register_func("text_of", f_identity_text);
+        i.register_func("text", f_text);
         i.register_func("concat", f_concat);
         i.register_func("positions", f_positions);
         i.register_func("sort_by", f_sort_by);
@@ -447,39 +447,21 @@ fn f_count(_ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Interp
     }
 }
 
-/// `text_of(x)` placeholder: the store layer re-registers this with the real
-/// object→text inverse mapping; standalone it extracts all strings of a
-/// value.
-fn f_identity_text(_ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
-    fn collect(v: &Value, out: &mut String) {
-        match v {
-            Value::Str(s) => {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(s);
-            }
-            Value::Tuple(fs) => {
-                for (_, v) in fs {
-                    collect(v, out);
-                }
-            }
-            Value::Union(_, v) => collect(v, out),
-            Value::List(items) | Value::Set(items) => {
-                for v in items {
-                    collect(v, out);
-                }
-            }
-            _ => {}
-        }
-    }
+/// `text(x)` — the paper's inverse mapping from a logical object to its
+/// portion of the document text (§3), as the loader recorded it on the
+/// object. Objects not loaded from a document, and non-object values, fall
+/// back to their textual content ([`InterpCtx::textify`]).
+fn f_text(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
     match args.first() {
-        Some(CalcValue::Data(v)) => {
-            let mut s = String::new();
-            collect(v, &mut s);
-            Ok(CalcValue::Data(Value::Str(s)))
+        Some(CalcValue::Data(v @ Value::Oid(o))) => {
+            let text = ctx
+                .instance
+                .text(*o)
+                .map_or_else(|| ctx.textify(v), str::to_string);
+            Ok(CalcValue::Data(Value::Str(text)))
         }
-        other => Err(InterpError(format!("text_of: bad argument {other:?}"))),
+        Some(CalcValue::Data(v)) => Ok(CalcValue::Data(Value::str(ctx.textify(v)))),
+        other => Err(InterpError(format!("text: bad argument {other:?}"))),
     }
 }
 
@@ -739,15 +721,32 @@ mod tests {
     }
 
     #[test]
-    fn text_of_collects_strings() {
+    fn text_collects_strings() {
         let i = Interp::with_builtins();
         let v = Value::tuple([
             ("a", Value::str("hello")),
             ("b", Value::list([Value::str("world")])),
         ]);
         assert_eq!(
-            call_func(&i, sym("text_of"), &[d(v)]).unwrap(),
+            call_func(&i, sym("text"), &[d(v)]).unwrap(),
             d(Value::str("hello world"))
         );
+        assert!(
+            call_func(&i, sym("text_of"), &[]).is_err(),
+            "one name, one builtin"
+        );
+    }
+
+    #[test]
+    fn text_reads_the_object_and_falls_back_to_its_content() {
+        let i = Interp::with_builtins();
+        let mut inst = test_instance();
+        let loaded = inst.new_object("C", Value::str("value text")).unwrap();
+        inst.set_text(loaded, Some("document text")).unwrap();
+        let built = inst.new_object("C", Value::str("built")).unwrap();
+        let ctx = InterpCtx::new(&inst);
+        let text = |o| i.func(&ctx, sym("text"), &[d(Value::Oid(o))]).unwrap();
+        assert_eq!(text(loaded), d(Value::str("document text")));
+        assert_eq!(text(built), d(Value::str("built")));
     }
 }

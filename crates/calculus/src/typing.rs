@@ -73,17 +73,16 @@ pub fn infer_types(q: &Query, schema: &Schema) -> TypeInfo {
 
 /// Several candidate types combine into a marked union with system markers.
 fn combine_types(types: BTreeSet<Type>) -> Type {
-    let mut list: Vec<Type> = types.into_iter().collect();
-    match list.len() {
-        0 => Type::Any,
-        1 => list.pop().expect("len checked"),
-        _ => Type::Union(
-            list.into_iter()
-                .enumerate()
-                .map(|(i, t)| docql_model::Field::new(sym(&format!("α{}", i + 1)), t))
-                .collect(),
-        ),
+    if types.len() <= 1 {
+        return types.into_iter().next().unwrap_or(Type::Any);
     }
+    Type::Union(
+        types
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| docql_model::Field::new(sym(&format!("α{}", i + 1)), t))
+            .collect(),
+    )
 }
 
 struct Cx<'a> {

@@ -30,10 +30,9 @@
 //! Every other query shape goes through [`store::DocStore::query_traced`]:
 //! an execution [`Mode`](o2sql::Mode), per-call
 //! [`QueryLimits`](guard::QueryLimits) (deadline, row budget, path fuel,
-//! cancellation) merged over the store's defaults, and the flight-recorder
-//! trace back. Share a store across threads with
-//! [`SharedStore::new`](store::SharedStore::new); make its commits durable
-//! with [`PersistentStore`](store::PersistentStore).
+//! cancellation), and the flight-recorder trace back. Share a store across
+//! threads with [`SharedStore::new`](store::SharedStore::new); make its
+//! commits durable with [`PersistentStore`](store::PersistentStore).
 //!
 //! ## Crate map
 //!

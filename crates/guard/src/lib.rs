@@ -142,7 +142,7 @@ impl std::fmt::Debug for CancelProbe {
     }
 }
 
-/// Per-call (or per-store default) resource limits. All fields optional;
+/// Per-call (or server default) resource limits. All fields optional;
 /// `QueryLimits::default()` governs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct QueryLimits {
@@ -223,8 +223,9 @@ impl QueryLimits {
         self
     }
 
-    /// Per-call limits override per-store defaults field-wise: any field the
-    /// call leaves unset falls back to the default's value.
+    /// Per-call limits override defaults (the HTTP server's `--deadline-ms`
+    /// and friends) field-wise: any field the call leaves unset falls back
+    /// to the default's value.
     pub fn or(mut self, defaults: &QueryLimits) -> QueryLimits {
         if self.deadline.is_none() {
             self.deadline = defaults.deadline;

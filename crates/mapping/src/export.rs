@@ -232,8 +232,8 @@ mod tests {
         // Reload the exported text into a fresh instance.
         let mut instance2 = Instance::new(mapping.schema.clone());
         let loaded2 = load_sgml_text(&mapping, &dtd, &mut instance2, &sgml).unwrap();
-        let t1 = &loaded.text_of[&loaded.root];
-        let t2 = &loaded2.text_of[&loaded2.root];
+        let t1 = instance.text(loaded.root).unwrap();
+        let t2 = instance2.text(loaded2.root).unwrap();
         assert_eq!(t1, t2, "text content preserved across round-trip");
         assert_eq!(instance.object_count(), instance2.object_count());
     }

@@ -14,8 +14,8 @@
 //! `private label: list(Object)`.
 //!
 //! The loader also records the paper's `text` operator: the "inverse mapping
-//! from a logical object to the corresponding portion of text" \[5\], as a
-//! side table `oid → text`.
+//! from a logical object to the corresponding portion of text" \[5\], on
+//! every object it creates ([`Instance::text`]).
 
 use crate::schema_gen::{AttrKind, ContentKind, DtdMapping, MapError};
 use crate::shape::Shape;
@@ -28,8 +28,6 @@ use std::collections::HashMap;
 pub struct LoadedDocument {
     /// The document element's object.
     pub root: Oid,
-    /// The paper's `text` operator: object → its text portion.
-    pub text_of: HashMap<Oid, String>,
     /// ID table: SGML ID value → object.
     pub ids: HashMap<String, Oid>,
 }
@@ -44,13 +42,11 @@ pub fn load_document(
     let mut loader = Loader {
         mapping,
         instance,
-        text_of: HashMap::new(),
         ids: HashMap::new(),
         pending_refs: Vec::new(),
     };
     let root = loader.element(&doc.root)?;
     loader.patch_references()?;
-    let text_of = loader.text_of;
     let ids = loader.ids;
 
     // Append to the root of persistence (γ).
@@ -67,13 +63,12 @@ pub fn load_document(
         .set_root(mapping.root, Value::List(items))
         .map_err(MapError::Model)?;
 
-    Ok(LoadedDocument { root, text_of, ids })
+    Ok(LoadedDocument { root, ids })
 }
 
 struct Loader<'m, 'i> {
     mapping: &'m DtdMapping,
     instance: &'i mut Instance,
-    text_of: HashMap<Oid, String>,
     ids: HashMap<String, Oid>,
     /// (object, field, referenced id, is_list)
     pending_refs: Vec<(Oid, Sym, String, bool)>,
@@ -204,7 +199,9 @@ impl Loader<'_, '_> {
             .instance
             .new_object(em.class, value)
             .map_err(MapError::Model)?;
-        self.text_of.insert(oid, e.text_content());
+        self.instance
+            .set_text(oid, Some(&e.text_content()))
+            .map_err(MapError::Model)?;
         if let Some(id) = id_value {
             if self.ids.insert(id.clone(), oid).is_some() {
                 return Err(MapError::Load(format!("duplicate ID `{id}`")));
@@ -452,11 +449,13 @@ mod tests {
 
     #[test]
     fn text_operator_recorded() {
-        let (_, _, loaded) = load_fig2();
-        let texts: Vec<&String> = loaded.text_of.values().collect();
-        assert!(texts.iter().any(|t| t.contains("SGML preliminaries")));
+        let (_, instance, loaded) = load_fig2();
+        assert!((0..instance.object_count() as u32).all(|o| instance.text(Oid(o)).is_some()));
+        assert!((0..instance.object_count() as u32)
+            .filter_map(|o| instance.text(Oid(o)))
+            .any(|t| t.contains("SGML preliminaries")));
         // The root object's text is the whole document text.
-        let root_text = &loaded.text_of[&loaded.root];
+        let root_text = instance.text(loaded.root).unwrap();
         assert!(root_text.contains("Structured documents"));
         assert!(root_text.contains("Berger-Levrault"));
     }

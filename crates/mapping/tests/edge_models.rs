@@ -35,7 +35,7 @@ fn any_content_loads_as_mixed_list() {
         matches!(&items[1], Value::Union(m, p) if m.as_str() == "object" && matches!(p.as_ref(), Value::Oid(_)))
     );
     assert!(instance.check().is_empty());
-    assert_eq!(loaded.text_of[&loaded.root], "plain bold tail");
+    assert_eq!(instance.text(loaded.root), Some("plain bold tail"));
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn mixed_content_star_loads_union_list() {
     assert_eq!(items.len(), 3);
     assert!(matches!(&items[0], Value::Union(m, _) if m.as_str() == "text"));
     assert!(matches!(&items[1], Value::Union(m, _) if m.as_str() == "emph"));
-    assert_eq!(loaded.text_of[&loaded.root], "before shiny after");
+    assert_eq!(instance.text(loaded.root), Some("before shiny after"));
 }
 
 #[test]

@@ -7,6 +7,10 @@
 //! * `μ` — method semantics; represented as named native functions, unused by
 //!   the document workloads (kept for completeness as in the paper).
 //! * `γ` — gives each root of persistence in `G` a value.
+//!
+//! Each object also carries the paper's `text` mapping (§3): the inverse
+//! mapping from a logical object to its portion of the document text, as
+//! recorded by the document loader ([`Instance::text`]).
 
 use crate::error::{ModelError, Result};
 use crate::schema::Schema;
@@ -22,6 +26,9 @@ struct ObjSlot {
     class: Sym,
     /// ν(o).
     value: Value,
+    /// `text(o)`: the object's portion of the document text, when it was
+    /// loaded from (or refreshed against) a document.
+    text: Option<Arc<str>>,
 }
 
 /// An instance over a shared schema.
@@ -29,7 +36,8 @@ struct ObjSlot {
 /// Slots are held behind `Arc` so cloning an instance — the snapshot fork
 /// path of the store layer — shares every object value structurally instead
 /// of deep-copying the document corpus; a post-clone [`Instance::set_value`]
-/// copies only the one touched slot (`Arc::make_mut`).
+/// or [`Instance::set_text`] copies only the one touched slot
+/// (`Arc::make_mut`).
 #[derive(Debug, Clone)]
 pub struct Instance {
     schema: Arc<Schema>,
@@ -74,7 +82,11 @@ impl Instance {
             return Err(ModelError::UnknownClass(class));
         }
         let oid = next_oid(self.objects.len())?;
-        self.objects.push(Arc::new(ObjSlot { class, value }));
+        self.objects.push(Arc::new(ObjSlot {
+            class,
+            value,
+            text: None,
+        }));
         Ok(oid)
     }
 
@@ -93,6 +105,25 @@ impl Instance {
             .get_mut(oid.0 as usize)
             .ok_or(ModelError::DanglingOid(oid))?;
         Arc::make_mut(slot).value = value;
+        Ok(())
+    }
+
+    /// `text(o)`: the object's portion of the document text, or `None` for
+    /// an object with no recorded text (e.g. one built programmatically).
+    pub fn text(&self, oid: Oid) -> Option<&str> {
+        self.objects.get(oid.0 as usize)?.text.as_deref()
+    }
+
+    /// Record (or with `None`, clear) `text(o)`. Setting the text an object
+    /// already has leaves its slot untouched, so a clone keeps sharing it.
+    pub fn set_text(&mut self, oid: Oid, text: Option<&str>) -> Result<()> {
+        let slot = self
+            .objects
+            .get_mut(oid.0 as usize)
+            .ok_or(ModelError::DanglingOid(oid))?;
+        if slot.text.as_deref() != text {
+            Arc::make_mut(slot).text = text.map(Arc::from);
+        }
         Ok(())
     }
 
@@ -366,6 +397,30 @@ mod tests {
         assert_eq!(
             b.value_of(o).unwrap().attr(sym("contents")),
             Some(&Value::str("v2"))
+        );
+    }
+
+    #[test]
+    fn text_is_per_slot_and_copy_on_write() {
+        let mut a = Instance::new(schema());
+        let o = a.new_object("Title", Value::Nil).unwrap();
+        assert_eq!(a.text(o), None, "programmatic objects carry no text");
+        a.set_text(o, Some("old")).unwrap();
+        let mut b = a.clone();
+        b.set_text(o, Some("old")).unwrap();
+        assert!(
+            Arc::ptr_eq(&a.objects[0], &b.objects[0]),
+            "rewriting the same text keeps the slot shared"
+        );
+        b.set_text(o, Some("new")).unwrap();
+        assert_eq!(a.text(o), Some("old"), "the original keeps its text");
+        assert_eq!(b.text(o), Some("new"));
+        b.set_text(o, None).unwrap();
+        assert_eq!(b.text(o), None);
+        assert_eq!(a.text(Oid(9)), None);
+        assert_eq!(
+            a.set_text(Oid(9), Some("x")).unwrap_err(),
+            ModelError::DanglingOid(Oid(9))
         );
     }
 

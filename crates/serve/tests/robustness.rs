@@ -321,3 +321,34 @@ fn malformed_ingest_is_400_and_publishes_no_snapshot() {
     drop(client);
     handle.shutdown();
 }
+
+#[test]
+fn server_default_limits_govern_queries_and_headers_override_them() {
+    // `default_limits` (`--row-budget` and friends) is the one layer of
+    // default query limits; per-request headers override it field-wise.
+    let shared = match article_serve_store(8) {
+        ServeStore::Shared(shared) => shared,
+        ServeStore::Persistent(_) => unreachable!("an in-memory store"),
+    };
+    let q = "select t from Articles PATH_p.title(t)";
+    let expected = shared.query(q).unwrap();
+    assert!(expected.rows.len() > 2, "the default budget must bite");
+    let config = ServerConfig {
+        default_limits: docql_guard::QueryLimits::none().with_row_budget(2),
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(config, ServeStore::Shared(shared)).unwrap();
+    let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+
+    let resp = client.post("/query", &[], q.as_bytes()).unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.text());
+
+    let resp = client
+        .post("/query", &[("X-Docql-Row-Budget", "1000000")], q.as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.text(), expected.to_table());
+    assert_eq!(resp.header("X-Docql-Partial"), Some("none"));
+    drop(client);
+    handle.shutdown();
+}

@@ -6,8 +6,8 @@
 //! * construction from a DTD (schema generated per §3),
 //! * document ingestion (parse → validate → load; text index maintained),
 //! * named roots of persistence (`my_article`, `my_old_article` — §4.3),
-//! * the `text` operator wired to the real inverse mapping recorded at load
-//!   time (Q2),
+//! * the `text` operator, reading the inverse mapping the loader records on
+//!   each object (Q2),
 //! * O₂SQL and calculus querying, in interpreter or algebraic mode,
 //! * index-accelerated document search (the §4.1/§6 full-text machinery),
 //! * observability: a per-store metrics registry, `EXPLAIN ANALYZE`
@@ -20,10 +20,8 @@ pub mod persist;
 pub use metrics::StoreMetrics;
 pub use persist::{CheckpointReport, PersistentStore, RecoveryReport, DEFAULT_SEGMENT_RETAIN};
 
-use docql_calculus::{CalcValue, Interp, InterpError};
-use docql_mapping::{
-    export_document, load_document, map_dtd_with, DtdMapping, LoadedDocument, MapError,
-};
+use docql_calculus::{CalcValue, Interp};
+use docql_mapping::{export_document, load_document, map_dtd_with, DtdMapping, MapError};
 use docql_model::{Instance, Oid, Value};
 use docql_o2sql::{CacheStats, Engine, Mode, O2sqlError, PlanCache, QueryProfile, QueryResult};
 use docql_obs::SharedRegistry;
@@ -32,7 +30,7 @@ use docql_text::{ContainsExpr, InvertedIndex};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Store-level error.
@@ -50,7 +48,7 @@ pub enum StoreError {
     /// a cap bound their own worker count (the HTTP server's `--workers`).
     Interrupted(docql_guard::ExecError),
     /// A panic was caught at the query boundary; the store remains
-    /// serviceable (no lock is left poisoned — internal tables recover).
+    /// serviceable (queries hold no store lock).
     QueryPanic(String),
     /// Anything else.
     Other(String),
@@ -127,7 +125,6 @@ pub struct DocStore {
     mapping: Arc<DtdMapping>,
     instance: Instance,
     interp: Interp,
-    text_of: TextTable,
     index: InvertedIndex,
     /// Path-extent index over the document class (§5's efficiency claim):
     /// per schema path, the values each document reaches — maintained at
@@ -177,55 +174,6 @@ pub struct DocStore {
     /// Slow-query threshold: wall times at or above it are logged to stderr
     /// and counted. Defaults to the process-wide `DOCQL_LOG` setting.
     slow_threshold: Option<Duration>,
-    /// Per-store default [`QueryLimits`](docql_guard::QueryLimits), merged
-    /// under any per-call limits (call fields win field-wise). Defaults to
-    /// no limits — every query path is then guard-free.
-    default_limits: docql_guard::QueryLimits,
-}
-
-/// The `text` inverse-mapping table. Values are `Arc<str>` so forking a
-/// store copies the map's entries, not the document text; the outer `Arc`
-/// is what the interp's `text` closure captures — each fork gets a fresh
-/// one (see [`register_text_fn`]) so writer inserts never reach a
-/// published snapshot.
-type TextTable = Arc<RwLock<HashMap<Oid, Arc<str>>>>;
-
-/// Read the text table, recovering (rather than panicking) if a writer
-/// thread panicked while holding the lock — DESIGN.md forbids panics in
-/// library paths. Recovery is sound because writers only ever insert
-/// complete `(oid, text)` entries: the map a panicking writer abandons is
-/// still a valid (possibly partial) inverse mapping.
-fn read_table<V>(table: &RwLock<HashMap<Oid, V>>) -> RwLockReadGuard<'_, HashMap<Oid, V>> {
-    table.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write access to the text table; see [`read_table`] on poisoning.
-fn write_table<V>(table: &RwLock<HashMap<Oid, V>>) -> RwLockWriteGuard<'_, HashMap<Oid, V>> {
-    table.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// (Re)bind the paper's `text` operator — the inverse mapping from a
-/// logical object to its text portion, recorded by the loader — to `table`.
-/// Called at construction and again on every [`DocStore::fork`], so each
-/// fork's closure captures that fork's own table.
-fn register_text_fn(interp: &mut Interp, table: &TextTable) {
-    let table = Arc::clone(table);
-    interp.register_func(
-        "text",
-        move |ctx: &docql_calculus::InterpCtx<'_>, args: &[CalcValue]| match args.first() {
-            Some(CalcValue::Data(Value::Oid(o))) => {
-                let table = read_table(&table);
-                match table.get(o) {
-                    Some(t) => Ok(CalcValue::Data(Value::str(&**t))),
-                    // Not loaded from a document (e.g. built
-                    // programmatically): fall back to value traversal.
-                    None => Ok(CalcValue::Data(Value::str(ctx.textify(&Value::Oid(*o))))),
-                }
-            }
-            Some(CalcValue::Data(v)) => Ok(CalcValue::Data(Value::str(ctx.textify(v)))),
-            other => Err(InterpError(format!("text: bad argument {other:?}"))),
-        },
-    );
 }
 
 /// Checked [`docql_text::DocId`] → [`Oid`] conversion. The store indexes
@@ -243,7 +191,6 @@ impl DocStore {
         let dtd = Dtd::parse(dtd_text)?;
         let mapping = map_dtd_with(&dtd, extra_roots)?;
         let instance = Instance::new(mapping.schema.clone());
-        let text_of: TextTable = Arc::new(RwLock::new(HashMap::new()));
         // Per-store metrics namespace, disabled until someone asks — every
         // instrumented component below pre-resolves its handles into it.
         let registry: SharedRegistry = Arc::new(docql_obs::MetricsRegistry::new());
@@ -274,7 +221,6 @@ impl DocStore {
                 Interp::builtin_near(ctx, args)
             },
         );
-        register_text_fn(&mut interp, &text_of);
         let extents =
             docql_paths::PathExtentIndex::for_collection_root(&mapping.schema, mapping.root);
         let mut index = InvertedIndex::new();
@@ -286,7 +232,6 @@ impl DocStore {
             mapping: Arc::new(mapping),
             instance,
             interp,
-            text_of,
             index,
             extents,
             use_extents: true,
@@ -299,31 +244,25 @@ impl DocStore {
             published_version: 0,
             published_at: Instant::now(),
             slow_threshold: docql_obs::slow_query_threshold(),
-            default_limits: docql_guard::QueryLimits::none(),
         })
     }
 
     /// An independent copy of this store in O(structure): schema, mapping,
     /// plan cache and metrics registry are shared outright; the object
-    /// table, both indexes and the text table share their bulk data
-    /// copy-on-write, so mutating either side copies only what it touches.
+    /// table (values and `text` alike) and both indexes share their bulk
+    /// data copy-on-write, so mutating either side copies only what it
+    /// touches.
     ///
     /// This is [`SharedStore`]'s snapshot primitive: a write transaction
     /// forks the published version, mutates the fork, and publishes it.
-    /// The built-in `text` binding is re-registered against the fork's own
-    /// text table; other registered predicates/functions are shared as-is
-    /// (the built-ins are pure, and custom registrations are expected to
-    /// be too).
+    /// Registered predicates/functions are shared as-is (the built-ins are
+    /// pure, and custom registrations are expected to be too).
     pub fn fork(&self) -> DocStore {
-        let text_of: TextTable = Arc::new(RwLock::new(read_table(&self.text_of).clone()));
-        let mut interp = self.interp.clone();
-        register_text_fn(&mut interp, &text_of);
         DocStore {
             dtd: Arc::clone(&self.dtd),
             mapping: Arc::clone(&self.mapping),
             instance: self.instance.clone(),
-            interp,
-            text_of,
+            interp: self.interp.clone(),
             index: self.index.clone(),
             extents: self.extents.clone(),
             use_extents: self.use_extents,
@@ -336,7 +275,6 @@ impl DocStore {
             published_version: self.published_version,
             published_at: self.published_at,
             slow_threshold: self.slow_threshold,
-            default_limits: self.default_limits.clone(),
         }
     }
 
@@ -376,8 +314,9 @@ impl DocStore {
         let obs = self.metrics.enabled();
         let t0 = Instant::now();
         let loaded = load_document(&self.mapping, &mut self.instance, doc)?;
-        let root_text = self.register_loaded(&loaded);
-        self.index.add(u64::from(loaded.root.0), &root_text);
+        // The loader records every object's text, the root's included.
+        let root_text = self.instance.text(loaded.root).unwrap_or_default();
+        self.index.add(u64::from(loaded.root.0), root_text);
         let t_ext = Instant::now();
         self.extents.index_document(&self.instance, loaded.root);
         if obs {
@@ -416,30 +355,6 @@ impl DocStore {
         }
     }
 
-    /// Record a loaded document's `text` inverse mapping, guaranteeing the
-    /// root an entry even when the loader recorded none (e.g. media-only
-    /// content) — [`DocStore::find_documents`] and
-    /// [`DocStore::find_documents_scan`] both key off the root's table
-    /// entry, so this is what keeps them in agreement. Returns the root's
-    /// text.
-    fn register_loaded(&mut self, loaded: &LoadedDocument) -> String {
-        let root_text = match loaded.text_of.get(&loaded.root) {
-            Some(t) => t.clone(),
-            None => {
-                let mut tmp = HashMap::new();
-                self.collect_text(loaded.root, &mut tmp)
-            }
-        };
-        let mut table = write_table(&self.text_of);
-        for (oid, text) in &loaded.text_of {
-            table.insert(*oid, Arc::from(text.as_str()));
-        }
-        table
-            .entry(loaded.root)
-            .or_insert_with(|| Arc::from(root_text.as_str()));
-        root_text
-    }
-
     /// Bind a named root of persistence (declared at construction) to a
     /// document object — e.g. `store.bind("my_article", oid)`.
     pub fn bind(&mut self, name: &str, oid: Oid) -> Result<(), StoreError> {
@@ -448,11 +363,10 @@ impl DocStore {
             .map_err(|e| StoreError::Other(e.to_string()))
     }
 
-    /// Run an O₂SQL query (interpreter mode) under the store's default
-    /// limits. Compiled plans are cached: repeated query texts skip
-    /// lex/parse/translate and go straight to evaluation (see
-    /// [`DocStore::plan_cache_stats`]); `store.engine().run(src)` is the
-    /// uncached equivalent.
+    /// Run an O₂SQL query (interpreter mode), ungoverned. Compiled plans are
+    /// cached: repeated query texts skip lex/parse/translate and go straight
+    /// to evaluation (see [`DocStore::plan_cache_stats`]);
+    /// `store.engine().run(src)` is the uncached equivalent.
     ///
     /// A query prefixed `explain analyze` (case-insensitive) is profiled
     /// instead: the result is one row holding the rendered report of
@@ -471,8 +385,7 @@ impl DocStore {
     }
 
     /// The general query entry point: run `src` in execution `mode` under
-    /// per-call `limits`, merged over the store's defaults (call fields
-    /// win), and return the flight-recorder trace filed for it (`None`
+    /// `limits`, and return the flight-recorder trace filed for it (`None`
     /// when the recorder is disabled). A tripped strict-mode limit returns
     /// [`StoreError::Interrupted`]; in degrade mode the result comes back
     /// flagged partial ([`QueryResult::is_partial`]). The `explain
@@ -489,9 +402,8 @@ impl DocStore {
         Result<QueryResult, StoreError>,
         Option<Arc<docql_obs::QueryTrace>>,
     ) {
-        let limits = limits.clone().or(&self.default_limits);
         if let Some(rest) = strip_explain_analyze(src) {
-            let (profile, trace) = self.governed(src, &limits, |e| e.profile(rest), |p| &p.result);
+            let (profile, trace) = self.governed(src, limits, |e| e.profile(rest), |p| &p.result);
             let report = profile.map(|p| QueryResult {
                 columns: vec!["explain analyze".to_string()],
                 rows: vec![vec![CalcValue::Data(Value::str(p.render()))]],
@@ -501,7 +413,7 @@ impl DocStore {
         }
         self.governed(
             src,
-            &limits,
+            limits,
             |mut e| {
                 e.mode = mode;
                 e.run_cached(src, &self.plan_cache)
@@ -510,9 +422,8 @@ impl DocStore {
         )
     }
 
-    /// Profile one query (`EXPLAIN ANALYZE`) under `limits`, merged over
-    /// the store's defaults: execute it for real, timing each lifecycle
-    /// phase and every algebra operator (see
+    /// Profile one query (`EXPLAIN ANALYZE`) under `limits`: execute it for
+    /// real, timing each lifecycle phase and every algebra operator (see
     /// [`docql_o2sql::QueryProfile`]). Governed like
     /// [`DocStore::query_traced`]; in degrade mode the report gains a
     /// `governance:` line when a limit trips mid-profile.
@@ -521,28 +432,15 @@ impl DocStore {
         src: &str,
         limits: &docql_guard::QueryLimits,
     ) -> Result<QueryProfile, StoreError> {
-        let limits = limits.clone().or(&self.default_limits);
-        self.governed(src, &limits, |e| e.profile(src), |p| &p.result)
+        self.governed(src, limits, |e| e.profile(src), |p| &p.result)
             .0
     }
 
-    /// Set the per-store default [`QueryLimits`](docql_guard::QueryLimits)
-    /// applied to every query (merged under per-call limits; call fields
-    /// win field-wise). Defaults to none.
-    pub fn set_default_limits(&mut self, limits: docql_guard::QueryLimits) {
-        self.default_limits = limits;
-    }
-
-    /// The per-store default query limits.
-    pub fn default_limits(&self) -> &docql_guard::QueryLimits {
-        &self.default_limits
-    }
-
     /// The one governed execution path behind every query entry point:
-    /// builds one [`Guard`](docql_guard::Guard) from the (already merged)
-    /// `limits`, runs `exec` on an engine carrying it and the trace,
-    /// isolates panics at the query boundary, and classifies governance
-    /// outcomes into the store's metric counters. `answer` views the rows
+    /// builds one [`Guard`](docql_guard::Guard) from `limits`, runs `exec` on
+    /// an engine carrying it and the trace, isolates panics at the query
+    /// boundary, and classifies governance outcomes into the store's metric
+    /// counters. `answer` views the rows
     /// `exec` produced.
     ///
     /// A trace is begun whenever one of its consumers is on — metrics, the
@@ -570,9 +468,8 @@ impl DocStore {
         };
         // Panic isolation: a panicking query (a buggy predicate, an
         // injected fault) must never take the process down or wedge the
-        // store. No store lock is held across evaluation here, and the
-        // internal text-table lock recovers from poisoning (`read_table`),
-        // so catching at this boundary leaves the store fully serviceable.
+        // store. No store lock is held across evaluation here, so catching
+        // at this boundary leaves the store fully serviceable.
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
                 if metered {
@@ -757,12 +654,11 @@ impl DocStore {
             self.metrics.text_index_searches.inc();
         }
         let matcher = expr.compile();
-        let table = read_table(&self.text_of);
         self.index
             .candidates(expr)
             .into_iter()
             .filter_map(oid_of_doc)
-            .filter(|oid| table.get(oid).is_some_and(|text| matcher.eval(text)))
+            .filter(|oid| self.instance.text(*oid).is_some_and(|t| matcher.eval(t)))
             .collect()
     }
 
@@ -773,11 +669,10 @@ impl DocStore {
             self.metrics.text_scan_searches.inc();
         }
         let matcher = expr.compile();
-        let table = read_table(&self.text_of);
         self.documents
             .iter()
             .copied()
-            .filter(|oid| table.get(oid).is_some_and(|text| matcher.eval(text)))
+            .filter(|oid| self.instance.text(*oid).is_some_and(|t| matcher.eval(t)))
             .collect()
     }
 
@@ -788,7 +683,7 @@ impl DocStore {
 
     /// The paper's `text` inverse mapping for one object.
     pub fn text_of(&self, oid: Oid) -> Option<String> {
-        read_table(&self.text_of).get(&oid).map(|t| t.to_string())
+        self.instance.text(oid).map(str::to_string)
     }
 
     /// The underlying instance (read access).
@@ -816,8 +711,8 @@ impl DocStore {
     }
 
     /// Recompute the `text` inverse mapping from the current instance (all
-    /// objects reachable from ingested documents) and rebuild the document
-    /// text index.
+    /// objects reachable from ingested documents; every other object's text
+    /// is cleared) and rebuild the document text index.
     pub fn refresh_text(&mut self) {
         let mut table = HashMap::new();
         for &root in &self.documents {
@@ -829,10 +724,17 @@ impl DocStore {
             // `collect_text` records every visited oid, so the root always
             // has an entry (possibly empty) — index it unconditionally to
             // keep `find_documents` and `find_documents_scan` in agreement.
-            let text = table.get(&root).cloned().unwrap_or_default();
-            self.index.add(u64::from(root.0), &text);
+            let text = table.get(&root).map_or("", String::as_str);
+            self.index.add(u64::from(root.0), text);
         }
-        *write_table(&self.text_of) = table.into_iter().map(|(k, v)| (k, Arc::from(v))).collect();
+        for i in 0..self.instance.object_count() {
+            let oid = Oid(i as u32);
+            // `oid` is in range, so this cannot fail; an unchanged text
+            // leaves the slot shared with other snapshots.
+            let _ = self
+                .instance
+                .set_text(oid, table.get(&oid).map(String::as_str));
+        }
         // Values may have changed arbitrarily — rebuild the path extents
         // from scratch, like the text index above.
         let t_ext = Instant::now();
@@ -1043,13 +945,13 @@ struct Published {
 }
 
 struct SharedInner {
-    /// The publication cell. std has no atomic `Arc` swap, so an `RwLock`
+    /// The publication cell. std has no atomic `Arc` swap, so a `Mutex`
     /// guards the *pointer* — held only for the nanoseconds an `Arc`
     /// clone/store takes, never across parsing, evaluation or ingest, so
     /// readers can stall neither each other nor the writer in any way that
     /// outlives a pointer copy. (A true lock-free swap would need an
     /// external arc-swap/epoch crate; this is the std-only equivalent.)
-    current: RwLock<Published>,
+    current: Mutex<Published>,
     /// Serialises write transactions: each [`WriteTxn`] forks from
     /// `current` and publishes back, so two concurrent writers would lose
     /// updates. Readers never touch this lock.
@@ -1061,7 +963,7 @@ impl SharedStore {
     pub fn new(store: DocStore) -> SharedStore {
         SharedStore {
             inner: Arc::new(SharedInner {
-                current: RwLock::new(Published {
+                current: Mutex::new(Published {
                     store: Arc::new(store),
                     version: 0,
                     at: Instant::now(),
@@ -1078,21 +980,23 @@ impl SharedStore {
     /// writers publish in the meantime. When metrics are on, pinning also
     /// samples the snapshot-version and snapshot-age gauges.
     pub fn read(&self) -> Arc<DocStore> {
-        let cur = self
-            .inner
-            .current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let store = Arc::clone(&cur.store);
+        let (store, version, at) = {
+            let cur = self
+                .inner
+                .current
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            (Arc::clone(&cur.store), cur.version, cur.at)
+        };
         if store.metrics.enabled() {
             store
                 .metrics
                 .snapshot_version
-                .set(i64::try_from(cur.version).unwrap_or(i64::MAX));
+                .set(i64::try_from(version).unwrap_or(i64::MAX));
             store
                 .metrics
                 .snapshot_age_ms
-                .set(i64::try_from(cur.at.elapsed().as_millis()).unwrap_or(i64::MAX));
+                .set(i64::try_from(at.elapsed().as_millis()).unwrap_or(i64::MAX));
         }
         store
     }
@@ -1102,7 +1006,7 @@ impl SharedStore {
     pub fn snapshot_version(&self) -> u64 {
         self.inner
             .current
-            .read()
+            .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .version
     }
@@ -1123,14 +1027,18 @@ impl SharedStore {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         // Forking under the writer mutex pins the latest version: no other
-        // writer can publish between the fork and our publication.
-        let store = self
-            .inner
-            .current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .store
-            .fork();
+        // writer can publish between the fork and our publication. The
+        // publication cell is held only for the `Arc` clone, not the fork,
+        // so readers keep pinning snapshots meanwhile.
+        let latest = Arc::clone(
+            &self
+                .inner
+                .current
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .store,
+        );
+        let store = latest.fork();
         WriteTxn {
             inner: &self.inner,
             _writer: writer,
@@ -1278,7 +1186,7 @@ impl Drop for WriteTxn<'_> {
         let mut cur = self
             .inner
             .current
-            .write()
+            .lock()
             .unwrap_or_else(PoisonError::into_inner);
         // Stamp the fork with the version it is about to become, so traces
         // served from it report the snapshot they actually ran against.
@@ -1376,6 +1284,25 @@ mod tests {
         let root = store.documents()[0];
         let text = store.text_of(root).unwrap();
         assert!(text.contains("SGML preliminaries"));
+    }
+
+    #[test]
+    fn text_is_the_one_text_builtin() {
+        let store = paper_store().unwrap();
+        let root = store.documents()[0];
+        let r = store.query("select text(a) from a in Articles").unwrap();
+        assert_eq!(
+            r.rows,
+            vec![vec![CalcValue::Data(Value::str(
+                store.text_of(root).unwrap()
+            ))]]
+        );
+        // Regression: a never-overridden `text_of` alias answered `""`.
+        let err = store
+            .query("select text_of(a) from a in Articles")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown function `text_of`"), "{err}");
     }
 
     #[test]

@@ -462,6 +462,8 @@ fn seg_err(e: snapshot::SegmentError) -> StoreError {
 /// every section is emitted in a canonical order).
 fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, StoreError> {
     let mut objects = Vec::with_capacity(store.instance.object_count());
+    // In oid order, objects without text skipped.
+    let mut text: Vec<(u32, String)> = Vec::new();
     for (oid, class, value) in store.instance.objects() {
         if oid.0 as usize != objects.len() {
             return Err(StoreError::Other(format!(
@@ -469,6 +471,9 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
             )));
         }
         objects.push((class, value.clone()));
+        if let Some(t) = store.instance.text(oid) {
+            text.push((oid.0, t.to_string()));
+        }
     }
 
     let mut roots: Vec<_> = store
@@ -479,12 +484,6 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
     roots.sort_by(|(a, _), (b, _)| a.as_str().cmp(b.as_str()));
 
     let documents = store.documents.iter().map(|o| o.0).collect();
-
-    let mut text: Vec<(u32, String)> = crate::read_table(&store.text_of)
-        .iter()
-        .map(|(oid, t)| (oid.0, t.to_string()))
-        .collect();
-    text.sort_by_key(|(oid, _)| *oid);
 
     // `iter_postings` walks terms and docs in b-tree order; group the flat
     // stream back into per-term lists.
@@ -546,11 +545,11 @@ fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), S
             .map_err(|e| StoreError::Other(format!("restore root {name}: {e}")))?;
     }
     store.documents = image.documents.iter().map(|&o| Oid(o)).collect();
-    {
-        let mut table = crate::write_table(&store.text_of);
-        for (oid, t) in &image.text {
-            table.insert(Oid(*oid), Arc::from(t.as_str()));
-        }
+    for (oid, t) in &image.text {
+        store
+            .instance
+            .set_text(Oid(*oid), Some(t))
+            .map_err(|e| StoreError::Other(format!("restore text of {oid}: {e}")))?;
     }
     for (term, docs) in &image.postings {
         for (doc, positions) in docs {

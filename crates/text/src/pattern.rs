@@ -103,16 +103,16 @@ impl Parser {
     }
 
     fn alternation(&mut self) -> Result<Pattern, PatternError> {
-        let mut alts = vec![self.concat()?];
+        let first = self.concat()?;
+        if self.peek() != Some('|') {
+            return Ok(first);
+        }
+        let mut alts = vec![first];
         while self.peek() == Some('|') {
             self.bump();
             alts.push(self.concat()?);
         }
-        Ok(if alts.len() == 1 {
-            alts.pop().expect("len checked")
-        } else {
-            Pattern::Alt(alts)
-        })
+        Ok(Pattern::Alt(alts))
     }
 
     fn concat(&mut self) -> Result<Pattern, PatternError> {
@@ -123,10 +123,10 @@ impl Parser {
             }
             items.push(self.repeat()?);
         }
-        Ok(match items.len() {
-            0 => Pattern::Empty,
-            1 => items.pop().expect("len checked"),
-            _ => Pattern::Concat(items),
+        Ok(if items.len() > 1 {
+            Pattern::Concat(items)
+        } else {
+            items.pop().unwrap_or(Pattern::Empty)
         })
     }
 
@@ -212,16 +212,14 @@ impl Parser {
                     ranges.push((c, c));
                 }
                 Some(lo) => {
-                    if self.peek() == Some('-')
-                        && self.chars.get(self.pos + 1).map(|&(_, c)| c) != Some(']')
-                        && self.chars.get(self.pos + 1).is_some()
-                    {
-                        self.bump(); // the dash
-                        let hi = self.bump().expect("checked above");
-                        ranges.push((lo, hi));
-                    } else {
-                        ranges.push((lo, lo));
-                    }
+                    let hi = match self.chars.get(self.pos + 1) {
+                        Some(&(_, hi)) if self.peek() == Some('-') && hi != ']' => {
+                            self.pos += 2; // the dash and the upper bound
+                            hi
+                        }
+                        _ => lo,
+                    };
+                    ranges.push((lo, hi));
                 }
             }
         }

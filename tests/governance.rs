@@ -1,5 +1,5 @@
 //! Resource-governed execution at the store boundary: deadlines, budgets,
-//! cancellation, degrade-mode partial results, per-store defaults — and the
+//! cancellation, degrade-mode partial results — and the
 //! deterministic fault-injection harness (panics + forced budget trips at
 //! operator boundaries) proving the store stays serviceable through all of
 //! it.
@@ -136,34 +136,6 @@ fn cancellation_is_observed() {
             "{src}"
         );
     }
-}
-
-#[test]
-fn per_store_defaults_merge_under_per_call_limits() {
-    let mut store = corpus_store(8);
-    store.set_default_limits(QueryLimits::none().with_row_budget(2));
-    // The default governs plain queries…
-    assert_eq!(
-        exec_err(store.query("select t from Articles PATH_p.title(t)")),
-        ExecError::BudgetExhausted(Resource::Rows)
-    );
-    // …and a per-call limit overrides it field-wise.
-    let ample = QueryLimits::none().with_row_budget(1_000_000);
-    let r = store
-        .query_traced(
-            "select t from Articles PATH_p.title(t)",
-            Mode::Interpret,
-            &ample,
-        )
-        .0
-        .unwrap();
-    assert!(!r.is_empty());
-    assert!(!r.is_partial());
-    // Clearing the default restores ungoverned serving.
-    store.set_default_limits(QueryLimits::none());
-    assert!(store
-        .query("select t from Articles PATH_p.title(t)")
-        .is_ok());
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //!   byte-identical pre-ingest results for the paper's Q1–Q6 while the
 //!   writer publishes new versions;
 //! * a reader that pins **after** publication sees the new documents;
+//! * the paper's `text` mapping is isolated like the values it describes:
+//!   a pinned snapshot keeps answering with the text it was published
+//!   with after a writer retitles the article;
 //! * the same holds under the seeded fault-injection sweep (64 cases,
 //!   base seed from `DOCQL_FAULT` as in `tests/governance.rs`);
 //! * a bounded stress run (readers racing a continuously publishing
@@ -131,6 +134,47 @@ fn q6_letters_pinned_snapshot_is_isolated() {
         fresh_rows > pinned_rows,
         "fresh reader sees the new documents: {fresh_rows} vs {pinned_rows}"
     );
+}
+
+#[test]
+fn pinned_snapshot_keeps_its_text_after_an_update() {
+    let shared = SharedStore::new(article_store(BASE_DOCS));
+    let root = match shared.read().instance().root(sym("my_article")).unwrap() {
+        Value::Oid(o) => *o,
+        other => panic!("my_article is bound to an object, got {other:?}"),
+    };
+    let title = match shared
+        .read()
+        .instance()
+        .value_of(root)
+        .unwrap()
+        .attr(sym("title"))
+    {
+        Some(Value::Oid(o)) => *o,
+        other => panic!("the article has a title object, got {other:?}"),
+    };
+    let retitled = "select t from my_article PATH_p.title(t) where text(t) contains (\"Retitled\")";
+    let pinned = shared.read();
+    let old_text = pinned.text_of(title).unwrap();
+    assert!(!old_text.contains("Retitled"));
+
+    {
+        let mut txn = shared.write();
+        txn.update_value(
+            title,
+            Value::tuple([("contents", Value::str("Retitled in a write transaction"))]),
+        )
+        .unwrap();
+    } // dropping the transaction publishes it
+
+    assert_eq!(pinned.text_of(title).as_deref(), Some(old_text.as_str()));
+    assert_eq!(pinned.query(retitled).unwrap().len(), 0);
+    let fresh = shared.read();
+    assert_eq!(
+        fresh.text_of(title).as_deref(),
+        Some("Retitled in a write transaction")
+    );
+    assert_eq!(fresh.query(retitled).unwrap().len(), 1);
 }
 
 #[test]
