@@ -51,6 +51,7 @@ panic_free=(
     "text:crates/text must stay panic-free (contains patterns are parsed from query text)"
     "paths:crates/paths must stay panic-free (every ingest builds path extents through it)"
     "mapping:crates/mapping must stay panic-free (every ingest loads its document through it)"
+    "sgml:crates/sgml must stay panic-free (POST /ingest bodies and WAL replay parse through it)"
     "guard:crates/guard must stay panic-free (it enforces limits on every governed query)"
     "obs:crates/obs must stay panic-free (tracing must never fail a query)"
     "serve:crates/serve must stay panic-free (a hostile request must never kill the server)"
@@ -72,7 +73,15 @@ echo "==> bench smoke (1 ms window per benchmark target)"
 DOCQL_BENCH_MS=1 cargo bench --workspace -q >/dev/null
 
 echo "==> B13 durability smoke (footprint + cold-start, 1 ms windows)"
-DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench durability | grep "^B13"
+# Segment bytes come from a seeded corpus and repeat exactly, so the
+# footprint is pinned: both sizes must print, each under 4.00x the SGML.
+b13_out=$(DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench durability)
+grep "^B13" <<<"$b13_out"
+if ! awk '/^B13 footprint: / { f=$NF; gsub(/[()x]/, "", f); if (f+0 >= 4.0) bad=1; seen[$3]=1 } \
+          END { exit (bad || !seen["10"] || !seen["100"]) }' <<<"$b13_out"; then
+    echo "    B13 footprint missing for 10 or 100 docs, or at/above 4.00x the SGML" >&2
+    exit 1
+fi
 
 echo "==> B14 planner-cost smoke (adversarial + parity shapes, 1 ms windows)"
 DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench planner_cost | grep "^B14"

@@ -1,12 +1,13 @@
 //! B13 — durability: on-disk footprint of a checkpoint segment versus the
 //! flat SGML corpus, and cold-start time of snapshot-load recovery
-//! ([`PersistentStore::reopen`], which restores object slots and both
-//! indexes verbatim from the segment) versus re-parsing the SGML from
-//! scratch.
+//! ([`PersistentStore::reopen`], which restores the object slots and their
+//! texts from the segment and rebuilds both indexes from them) versus
+//! re-parsing the SGML from scratch.
 //!
 //! The segment trades some bytes for structure (it stores the mapped
-//! objects *and* the indexes), and buys back cold-start latency: recovery
-//! skips parsing, validation, mapping and index construction entirely.
+//! objects and every object's text, not the indexes derived from them),
+//! and buys back cold-start latency: recovery skips parsing, validation
+//! and mapping, and builds the indexes the way ingest does.
 
 use docql::durable::TempDir;
 use docql::prelude::*;

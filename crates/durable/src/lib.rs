@@ -37,7 +37,7 @@ pub use crc32::crc32;
 pub use snapshot::{
     decode_segment, encode_segment, gc_segments, list_segments, load_newest_valid,
     parse_segment_name, read_meta, read_segment, segment_file_name, write_meta, write_segment,
-    SegmentError, StoreImage, META_FILE,
+    SegmentError, StoreImage, StoreMeta, META_FILE,
 };
 pub use tempdir::TempDir;
 pub use wal::{

@@ -1,8 +1,12 @@
 //! Snapshot segments: one immutable, checksummed file per checkpoint,
-//! holding the complete materialized store — object slots, roots, document
-//! list, flat text table, text-index postings, and path-extent targets —
-//! in a flat, section-directed layout that loads with a single sequential
-//! read and no SGML re-parsing.
+//! holding the store's data — object slots (class, value and `text`),
+//! roots and the document list — in a flat, section-directed layout that
+//! loads with a single sequential read and no SGML re-parsing.
+//!
+//! Segments hold no index state. The text index and the path extents are
+//! access structures derived from the objects, so recovery rebuilds them
+//! from the restored slots the way ingest builds them, and only the index
+//! crates know the index layout.
 //!
 //! File layout:
 //!
@@ -16,7 +20,9 @@
 //! with `crc = crc32(payload)`, section offsets relative to payload start.
 //! The directory makes the format skippable (a reader ignores section ids
 //! it does not know) and mmap-friendly: every section is a contiguous,
-//! independently decodable byte range.
+//! independently decodable byte range. Segments written by earlier
+//! versions also store both indexes, as sections 7–10; recovery skips
+//! them and rebuilds.
 //!
 //! Symbols ([`Sym`]) are process-global intern handles and **not** stable
 //! across restarts, so every encoded symbol goes through a per-segment
@@ -31,7 +37,6 @@
 use crate::codec::{CodecError, Reader, Writer};
 use crate::crc32::crc32;
 use docql_model::{Oid, Sym, Value};
-use docql_paths::ExtStep;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -40,8 +45,13 @@ use std::path::{Path, PathBuf};
 
 /// Segment file magic (8 bytes, format version 001).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"DQSEG001";
-/// Store-meta file magic (8 bytes).
-pub const META_MAGIC: &[u8; 8] = b"DQMETA01";
+/// Store-meta file magic (8 bytes). Version 02 marks a directory whose
+/// segments may lack index sections, so a binary that still requires them
+/// refuses the directory at open instead of skipping every such segment.
+pub const META_MAGIC: &[u8; 8] = b"DQMETA02";
+/// The previous store-meta magic: still read, and rewritten as
+/// [`META_MAGIC`] when a store is opened.
+pub const META_MAGIC_V1: &[u8; 8] = b"DQMETA01";
 /// File name of the store meta (DTD text + declared extra roots).
 pub const META_FILE: &str = "store.meta";
 
@@ -55,16 +65,6 @@ const SEC_OBJECTS: u32 = 3;
 const SEC_ROOTS: u32 = 4;
 const SEC_DOCUMENTS: u32 = 5;
 const SEC_TEXT: u32 = 6;
-const SEC_POSTINGS: u32 = 7;
-const SEC_DOCWORDS: u32 = 8;
-const SEC_EXTENTS: u32 = 9;
-const SEC_EXTENT_ROOTS: u32 = 10;
-
-/// One term's posting list: `(doc id, word positions)` per document.
-pub type TermPostings = Vec<(u64, Vec<u32>)>;
-
-/// One path's extent: `(root oid, target values)` per indexed root.
-pub type PathTargets = Vec<(u32, Vec<Value>)>;
 
 /// A successfully loaded segment: `(applied seqno, image, byte size)`.
 pub type LoadedSegment = (u64, StoreImage, u64);
@@ -81,16 +81,9 @@ pub struct StoreImage {
     pub roots: Vec<(Sym, Value)>,
     /// Ingested document roots (`Oid.0`), in ingest order.
     pub documents: Vec<u32>,
-    /// Flat document text by root oid, sorted by oid.
+    /// Every object's `text`, by oid, sorted by oid (objects without text
+    /// are absent).
     pub text: Vec<(u32, String)>,
-    /// Text-index postings: term → (doc id, positions), both levels sorted.
-    pub postings: Vec<(String, TermPostings)>,
-    /// Per-document word counts, sorted by doc id.
-    pub doc_words: Vec<(u64, u32)>,
-    /// Path-extent targets: path steps → (root oid, target values).
-    pub extents: Vec<(Vec<ExtStep>, PathTargets)>,
-    /// Roots the extent index has indexed (`Oid.0`), sorted.
-    pub extent_roots: Vec<u32>,
 }
 
 /// Why a segment (or meta) file failed to load. Any of these means "do not
@@ -187,7 +180,7 @@ impl SymDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// Value / ExtStep codecs
+// Value codec
 
 const VAL_NIL: u8 = 0;
 const VAL_INT: u8 = 1;
@@ -297,38 +290,6 @@ fn decode_value(r: &mut Reader<'_>, syms: &SymDecoder, depth: u32) -> Result<Val
     })
 }
 
-const STEP_ATTR: u8 = 0;
-const STEP_LIST_ELEM: u8 = 1;
-const STEP_SET_ELEM: u8 = 2;
-const STEP_DEREF: u8 = 3;
-
-fn encode_step(w: &mut Writer, syms: &mut SymEncoder, s: &ExtStep) {
-    match s {
-        ExtStep::Attr(a) => {
-            w.u8(STEP_ATTR);
-            w.u32(syms.id(*a));
-        }
-        ExtStep::ListElem => w.u8(STEP_LIST_ELEM),
-        ExtStep::SetElem => w.u8(STEP_SET_ELEM),
-        ExtStep::Deref => w.u8(STEP_DEREF),
-    }
-}
-
-fn decode_step(r: &mut Reader<'_>, syms: &SymDecoder) -> Result<ExtStep, CodecError> {
-    Ok(match r.u8()? {
-        STEP_ATTR => ExtStep::Attr(syms.sym(r.u32()?)?),
-        STEP_LIST_ELEM => ExtStep::ListElem,
-        STEP_SET_ELEM => ExtStep::SetElem,
-        STEP_DEREF => ExtStep::Deref,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "ext step",
-                tag,
-            })
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Section bodies
 
@@ -365,50 +326,6 @@ fn encode_sections(image: &StoreImage) -> Vec<(u32, Vec<u8>)> {
         text.str(s);
     }
 
-    let mut postings = Writer::new();
-    postings.count(image.postings.len());
-    for (term, docs) in &image.postings {
-        postings.str(term);
-        postings.count(docs.len());
-        for (doc, positions) in docs {
-            postings.u64(*doc);
-            postings.count(positions.len());
-            for p in positions {
-                postings.u32(*p);
-            }
-        }
-    }
-
-    let mut doc_words = Writer::new();
-    doc_words.count(image.doc_words.len());
-    for (doc, words) in &image.doc_words {
-        doc_words.u64(*doc);
-        doc_words.u32(*words);
-    }
-
-    let mut extents = Writer::new();
-    extents.count(image.extents.len());
-    for (steps, by_root) in &image.extents {
-        extents.count(steps.len());
-        for step in steps {
-            encode_step(&mut extents, &mut syms, step);
-        }
-        extents.count(by_root.len());
-        for (root, targets) in by_root {
-            extents.u32(*root);
-            extents.count(targets.len());
-            for t in targets {
-                encode_value(&mut extents, &mut syms, t);
-            }
-        }
-    }
-
-    let mut extent_roots = Writer::new();
-    extent_roots.count(image.extent_roots.len());
-    for oid in &image.extent_roots {
-        extent_roots.u32(*oid);
-    }
-
     // The symbol table is encoded last (every other section registers
     // symbols into it) but readers locate it via the directory regardless.
     let mut symtab = Writer::new();
@@ -421,29 +338,28 @@ fn encode_sections(image: &StoreImage) -> Vec<(u32, Vec<u8>)> {
         (SEC_ROOTS, roots.into_bytes()),
         (SEC_DOCUMENTS, documents.into_bytes()),
         (SEC_TEXT, text.into_bytes()),
-        (SEC_POSTINGS, postings.into_bytes()),
-        (SEC_DOCWORDS, doc_words.into_bytes()),
-        (SEC_EXTENTS, extents.into_bytes()),
-        (SEC_EXTENT_ROOTS, extent_roots.into_bytes()),
     ]
 }
 
 /// Encode an image as complete segment-file bytes (magic + checksum +
 /// directory + sections).
 pub fn encode_segment(image: &StoreImage) -> Vec<u8> {
-    let sections = encode_sections(image);
+    frame_sections(&encode_sections(image))
+}
+
+fn frame_sections(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let header_len = 4 + sections.len() * 20;
     let mut dir = Writer::new();
     dir.count(sections.len());
     let mut off = header_len as u64;
-    for (id, body) in &sections {
+    for (id, body) in sections {
         dir.u32(*id);
         dir.u64(off);
         dir.u64(body.len() as u64);
         off += body.len() as u64;
     }
     let mut payload = dir.into_bytes();
-    for (_, body) in &sections {
+    for (_, body) in sections {
         payload.extend_from_slice(body);
     }
     let mut file = Vec::with_capacity(8 + 12 + payload.len());
@@ -545,77 +461,12 @@ pub fn decode_segment(bytes: &[u8]) -> Result<StoreImage, SegmentError> {
     }
     r.finish()?;
 
-    let mut r = Reader::new(section(&table, SEC_POSTINGS)?);
-    let n = r.count(8)?;
-    let mut postings = Vec::with_capacity(n);
-    for _ in 0..n {
-        let term = r.str()?.to_string();
-        let ndocs = r.count(12)?;
-        let mut docs = Vec::with_capacity(ndocs);
-        for _ in 0..ndocs {
-            let doc = r.u64()?;
-            let npos = r.count(4)?;
-            let mut positions = Vec::with_capacity(npos);
-            for _ in 0..npos {
-                positions.push(r.u32()?);
-            }
-            docs.push((doc, positions));
-        }
-        postings.push((term, docs));
-    }
-    r.finish()?;
-
-    let mut r = Reader::new(section(&table, SEC_DOCWORDS)?);
-    let n = r.count(12)?;
-    let mut doc_words = Vec::with_capacity(n);
-    for _ in 0..n {
-        let doc = r.u64()?;
-        doc_words.push((doc, r.u32()?));
-    }
-    r.finish()?;
-
-    let mut r = Reader::new(section(&table, SEC_EXTENTS)?);
-    let n = r.count(8)?;
-    let mut extents = Vec::with_capacity(n);
-    for _ in 0..n {
-        let nsteps = r.count(1)?;
-        let mut steps = Vec::with_capacity(nsteps);
-        for _ in 0..nsteps {
-            steps.push(decode_step(&mut r, &syms)?);
-        }
-        let nroots = r.count(8)?;
-        let mut by_root = Vec::with_capacity(nroots);
-        for _ in 0..nroots {
-            let root = r.u32()?;
-            let ntargets = r.count(1)?;
-            let mut targets = Vec::with_capacity(ntargets);
-            for _ in 0..ntargets {
-                targets.push(decode_value(&mut r, &syms, 0)?);
-            }
-            by_root.push((root, targets));
-        }
-        extents.push((steps, by_root));
-    }
-    r.finish()?;
-
-    let mut r = Reader::new(section(&table, SEC_EXTENT_ROOTS)?);
-    let n = r.count(4)?;
-    let mut extent_roots = Vec::with_capacity(n);
-    for _ in 0..n {
-        extent_roots.push(r.u32()?);
-    }
-    r.finish()?;
-
     Ok(StoreImage {
         applied_seqno,
         objects,
         roots,
         documents,
         text,
-        postings,
-        doc_words,
-        extents,
-        extent_roots,
     })
 }
 
@@ -768,16 +619,30 @@ pub fn write_meta(dir: &Path, dtd_text: &str, extra_roots: &[String]) -> io::Res
     Ok(())
 }
 
-/// Read and validate the store meta file: `(dtd_text, extra_roots)`.
-pub fn read_meta(dir: &Path) -> Result<(String, Vec<String>), SegmentError> {
+/// A decoded store meta file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreMeta {
+    /// The DTD text the store was created with.
+    pub dtd_text: String,
+    /// The declared extra named roots.
+    pub extra_roots: Vec<String>,
+    /// The file carries [`META_MAGIC_V1`] and should be rewritten with
+    /// [`write_meta`].
+    pub outdated: bool,
+}
+
+/// Read and validate the store meta file (either magic is accepted).
+pub fn read_meta(dir: &Path) -> Result<StoreMeta, SegmentError> {
     let mut bytes = Vec::new();
     File::open(dir.join(META_FILE))?.read_to_end(&mut bytes)?;
     if bytes.len() < 12 {
         return Err(SegmentError::BadLength);
     }
-    if &bytes[..8] != META_MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
+    let outdated = match &bytes[..8] {
+        m if m == META_MAGIC => false,
+        m if m == META_MAGIC_V1 => true,
+        _ => return Err(SegmentError::BadMagic),
+    };
     let crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
     let payload = &bytes[12..];
     if crc32(payload) != crc {
@@ -791,7 +656,11 @@ pub fn read_meta(dir: &Path) -> Result<(String, Vec<String>), SegmentError> {
         extra_roots.push(r.str()?.to_string());
     }
     r.finish()?;
-    Ok((dtd_text, extra_roots))
+    Ok(StoreMeta {
+        dtd_text,
+        extra_roots,
+        outdated,
+    })
 }
 
 #[cfg(test)]
@@ -802,7 +671,6 @@ mod tests {
     fn sample_image() -> StoreImage {
         let title = Sym::new("title");
         let body = Sym::new("body");
-        let para = Sym::new("para");
         StoreImage {
             applied_seqno: 42,
             objects: vec![
@@ -813,7 +681,7 @@ mod tests {
                         (body, Value::List(vec![Value::Oid(Oid(1))])),
                     ]),
                 ),
-                (para, Value::union("para", Value::str("text"))),
+                (Sym::new("para"), Value::union("para", Value::str("text"))),
             ],
             roots: vec![
                 (Sym::new("my_article"), Value::Oid(Oid(0))),
@@ -824,22 +692,6 @@ mod tests {
             ],
             documents: vec![0],
             text: vec![(0, "On Durability text".to_string())],
-            postings: vec![
-                ("durability".to_string(), vec![(0, vec![1])]),
-                ("text".to_string(), vec![(0, vec![2, 7])]),
-            ],
-            doc_words: vec![(0, 3)],
-            extents: vec![
-                (
-                    vec![ExtStep::Attr(title)],
-                    vec![(0, vec![Value::str("On Durability")])],
-                ),
-                (
-                    vec![ExtStep::Attr(body), ExtStep::ListElem, ExtStep::Deref],
-                    vec![(0, vec![Value::union("para", Value::str("text"))])],
-                ),
-            ],
-            extent_roots: vec![0],
         }
     }
 
@@ -849,6 +701,18 @@ mod tests {
         let bytes = encode_segment(&image);
         let back = decode_segment(&bytes).unwrap();
         assert_eq!(back, image);
+    }
+
+    #[test]
+    fn segments_with_the_old_index_sections_still_load() {
+        // Segments written while checkpoints stored both indexes carry
+        // them as sections 7–10; the decoder skips them.
+        let image = sample_image();
+        let mut sections = encode_sections(&image);
+        for id in 7..=10 {
+            sections.push((id, vec![0xA5; 16]));
+        }
+        assert_eq!(decode_segment(&frame_sections(&sections)).unwrap(), image);
     }
 
     #[test]
@@ -959,12 +823,25 @@ mod tests {
             &["my_article".to_string()],
         )
         .unwrap();
-        let (dtd, roots) = read_meta(dir.path()).unwrap();
-        assert_eq!(dtd, "<!DOCTYPE article []>");
-        assert_eq!(roots, vec!["my_article".to_string()]);
+        let meta = read_meta(dir.path()).unwrap();
+        assert_eq!(meta.dtd_text, "<!DOCTYPE article []>");
+        assert_eq!(meta.extra_roots, vec!["my_article".to_string()]);
+        assert!(!meta.outdated);
 
+        // The previous magic still reads (the checksum covers only the
+        // payload), flagged for rewriting; any other magic is refused.
         let path = dir.join(META_FILE);
         let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(META_MAGIC_V1);
+        fs::write(&path, &bytes).unwrap();
+        let old = read_meta(dir.path()).unwrap();
+        assert!(old.outdated);
+        assert_eq!(old.dtd_text, meta.dtd_text);
+        bytes[..8].copy_from_slice(b"DQMETA99");
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_meta(dir.path()), Err(SegmentError::BadMagic)));
+        bytes[..8].copy_from_slice(META_MAGIC);
+
         let at = bytes.len() - 3;
         bytes[at] ^= 1;
         fs::write(&path, &bytes).unwrap();

@@ -6,14 +6,13 @@
 //!   a single bit flip anywhere truncates the scan to exactly the records
 //!   before the damaged frame; scanning arbitrary garbage never panics.
 //! * Segments: encode → decode is the identity on any [`StoreImage`]
-//!   (random values, postings, extent targets included); any single bit
+//!   (random values and texts included); any single bit
 //!   flip and any truncation is detected — a damaged segment is never
 //!   decoded into a different image.
 
 use docql_durable::snapshot::{decode_segment, encode_segment, StoreImage};
 use docql_durable::wal::{encode_frame, scan, WalOp, WalRecord};
 use docql_model::{sym, Oid, Value};
-use docql_paths::ExtStep;
 use docql_prop::{
     bool_any, check, element, f64_any, i64_any, just, one_of, prop_assert, prop_assert_eq,
     recursive, string_of, usize_in, vec_of, zip, zip3, Gen,
@@ -51,15 +50,6 @@ fn arb_value() -> Gen<Value> {
     })
 }
 
-fn arb_step() -> Gen<ExtStep> {
-    one_of(vec![
-        small_name().map(|n| ExtStep::Attr(sym(n))),
-        just(ExtStep::ListElem),
-        just(ExtStep::SetElem),
-        just(ExtStep::Deref),
-    ])
-}
-
 fn arb_u32(bound: usize) -> Gen<u32> {
     usize_in(0..bound).map(|x| *x as u32)
 }
@@ -77,57 +67,20 @@ fn arb_image() -> Gen<StoreImage> {
             .map(|(n, v)| (sym(n), v.clone()))
             .collect::<Vec<_>>()
     });
-    let postings = vec_of(
-        zip(
-            string_of("abcdef", 1, 6),
-            vec_of(
-                zip(
-                    usize_in(0..500).map(|d| *d as u64),
-                    vec_of(arb_u32(10_000), 0..5),
-                ),
-                0..4,
-            ),
-        ),
-        0..4,
-    );
-    let extents = vec_of(
-        zip(
-            vec_of(arb_step(), 0..4),
-            vec_of(zip(arb_u32(10_000), vec_of(arb_value(), 0..3)), 0..3),
-        ),
-        0..3,
-    );
     let scalars = zip3(
         usize_in(0..1_000_000).map(|s| *s as u64),
         vec_of(arb_u32(10_000), 0..6),
         vec_of(zip(arb_u32(10_000), string_of("abc <&>\n", 0, 12)), 0..4),
     );
-    let words = zip(
-        vec_of(
-            zip(usize_in(0..500).map(|d| *d as u64), arb_u32(1_000)),
-            0..4,
-        ),
-        vec_of(arb_u32(10_000), 0..4),
-    );
-    zip3(zip3(objects, roots, scalars), zip(postings, extents), words).map(
-        |(
-            (objects, roots, (applied_seqno, documents, text)),
-            (postings, extents),
-            (doc_words, extent_roots),
-        )| {
-            StoreImage {
-                applied_seqno: *applied_seqno,
-                objects: objects.clone(),
-                roots: roots.clone(),
-                documents: documents.clone(),
-                text: text.clone(),
-                postings: postings.clone(),
-                doc_words: doc_words.clone(),
-                extents: extents.clone(),
-                extent_roots: extent_roots.clone(),
-            }
-        },
-    )
+    zip3(objects, roots, scalars).map(|(objects, roots, (applied_seqno, documents, text))| {
+        StoreImage {
+            applied_seqno: *applied_seqno,
+            objects: objects.clone(),
+            roots: roots.clone(),
+            documents: documents.clone(),
+            text: text.clone(),
+        }
+    })
 }
 
 fn arb_op() -> Gen<WalOp> {

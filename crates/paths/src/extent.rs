@@ -292,52 +292,9 @@ impl PathExtentIndex {
 
     /// Total targets materialised for one path across all indexed roots —
     /// the extent cardinality the cost model feeds on. O(1): maintained
-    /// incrementally at index/restore time.
+    /// incrementally at index time.
     pub fn path_target_count(&self, path: PathId) -> u64 {
         self.target_counts.get(path as usize).copied().unwrap_or(0)
-    }
-
-    /// The indexed paths, for diagnostics.
-    pub fn paths(&self) -> impl Iterator<Item = (&[ExtStep], PathId)> {
-        self.paths.iter().map(|(k, v)| (k.as_slice(), *v))
-    }
-
-    /// The materialised extent of `path`: `(root, targets)` in root order —
-    /// the snapshot path serializes extents through this (the maps stay
-    /// private so all mutation goes through
-    /// [`PathExtentIndex::index_document`]).
-    pub fn extent_entries(&self, path: PathId) -> impl Iterator<Item = (Oid, &[Value])> {
-        self.extents
-            .get(path as usize)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(root, t)| (*root, t.as_slice())))
-    }
-
-    /// The indexed document roots, ascending (the companion of
-    /// [`PathExtentIndex::extent_entries`] for serialization).
-    pub fn indexed_roots(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.roots.iter().copied()
-    }
-
-    /// Restore one `(path key, root)` target list verbatim
-    /// (deserialization path — `targets` must be in walk order, as produced
-    /// by [`PathExtentIndex::extent_entries`]). Returns `false` when `key`
-    /// is not an indexed path of this schema — the caller decides whether
-    /// that is corruption or a schema change.
-    pub fn restore_targets(&mut self, key: &[ExtStep], root: Oid, targets: Vec<Value>) -> bool {
-        let Some(pid) = self.lookup(key) else {
-            return false;
-        };
-        self.target_counts[pid as usize] += targets.len() as u64;
-        if let Some(old) = self.extents[pid as usize].insert(root, Arc::new(targets)) {
-            self.target_counts[pid as usize] -= old.len() as u64;
-        }
-        true
-    }
-
-    /// Mark `root` as indexed without re-walking it (deserialization path).
-    pub fn restore_root(&mut self, root: Oid) {
-        self.roots.insert(root);
     }
 }
 
@@ -519,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn per_path_counts_track_index_restore_and_clear() {
+    fn per_path_counts_track_index_and_clear() {
         let schema = schema();
         let mut inst = Instance::new(schema.clone());
         let a = doc(&mut inst, "A", &["x", "y"]);
@@ -539,13 +496,6 @@ mod tests {
         assert_eq!(ix.path_target_count(pid), 2);
         ix.index_document(&inst, b);
         assert_eq!(ix.path_target_count(pid), 3);
-
-        // Restores count too, including replacement of an existing root.
-        let mut restored = PathExtentIndex::for_collection_root(&schema, sym("Docs"));
-        assert!(restored.restore_targets(&key, a, vec![Value::str("x"), Value::str("y")]));
-        assert_eq!(restored.path_target_count(pid), 2);
-        assert!(restored.restore_targets(&key, a, vec![Value::str("x")]));
-        assert_eq!(restored.path_target_count(pid), 1);
 
         ix.clear();
         assert_eq!(ix.path_target_count(pid), 0);

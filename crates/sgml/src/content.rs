@@ -169,10 +169,10 @@ impl Rx {
                 _ => out.push(item),
             }
         }
-        match out.len() {
-            0 => Rc::new(Rx::Eps),
-            1 => out.pop().expect("len checked"),
-            _ => Rc::new(Rx::Seq(out)),
+        if out.len() > 1 {
+            Rc::new(Rx::Seq(out))
+        } else {
+            out.pop().unwrap_or_else(|| Rc::new(Rx::Eps))
         }
     }
 
@@ -196,10 +196,10 @@ impl Rx {
                 }
             }
         }
-        match out.len() {
-            0 => Rc::new(Rx::Fail),
-            1 => out.pop().expect("len checked"),
-            _ => Rc::new(Rx::Alt(out)),
+        if out.len() > 1 {
+            Rc::new(Rx::Alt(out))
+        } else {
+            out.pop().unwrap_or_else(|| Rc::new(Rx::Fail))
         }
     }
 

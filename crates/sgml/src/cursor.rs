@@ -66,7 +66,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume `s` or fail.
-    pub fn expect(&mut self, s: &str) -> Result<()> {
+    pub fn require(&mut self, s: &str) -> Result<()> {
         if self.starts_with(s) {
             for _ in 0..s.len() {
                 self.bump();
@@ -276,8 +276,8 @@ mod tests {
         assert!(!c.eat("<!ATTLIST"));
         assert!(c.eat("<!ELEMENT"));
         let mut c2 = Cursor::new("abc");
-        assert!(c2.expect("abd").is_err());
-        assert!(c2.expect("abc").is_ok());
+        assert!(c2.require("abd").is_err());
+        assert!(c2.require("abc").is_ok());
         assert!(c2.at_eof());
     }
 

@@ -246,7 +246,7 @@ impl<'a> Parser<'a> {
             self.cur.skip_ws();
             dtd.doctype = self.cur.name(false)?.to_ascii_lowercase();
             self.cur.skip_ws();
-            self.cur.expect("[")?;
+            self.cur.require("[")?;
         }
         loop {
             self.cur.skip_ws_and_comments();
@@ -300,7 +300,7 @@ impl<'a> Parser<'a> {
                 if self.cur.eat("|") {
                     continue;
                 }
-                self.cur.expect(")")?;
+                self.cur.require(")")?;
                 break;
             }
         } else {
@@ -310,10 +310,9 @@ impl<'a> Parser<'a> {
         // Minimization indicators are optional in our input subset.
         let mut minimization = Minimization::default();
         let mut saw_min = false;
-        if matches!(self.cur.peek(), Some(b'-' | b'O' | b'o')) {
+        if let Some(c @ (b'-' | b'O' | b'o')) = self.cur.peek() {
             // Disambiguate `- O` from the start of a content model: a content
             // model always starts with `(` or a reserved word.
-            let c = self.cur.peek().unwrap();
             if c == b'-' || self.cur.peek_at(1).is_none_or(|b| b.is_ascii_whitespace()) {
                 minimization.start_omissible = c != b'-';
                 self.cur.bump();
@@ -345,7 +344,7 @@ impl<'a> Parser<'a> {
         self.cur.skip_ws();
         let content = self.content_model()?;
         self.cur.skip_ws();
-        self.cur.expect(">")?;
+        self.cur.require(">")?;
         Ok(names
             .into_iter()
             .map(|name| ElementDecl {
@@ -377,7 +376,7 @@ impl<'a> Parser<'a> {
         self.cur.skip_ws();
         let base = if self.cur.eat("(") {
             let inner = self.model_group()?;
-            self.cur.expect(")")?;
+            self.cur.require(")")?;
             inner
         } else if self.cur.eat("#PCDATA") {
             ContentExpr::Pcdata
@@ -464,7 +463,7 @@ impl<'a> Parser<'a> {
                     if self.cur.eat("|") {
                         continue;
                     }
-                    self.cur.expect(")")?;
+                    self.cur.require(")")?;
                     break;
                 }
                 AttType::Enumerated(names)
@@ -515,7 +514,7 @@ impl<'a> Parser<'a> {
                 None
             };
             self.cur.skip_ws();
-            self.cur.expect(">")?;
+            self.cur.require(">")?;
             Ok(EntityDecl::External {
                 name,
                 system_id,
@@ -524,7 +523,7 @@ impl<'a> Parser<'a> {
         } else {
             let text = self.cur.quoted()?;
             self.cur.skip_ws();
-            self.cur.expect(">")?;
+            self.cur.require(">")?;
             Ok(EntityDecl::Internal { name, text })
         }
     }

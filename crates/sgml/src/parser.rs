@@ -144,7 +144,7 @@ impl Run<'_, '_, '_> {
 
     fn entity_text(&mut self) -> Result<String> {
         let pos = self.cur.pos();
-        self.cur.expect("&")?;
+        self.cur.require("&")?;
         let name = self.cur.name(false)?;
         let _ = self.cur.eat(";");
         match self.parser.dtd.entity(&name) {
@@ -173,7 +173,7 @@ impl Run<'_, '_, '_> {
 
     fn start_tag(&mut self) -> Result<()> {
         let pos = self.cur.pos();
-        self.cur.expect("<")?;
+        self.cur.require("<")?;
         let name = self.cur.name(false)?.to_ascii_lowercase();
         let decl = self
             .parser
@@ -182,7 +182,7 @@ impl Run<'_, '_, '_> {
             .ok_or_else(|| SgmlError::new(pos, ErrorKind::UnknownElement(name.clone())))?;
         let attrs = self.attributes(&name)?;
         self.cur.skip_ws();
-        self.cur.expect(">")?;
+        self.cur.require(">")?;
         self.accept_label(&Label::Elem(name.clone()), pos)?;
         // Open the element.
         let state = self.parser.compiled[&name].clone();
@@ -207,10 +207,10 @@ impl Run<'_, '_, '_> {
 
     fn end_tag(&mut self) -> Result<()> {
         let pos = self.cur.pos();
-        self.cur.expect("</")?;
+        self.cur.require("</")?;
         let name = self.cur.name(false)?.to_ascii_lowercase();
         self.cur.skip_ws();
-        self.cur.expect(">")?;
+        self.cur.require(">")?;
         // SGML EMPTY elements have no end tag; the element was auto-closed
         // at its start tag. Tolerate an explicit `</x>` (XML-style input).
         if let Some(decl) = self.parser.dtd.element(&name) {
@@ -265,7 +265,9 @@ impl Run<'_, '_, '_> {
             }
         }
         self.accept_label(&Label::Text, pos)?;
-        let top = self.stack.last_mut().expect("accept_label ensures a frame");
+        let Some(top) = self.stack.last_mut() else {
+            return Err(outside_document(pos));
+        };
         // Merge adjacent text runs.
         if let Some(Node::Text(prev)) = top.element.children.last_mut() {
             prev.push_str(text);
@@ -280,9 +282,10 @@ impl Run<'_, '_, '_> {
     /// On success the top frame's state has been advanced by `label`
     /// (and for `Elem` the caller pushes the new frame).
     fn accept_label(&mut self, label: &Label, pos: Pos) -> Result<()> {
-        let budget = 2 * self.parser.dtd.elements.len() + self.stack.len() + 2;
+        let parser = self.parser;
+        let budget = 2 * parser.dtd.elements.len() + self.stack.len() + 2;
         for _ in 0..budget {
-            match self.stack.last() {
+            match self.stack.last_mut() {
                 None => {
                     // Document element: only an element token can start it.
                     match label {
@@ -311,37 +314,22 @@ impl Run<'_, '_, '_> {
                             }
                             return Ok(());
                         }
-                        Label::Text => {
-                            return Err(SgmlError::new(
-                                pos,
-                                ErrorKind::Other(
-                                    "character data outside the document element".to_string(),
-                                ),
-                            ));
-                        }
+                        Label::Text => return Err(outside_document(pos)),
                     }
                 }
                 Some(top) => {
                     let d = top.state.derive(label);
                     if !d.is_fail() {
-                        self.stack.last_mut().expect("nonempty").state = d;
+                        top.state = d;
                         return Ok(());
                     }
                     // Implicit open: an expected element with omissible
                     // start tag that can accept the label.
-                    if let Some(x) = self.implicit_open_candidate(top, label) {
-                        let decl = self.parser.dtd.element(&x).expect("candidate is declared");
-                        let advanced = top.state.derive(&Label::Elem(x.clone()));
+                    if let Some(frame) = implicit_open(parser, top, label, pos) {
+                        let advanced = top.state.derive(&Label::Elem(frame.name.clone()));
                         debug_assert!(!advanced.is_fail());
-                        self.stack.last_mut().expect("nonempty").state = advanced;
-                        let state = self.parser.compiled[&x].clone();
-                        self.push_frame(Frame {
-                            name: x.clone(),
-                            end_omissible: decl.minimization.end_omissible,
-                            state,
-                            element: Element::new(x),
-                            open_pos: pos,
-                        })?;
+                        top.state = advanced;
+                        self.push_frame(frame)?;
                         continue;
                     }
                     // Implicit close.
@@ -379,24 +367,6 @@ impl Run<'_, '_, '_> {
         ))
     }
 
-    /// Choose an element that (a) is expected next in `top`, (b) has an
-    /// omissible start tag, and (c) can itself accept `label` first.
-    fn implicit_open_candidate(&self, top: &Frame, label: &Label) -> Option<String> {
-        let mut expected = Vec::new();
-        top.state.next_labels(&mut expected);
-        for l in expected {
-            if let Label::Elem(x) = l {
-                let decl = self.parser.dtd.element(&x)?;
-                if decl.minimization.start_omissible
-                    && !self.parser.compiled[&x].derive(label).is_fail()
-                {
-                    return Some(x);
-                }
-            }
-        }
-        None
-    }
-
     /// Push an open-element frame, enforcing the nesting-depth limit.
     fn push_frame(&mut self, frame: Frame) -> Result<()> {
         if self.stack.len() >= self.parser.max_depth {
@@ -413,7 +383,12 @@ impl Run<'_, '_, '_> {
     }
 
     fn close_top(&mut self) -> Result<()> {
-        let top = self.stack.pop().expect("close_top on empty stack");
+        let Some(top) = self.stack.pop() else {
+            return Err(SgmlError::new(
+                self.cur.pos(),
+                ErrorKind::Other("no open element to close".to_string()),
+            ));
+        };
         if !top.state.nullable() {
             let mut expected = Vec::new();
             top.state.next_labels(&mut expected);
@@ -536,6 +511,38 @@ impl Run<'_, '_, '_> {
         }
         Ok(attrs)
     }
+}
+
+/// The frame to open implicitly inside `top` so it can accept `label`: an
+/// element that (a) is expected next in `top`, (b) has an omissible start
+/// tag, and (c) can itself accept `label` first.
+fn implicit_open(parser: &DocParser<'_>, top: &Frame, label: &Label, pos: Pos) -> Option<Frame> {
+    let mut expected = Vec::new();
+    top.state.next_labels(&mut expected);
+    for l in expected {
+        if let Label::Elem(x) = l {
+            let decl = parser.dtd.element(&x)?;
+            let state = parser.compiled.get(&x)?;
+            if decl.minimization.start_omissible && !state.derive(label).is_fail() {
+                return Some(Frame {
+                    name: x.clone(),
+                    end_omissible: decl.minimization.end_omissible,
+                    state: Rc::clone(state),
+                    element: Element::new(x),
+                    open_pos: pos,
+                });
+            }
+        }
+    }
+    None
+}
+
+/// The error for character data with no element open to take it.
+fn outside_document(pos: Pos) -> SgmlError {
+    SgmlError::new(
+        pos,
+        ErrorKind::Other("character data outside the document element".to_string()),
+    )
 }
 
 #[cfg(test)]

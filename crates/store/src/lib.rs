@@ -311,22 +311,41 @@ impl DocStore {
     /// records `docql_store_ingest_ns` (load through extent maintenance)
     /// and `docql_store_extent_build_ns`.
     pub fn ingest_document(&mut self, doc: &Document) -> Result<Oid, StoreError> {
-        let obs = self.metrics.enabled();
         let t0 = Instant::now();
-        let loaded = load_document(&self.mapping, &mut self.instance, doc)?;
         // The loader records every object's text, the root's included.
-        let root_text = self.instance.text(loaded.root).unwrap_or_default();
-        self.index.add(u64::from(loaded.root.0), root_text);
-        let t_ext = Instant::now();
-        self.extents.index_document(&self.instance, loaded.root);
-        if obs {
-            self.metrics.extent_build_ns.record(elapsed_ns(t_ext));
+        let loaded = load_document(&self.mapping, &mut self.instance, doc)?;
+        self.index_root(loaded.root);
+        if self.metrics.enabled() {
             self.metrics.ingest_ns.record(elapsed_ns(t0));
             self.metrics.docs_ingested.inc();
         }
         self.documents.push(loaded.root);
         self.bump_stats();
         Ok(loaded.root)
+    }
+
+    /// Add one document root to both indexes: its recorded `text` to the
+    /// inverted index, its path extents to the extent index. Ingest, text
+    /// refresh and recovery all build index state through here.
+    fn index_root(&mut self, root: Oid) {
+        let text = self.instance.text(root).unwrap_or_default();
+        self.index.add(u64::from(root.0), text);
+        let t_ext = Instant::now();
+        self.extents.index_document(&self.instance, root);
+        if self.metrics.enabled() {
+            self.metrics.extent_build_ns.record(elapsed_ns(t_ext));
+        }
+    }
+
+    /// Rebuild both indexes from scratch over every document root, from
+    /// the object slots as they stand.
+    fn reindex_documents(&mut self) {
+        self.index = InvertedIndex::new();
+        self.index.set_metrics(self.metrics.text.clone());
+        self.extents.clear();
+        for i in 0..self.documents.len() {
+            self.index_root(self.documents[i]);
+        }
     }
 
     /// Advance the statistics version after a mutation and, when metrics
@@ -712,20 +731,12 @@ impl DocStore {
 
     /// Recompute the `text` inverse mapping from the current instance (all
     /// objects reachable from ingested documents; every other object's text
-    /// is cleared) and rebuild the document text index.
+    /// is cleared) and rebuild both indexes, since values may have changed
+    /// arbitrarily.
     pub fn refresh_text(&mut self) {
         let mut table = HashMap::new();
         for &root in &self.documents {
             self.collect_text(root, &mut table);
-        }
-        self.index = InvertedIndex::new();
-        self.index.set_metrics(self.metrics.text.clone());
-        for &root in &self.documents {
-            // `collect_text` records every visited oid, so the root always
-            // has an entry (possibly empty) — index it unconditionally to
-            // keep `find_documents` and `find_documents_scan` in agreement.
-            let text = table.get(&root).map_or("", String::as_str);
-            self.index.add(u64::from(root.0), text);
         }
         for i in 0..self.instance.object_count() {
             let oid = Oid(i as u32);
@@ -735,16 +746,7 @@ impl DocStore {
                 .instance
                 .set_text(oid, table.get(&oid).map(String::as_str));
         }
-        // Values may have changed arbitrarily — rebuild the path extents
-        // from scratch, like the text index above.
-        let t_ext = Instant::now();
-        self.extents.clear();
-        for &root in &self.documents {
-            self.extents.index_document(&self.instance, root);
-        }
-        if self.metrics.enabled() {
-            self.metrics.extent_build_ns.record(elapsed_ns(t_ext));
-        }
+        self.reindex_documents();
         self.bump_stats();
     }
 

@@ -28,8 +28,8 @@ pub struct StoreMetrics {
     /// parsing excluded), recorded once per document by single and batch
     /// ingest alike.
     pub ingest_ns: Histogram,
-    /// Nanoseconds building path extents: one document's at ingest, every
-    /// document's on a full rebuild.
+    /// Nanoseconds building one document's path extents (at ingest, text
+    /// refresh and recovery alike).
     pub extent_build_ns: Histogram,
     /// Documents ingested (single and batch).
     pub docs_ingested: Counter,

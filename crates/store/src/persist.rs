@@ -6,9 +6,9 @@
 //! * [`PersistentStore::checkpoint`] captures the published snapshot as an
 //!   immutable segment file and then truncates the log,
 //! * [`PersistentStore::open`] recovers by loading the newest valid
-//!   segment and replaying the WAL's valid tail — no SGML re-parsing of
-//!   checkpointed documents, and a damaged log tail is truncated, never
-//!   loaded.
+//!   segment, rebuilding both indexes from its objects, and replaying the
+//!   WAL's valid tail — no SGML re-parsing of checkpointed documents, and
+//!   a damaged log tail is truncated, never loaded.
 //!
 //! # Lock ordering
 //!
@@ -29,11 +29,11 @@
 //! reopened — exactly the recovery path a real crash exercises.
 
 use crate::{SharedStore, StoreError};
-use docql_durable::snapshot::{self, StoreImage, TermPostings};
+use docql_durable::snapshot::{self, StoreImage, StoreMeta};
 use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
 use docql_durable::DurableMetrics;
 use docql_guard::{IoFaultStream, QueryLimits};
-use docql_model::{Oid, Value};
+use docql_model::Oid;
 use docql_o2sql::{Mode, QueryResult};
 use docql_obs::QueryTrace;
 use std::path::{Path, PathBuf};
@@ -135,14 +135,13 @@ impl PersistentStore {
     ) -> Result<(PersistentStore, RecoveryReport), StoreError> {
         std::fs::create_dir_all(dir).map_err(crate::io_err)?;
         match snapshot::read_meta(dir) {
-            Ok((stored_dtd, stored_roots)) => {
-                if stored_dtd != dtd_text
-                    || stored_roots.iter().map(String::as_str).collect::<Vec<_>>() != extra_roots
-                {
+            Ok(meta) => {
+                if meta.dtd_text != dtd_text || meta.extra_roots != extra_roots {
                     return Err(StoreError::Other(
                         "store directory was created with a different schema or root set".into(),
                     ));
                 }
+                upgrade_meta(dir, &meta)?;
             }
             Err(snapshot::SegmentError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 let roots: Vec<String> = extra_roots.iter().map(|r| r.to_string()).collect();
@@ -157,9 +156,10 @@ impl PersistentStore {
     /// declarations from its `store.meta` (written by the first
     /// [`PersistentStore::open`]).
     pub fn reopen(dir: &Path) -> Result<(PersistentStore, RecoveryReport), StoreError> {
-        let (dtd_text, roots) = snapshot::read_meta(dir).map_err(seg_err)?;
-        let root_refs: Vec<&str> = roots.iter().map(String::as_str).collect();
-        PersistentStore::recover(dir, &dtd_text, &root_refs)
+        let meta = snapshot::read_meta(dir).map_err(seg_err)?;
+        upgrade_meta(dir, &meta)?;
+        let root_refs: Vec<&str> = meta.extra_roots.iter().map(String::as_str).collect();
+        PersistentStore::recover(dir, &meta.dtd_text, &root_refs)
     }
 
     fn recover(
@@ -458,8 +458,20 @@ fn seg_err(e: snapshot::SegmentError) -> StoreError {
     StoreError::Other(format!("segment: {e}"))
 }
 
-/// Capture a store's complete state as a [`StoreImage`] (deterministic:
-/// every section is emitted in a canonical order).
+/// Rewrite a previous-format `store.meta` with the current magic before
+/// any segment is written: segments carry no index sections now, and a
+/// binary that requires them must refuse the directory rather than skip
+/// every segment and come up without the checkpointed documents.
+fn upgrade_meta(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
+    if meta.outdated {
+        snapshot::write_meta(dir, &meta.dtd_text, &meta.extra_roots).map_err(crate::io_err)?;
+    }
+    Ok(())
+}
+
+/// Capture a store's data as a [`StoreImage`] (deterministic: every
+/// section is emitted in a canonical order). The indexes are derived from
+/// it, so they are not captured.
 fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, StoreError> {
     let mut objects = Vec::with_capacity(store.instance.object_count());
     // In oid order, objects without text skipped.
@@ -485,47 +497,19 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
 
     let documents = store.documents.iter().map(|o| o.0).collect();
 
-    // `iter_postings` walks terms and docs in b-tree order; group the flat
-    // stream back into per-term lists.
-    let mut postings: Vec<(String, TermPostings)> = Vec::new();
-    for (term, doc, positions) in store.index.iter_postings() {
-        match postings.last_mut() {
-            Some((t, docs)) if t == term => docs.push((doc, positions.to_vec())),
-            _ => postings.push((term.to_string(), vec![(doc, positions.to_vec())])),
-        }
-    }
-    let doc_words = store.index.doc_words().collect();
-
-    let mut extents = Vec::new();
-    for (key, pid) in store.extents.paths() {
-        let by_root: Vec<(u32, Vec<Value>)> = store
-            .extents
-            .extent_entries(pid)
-            .map(|(root, targets)| (root.0, targets.to_vec()))
-            .collect();
-        if !by_root.is_empty() {
-            extents.push((key.to_vec(), by_root));
-        }
-    }
-    let extent_roots = store.extents.indexed_roots().map(|o| o.0).collect();
-
     Ok(StoreImage {
         applied_seqno,
         objects,
         roots,
         documents,
         text,
-        postings,
-        doc_words,
-        extents,
-        extent_roots,
     })
 }
 
 /// Restore an image into a freshly constructed store (same schema). The
 /// inverse of [`image_of`]: object slots are re-created in oid order (which
-/// reproduces the original oids), and both indexes are restored verbatim
-/// instead of being rebuilt from the documents.
+/// reproduces the original oids) with their texts, then both indexes are
+/// built from them the way ingest builds them.
 fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), StoreError> {
     for (i, (class, value)) in image.objects.iter().enumerate() {
         let oid = store
@@ -551,32 +535,7 @@ fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), S
             .set_text(Oid(*oid), Some(t))
             .map_err(|e| StoreError::Other(format!("restore text of {oid}: {e}")))?;
     }
-    for (term, docs) in &image.postings {
-        for (doc, positions) in docs {
-            store.index.restore_posting(term, *doc, positions.clone());
-        }
-    }
-    for (doc, words) in &image.doc_words {
-        store.index.restore_doc_words(*doc, *words);
-    }
-    for (key, by_root) in &image.extents {
-        for (root, targets) in by_root {
-            if !store
-                .extents
-                .restore_targets(key, Oid(*root), targets.clone())
-            {
-                // The snapshot indexes a path this schema does not — the
-                // segment was written under a different schema version.
-                return Err(StoreError::Other(format!(
-                    "restore: extent path {} unknown to this schema",
-                    key.iter().map(ToString::to_string).collect::<String>()
-                )));
-            }
-        }
-    }
-    for root in &image.extent_roots {
-        store.extents.restore_root(Oid(*root));
-    }
+    store.reindex_documents();
     Ok(())
 }
 
