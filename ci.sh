@@ -74,12 +74,12 @@ DOCQL_BENCH_MS=1 cargo bench --workspace -q >/dev/null
 
 echo "==> B13 durability smoke (footprint + cold-start, 1 ms windows)"
 # Segment bytes come from a seeded corpus and repeat exactly, so the
-# footprint is pinned: both sizes must print, each under 4.00x the SGML.
+# footprint is pinned: both sizes must print, each under 1.25x the SGML.
 b13_out=$(DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench durability)
 grep "^B13" <<<"$b13_out"
-if ! awk '/^B13 footprint: / { f=$NF; gsub(/[()x]/, "", f); if (f+0 >= 4.0) bad=1; seen[$3]=1 } \
+if ! awk '/^B13 footprint: / { f=$NF; gsub(/[()x]/, "", f); if (f+0 >= 1.25) bad=1; seen[$3]=1 } \
           END { exit (bad || !seen["10"] || !seen["100"]) }' <<<"$b13_out"; then
-    echo "    B13 footprint missing for 10 or 100 docs, or at/above 4.00x the SGML" >&2
+    echo "    B13 footprint missing for 10 or 100 docs, or at/above 1.25x the SGML" >&2
     exit 1
 fi
 

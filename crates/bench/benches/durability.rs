@@ -1,13 +1,14 @@
 //! B13 — durability: on-disk footprint of a checkpoint segment versus the
 //! flat SGML corpus, and cold-start time of snapshot-load recovery
-//! ([`PersistentStore::reopen`], which restores the object slots and their
-//! texts from the segment and rebuilds both indexes from them) versus
+//! ([`PersistentStore::reopen`], which restores the object slots from the
+//! segment and derives their texts and both indexes from them) versus
 //! re-parsing the SGML from scratch.
 //!
-//! The segment trades some bytes for structure (it stores the mapped
-//! objects and every object's text, not the indexes derived from them),
-//! and buys back cold-start latency: recovery skips parsing, validation
-//! and mapping, and builds the indexes the way ingest does.
+//! The segment stores the mapped objects only — not their texts or the
+//! indexes, which are derived from them — so it costs about the SGML's own
+//! bytes, and buys back cold-start latency: recovery skips parsing,
+//! validation and mapping, and derives texts and indexes the way ingest
+//! does.
 
 use docql::durable::TempDir;
 use docql::prelude::*;

@@ -1,12 +1,12 @@
 //! Snapshot segments: one immutable, checksummed file per checkpoint,
-//! holding the store's data — object slots (class, value and `text`),
-//! roots and the document list — in a flat, section-directed layout that
-//! loads with a single sequential read and no SGML re-parsing.
+//! holding the store's data — object slots (class and value), roots and
+//! the document list — in a flat, section-directed layout that loads with
+//! a single sequential read and no SGML re-parsing.
 //!
-//! Segments hold no index state. The text index and the path extents are
-//! access structures derived from the objects, so recovery rebuilds them
-//! from the restored slots the way ingest builds them, and only the index
-//! crates know the index layout.
+//! Segments hold nothing derived. The §3 `text` mapping is a function of
+//! the objects, and the text index and the path extents are access
+//! structures over them, so recovery derives all three from the restored
+//! slots the way ingest derives them.
 //!
 //! File layout:
 //!
@@ -21,8 +21,8 @@
 //! The directory makes the format skippable (a reader ignores section ids
 //! it does not know) and mmap-friendly: every section is a contiguous,
 //! independently decodable byte range. Segments written by earlier
-//! versions also store both indexes, as sections 7–10; recovery skips
-//! them and rebuilds.
+//! versions also store every object's text as section 6 and both indexes
+//! as sections 7–10; the decoder skips them and recovery re-derives.
 //!
 //! Symbols ([`Sym`]) are process-global intern handles and **not** stable
 //! across restarts, so every encoded symbol goes through a per-segment
@@ -45,13 +45,14 @@ use std::path::{Path, PathBuf};
 
 /// Segment file magic (8 bytes, format version 001).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"DQSEG001";
-/// Store-meta file magic (8 bytes). Version 02 marks a directory whose
-/// segments may lack index sections, so a binary that still requires them
-/// refuses the directory at open instead of skipping every such segment.
-pub const META_MAGIC: &[u8; 8] = b"DQMETA02";
-/// The previous store-meta magic: still read, and rewritten as
+/// Store-meta file magic (8 bytes). Version 03 marks a directory whose
+/// segments may lack the text section (02: the index sections), so a
+/// binary that still requires them refuses the directory at open instead
+/// of skipping every such segment.
+pub const META_MAGIC: &[u8; 8] = b"DQMETA03";
+/// Previous store-meta magics: still read, and rewritten as
 /// [`META_MAGIC`] when a store is opened.
-pub const META_MAGIC_V1: &[u8; 8] = b"DQMETA01";
+pub const OUTDATED_META_MAGICS: [&[u8; 8]; 2] = [b"DQMETA01", b"DQMETA02"];
 /// File name of the store meta (DTD text + declared extra roots).
 pub const META_FILE: &str = "store.meta";
 
@@ -64,7 +65,6 @@ const SEC_SYMTAB: u32 = 2;
 const SEC_OBJECTS: u32 = 3;
 const SEC_ROOTS: u32 = 4;
 const SEC_DOCUMENTS: u32 = 5;
-const SEC_TEXT: u32 = 6;
 
 /// A successfully loaded segment: `(applied seqno, image, byte size)`.
 pub type LoadedSegment = (u64, StoreImage, u64);
@@ -81,9 +81,6 @@ pub struct StoreImage {
     pub roots: Vec<(Sym, Value)>,
     /// Ingested document roots (`Oid.0`), in ingest order.
     pub documents: Vec<u32>,
-    /// Every object's `text`, by oid, sorted by oid (objects without text
-    /// are absent).
-    pub text: Vec<(u32, String)>,
 }
 
 /// Why a segment (or meta) file failed to load. Any of these means "do not
@@ -319,13 +316,6 @@ fn encode_sections(image: &StoreImage) -> Vec<(u32, Vec<u8>)> {
         documents.u32(*oid);
     }
 
-    let mut text = Writer::new();
-    text.count(image.text.len());
-    for (oid, s) in &image.text {
-        text.u32(*oid);
-        text.str(s);
-    }
-
     // The symbol table is encoded last (every other section registers
     // symbols into it) but readers locate it via the directory regardless.
     let mut symtab = Writer::new();
@@ -337,7 +327,6 @@ fn encode_sections(image: &StoreImage) -> Vec<(u32, Vec<u8>)> {
         (SEC_OBJECTS, objects.into_bytes()),
         (SEC_ROOTS, roots.into_bytes()),
         (SEC_DOCUMENTS, documents.into_bytes()),
-        (SEC_TEXT, text.into_bytes()),
     ]
 }
 
@@ -452,21 +441,11 @@ pub fn decode_segment(bytes: &[u8]) -> Result<StoreImage, SegmentError> {
     }
     r.finish()?;
 
-    let mut r = Reader::new(section(&table, SEC_TEXT)?);
-    let n = r.count(8)?;
-    let mut text = Vec::with_capacity(n);
-    for _ in 0..n {
-        let oid = r.u32()?;
-        text.push((oid, r.str()?.to_string()));
-    }
-    r.finish()?;
-
     Ok(StoreImage {
         applied_seqno,
         objects,
         roots,
         documents,
-        text,
     })
 }
 
@@ -626,12 +605,13 @@ pub struct StoreMeta {
     pub dtd_text: String,
     /// The declared extra named roots.
     pub extra_roots: Vec<String>,
-    /// The file carries [`META_MAGIC_V1`] and should be rewritten with
-    /// [`write_meta`].
+    /// The file carries one of [`OUTDATED_META_MAGICS`] and should be
+    /// rewritten with [`write_meta`].
     pub outdated: bool,
 }
 
-/// Read and validate the store meta file (either magic is accepted).
+/// Read and validate the store meta file (the current magic or an
+/// outdated one).
 pub fn read_meta(dir: &Path) -> Result<StoreMeta, SegmentError> {
     let mut bytes = Vec::new();
     File::open(dir.join(META_FILE))?.read_to_end(&mut bytes)?;
@@ -640,7 +620,7 @@ pub fn read_meta(dir: &Path) -> Result<StoreMeta, SegmentError> {
     }
     let outdated = match &bytes[..8] {
         m if m == META_MAGIC => false,
-        m if m == META_MAGIC_V1 => true,
+        m if OUTDATED_META_MAGICS.iter().any(|old| m == *old) => true,
         _ => return Err(SegmentError::BadMagic),
     };
     let crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
@@ -691,7 +671,6 @@ mod tests {
                 ),
             ],
             documents: vec![0],
-            text: vec![(0, "On Durability text".to_string())],
         }
     }
 
@@ -705,10 +684,17 @@ mod tests {
 
     #[test]
     fn segments_with_the_old_index_sections_still_load() {
-        // Segments written while checkpoints stored both indexes carry
-        // them as sections 7–10; the decoder skips them.
+        // Segments written while checkpoints stored every object's text
+        // carry it as section 6, and the older ones both indexes as
+        // sections 7–10; the decoder skips them.
         let image = sample_image();
+        let mut text = Writer::new();
+        text.count(1);
+        text.u32(0);
+        text.str("On Durability text");
         let mut sections = encode_sections(&image);
+        sections.push((6, text.into_bytes()));
+        assert_eq!(decode_segment(&frame_sections(&sections)).unwrap(), image);
         for id in 7..=10 {
             sections.push((id, vec![0xA5; 16]));
         }
@@ -828,15 +814,17 @@ mod tests {
         assert_eq!(meta.extra_roots, vec!["my_article".to_string()]);
         assert!(!meta.outdated);
 
-        // The previous magic still reads (the checksum covers only the
+        // The previous magics still read (the checksum covers only the
         // payload), flagged for rewriting; any other magic is refused.
         let path = dir.join(META_FILE);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(META_MAGIC_V1);
-        fs::write(&path, &bytes).unwrap();
-        let old = read_meta(dir.path()).unwrap();
-        assert!(old.outdated);
-        assert_eq!(old.dtd_text, meta.dtd_text);
+        for magic in OUTDATED_META_MAGICS {
+            bytes[..8].copy_from_slice(magic);
+            fs::write(&path, &bytes).unwrap();
+            let old = read_meta(dir.path()).unwrap();
+            assert!(old.outdated);
+            assert_eq!(old.dtd_text, meta.dtd_text);
+        }
         bytes[..8].copy_from_slice(b"DQMETA99");
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_meta(dir.path()), Err(SegmentError::BadMagic)));

@@ -93,9 +93,9 @@ impl Exporter<'_, '_> {
                 }
             }
             ContentKind::Structured { shape, .. } => {
-                // Unwrap the attribute-carrying wrapper if present.
+                // Non-tuple shapes may sit in a `content` field (schema_gen).
                 let content_val = match value {
-                    Value::Tuple(_) if matches!(shape, Shape::Union(_)) => {
+                    Value::Tuple(_) if !matches!(shape, Shape::Tuple(_)) => {
                         value.attr(docql_model::sym("content")).unwrap_or(value)
                     }
                     v => v,

@@ -13,14 +13,16 @@
 //! receives the back-reference list Fig. 3 shows as
 //! `private label: list(Object)`.
 //!
-//! The loader also records the paper's `text` operator: the "inverse mapping
-//! from a logical object to the corresponding portion of text" \[5\], on
-//! every object it creates ([`Instance::text`]).
+//! The paper's `text` operator — the "inverse mapping from a logical
+//! object to the corresponding portion of text" \[5\] — is a function of
+//! the loaded objects, and [`derive_text`] is its one derivation: the loader
+//! records it on every object of the document ([`Instance::text`]), and the
+//! store re-derives it the same way after updates and recovery.
 
 use crate::schema_gen::{AttrKind, ContentKind, DtdMapping, MapError};
 use crate::shape::Shape;
 use docql_model::{Instance, Oid, Sym, Value};
-use docql_sgml::{match_children, ContentExpr, Document, Element, Label, MatchNode, Node};
+use docql_sgml::{match_children, Document, Element, Label, MatchNode, Node};
 use std::collections::HashMap;
 
 /// The result of loading one document.
@@ -48,6 +50,13 @@ pub fn load_document(
     let root = loader.element(&doc.root)?;
     loader.patch_references()?;
     let ids = loader.ids;
+    let mut texts = HashMap::new();
+    derive_text(mapping, instance, root, &mut texts);
+    for (oid, text) in &texts {
+        instance
+            .set_text(*oid, Some(text))
+            .map_err(MapError::Model)?;
+    }
 
     // Append to the root of persistence (γ).
     let existing = instance
@@ -198,9 +207,6 @@ impl Loader<'_, '_> {
         let oid = self
             .instance
             .new_object(em.class, value)
-            .map_err(MapError::Model)?;
-        self.instance
-            .set_text(oid, Some(&e.text_content()))
             .map_err(MapError::Model)?;
         if let Some(id) = id_value {
             if self.ids.insert(id.clone(), oid).is_some() {
@@ -362,6 +368,102 @@ fn build_value(shape: &Shape, m: &MatchNode, children: &[&ChildVal]) -> Value {
     }
 }
 
+/// The paper's `text` mapping (§3) for every object reachable from `root`,
+/// derived bottom-up into `texts` (objects already there count as derived).
+///
+/// An object's text is the `Element::text_content` of the element it was
+/// loaded from: a `#PCDATA` object's `contents`, `""` for `EMPTY` media,
+/// and otherwise its trimmed, non-empty text runs and child-object texts
+/// in value order, joined by one space. SGML-attribute fields are skipped.
+pub fn derive_text(
+    mapping: &DtdMapping,
+    instance: &Instance,
+    root: Oid,
+    texts: &mut HashMap<Oid, String>,
+) {
+    let contents = docql_model::sym("contents");
+    let mut deriver = TextDeriver {
+        mapping,
+        instance,
+        contents,
+        texts,
+    };
+    deriver.object(root, &mut String::new());
+}
+
+struct TextDeriver<'a> {
+    mapping: &'a DtdMapping,
+    instance: &'a Instance,
+    contents: Sym,
+    texts: &'a mut HashMap<Oid, String>,
+}
+
+impl TextDeriver<'_> {
+    /// Derive `oid`'s text into `texts` and append it to `out`.
+    fn object(&mut self, oid: Oid, out: &mut String) {
+        if let Some(text) = self.texts.get(&oid) {
+            return push_run(out, text);
+        }
+        // Claimed before descending, so a value cycle (built by an update)
+        // reads "" where it closes instead of recursing forever.
+        self.texts.insert(oid, String::new());
+        let instance = self.instance;
+        let (Ok(class), Ok(value)) = (instance.class_of(oid), instance.value_of(oid)) else {
+            return;
+        };
+        let em = self.mapping.elements.values().find(|em| em.class == class);
+        let mut text = String::new();
+        match (em.map(|em| &em.content), value) {
+            (Some(ContentKind::TextContent), v) => {
+                if let Some(Value::Str(s)) = v.attr(self.contents) {
+                    text.clone_from(s);
+                }
+            }
+            (Some(ContentKind::Media), _) => {}
+            (_, Value::Tuple(fields)) => {
+                for (name, v) in fields {
+                    if !em.is_some_and(|em| em.attrs.iter().any(|a| a.field == *name)) {
+                        self.runs(v, &mut text);
+                    }
+                }
+            }
+            (_, v) => self.runs(v, &mut text),
+        }
+        push_run(out, &text);
+        self.texts.insert(oid, text);
+    }
+
+    /// Append the text runs and child-object texts of a content value.
+    fn runs(&mut self, v: &Value, out: &mut String) {
+        match v {
+            Value::Str(s) => push_run(out, s),
+            Value::Oid(child) => self.object(*child, out),
+            Value::Union(_, payload) => self.runs(payload, out),
+            Value::Tuple(fields) => {
+                for (_, fv) in fields {
+                    self.runs(fv, out);
+                }
+            }
+            Value::List(items) | Value::Set(items) => {
+                for item in items {
+                    self.runs(item, out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+fn push_run(out: &mut String, run: &str) {
+    let run = run.trim();
+    if !run.is_empty() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(run);
+    }
+}
+
 /// Convenience: parse and load a document from SGML text.
 pub fn load_sgml_text(
     mapping: &DtdMapping,
@@ -373,10 +475,6 @@ pub fn load_sgml_text(
     let doc = parser.parse(src)?;
     load_document(mapping, instance, &doc)
 }
-
-// expr is kept in ContentKind for future incremental loading.
-#[allow(unused)]
-fn _expr_is_used(e: &ContentExpr) {}
 
 #[cfg(test)]
 mod tests {

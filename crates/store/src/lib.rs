@@ -139,7 +139,7 @@ pub struct DocStore {
     /// differential-testing and bench baseline).
     use_cost_planning: bool,
     /// Statistics version: bumped by every mutation that changes what the
-    /// planner's statistics describe (ingest, update, text refresh), and
+    /// planner's statistics describe (ingest, update), and
     /// carried across [`DocStore::fork`] — a published MVCC snapshot
     /// therefore exposes exactly the version its data was planned from,
     /// and stats can never tear mid-query (the snapshot is immutable).
@@ -325,8 +325,8 @@ impl DocStore {
     }
 
     /// Add one document root to both indexes: its recorded `text` to the
-    /// inverted index, its path extents to the extent index. Ingest, text
-    /// refresh and recovery all build index state through here.
+    /// inverted index, its path extents to the extent index. Ingest, updates
+    /// and recovery all build index state through here.
     fn index_root(&mut self, root: Oid) {
         let text = self.instance.text(root).unwrap_or_default();
         self.index.add(u64::from(root.0), text);
@@ -334,17 +334,6 @@ impl DocStore {
         self.extents.index_document(&self.instance, root);
         if self.metrics.enabled() {
             self.metrics.extent_build_ns.record(elapsed_ns(t_ext));
-        }
-    }
-
-    /// Rebuild both indexes from scratch over every document root, from
-    /// the object slots as they stand.
-    fn reindex_documents(&mut self) {
-        self.index = InvertedIndex::new();
-        self.index.set_metrics(self.metrics.text.clone());
-        self.extents.clear();
-        for i in 0..self.documents.len() {
-            self.index_root(self.documents[i]);
         }
     }
 
@@ -710,89 +699,41 @@ impl DocStore {
         &self.instance
     }
 
-    /// Mutable instance access (for update scenarios; remember to re-run
-    /// [`docql_model::Instance::check`] and, if textual content changed,
-    /// [`DocStore::refresh_text`] — or use [`DocStore::update_value`] which
-    /// does both bookkeeping steps).
-    pub fn instance_mut(&mut self) -> &mut Instance {
-        &mut self.instance
-    }
-
     /// Update an object's value (§6's "update the document from the
-    /// database"): sets ν(o) and refreshes the `text` inverse mapping and
-    /// the full-text index for every document.
+    /// database"): sets ν(o), re-derives the `text` inverse mapping of every
+    /// document's objects and rebuilds both indexes from it.
     pub fn update_value(&mut self, oid: Oid, value: Value) -> Result<(), StoreError> {
         self.instance
             .set_value(oid, value)
             .map_err(|e| StoreError::Other(e.to_string()))?;
         self.refresh_text();
+        self.bump_stats();
         Ok(())
     }
 
-    /// Recompute the `text` inverse mapping from the current instance (all
-    /// objects reachable from ingested documents; every other object's text
-    /// is cleared) and rebuild both indexes, since values may have changed
-    /// arbitrarily.
-    pub fn refresh_text(&mut self) {
-        let mut table = HashMap::new();
+    /// Derive every document's `text` mapping from its objects (the way
+    /// ingest does; objects no document reaches lose their text, and an
+    /// unchanged text leaves its slot shared with other snapshots), then
+    /// rebuild both indexes over every document root. Updates and recovery
+    /// both end here.
+    fn refresh_text(&mut self) {
+        let mut texts = HashMap::new();
         for &root in &self.documents {
-            self.collect_text(root, &mut table);
+            docql_mapping::derive_text(&self.mapping, &self.instance, root, &mut texts);
         }
         for i in 0..self.instance.object_count() {
             let oid = Oid(i as u32);
-            // `oid` is in range, so this cannot fail; an unchanged text
-            // leaves the slot shared with other snapshots.
+            // `oid` is in range, so this cannot fail.
             let _ = self
                 .instance
-                .set_text(oid, table.get(&oid).map(String::as_str));
+                .set_text(oid, texts.get(&oid).map(String::as_str));
         }
-        self.reindex_documents();
-        self.bump_stats();
-    }
-
-    /// The text of an object = the texts of its element children in shape
-    /// order (mirrors `Element::text_content`), memoised into `table`.
-    fn collect_text(&self, oid: Oid, table: &mut HashMap<Oid, String>) -> String {
-        if let Some(t) = table.get(&oid) {
-            return t.clone();
+        self.index = InvertedIndex::new();
+        self.index.set_metrics(self.metrics.text.clone());
+        self.extents.clear();
+        for i in 0..self.documents.len() {
+            self.index_root(self.documents[i]);
         }
-        let Ok(class) = self.instance.class_of(oid) else {
-            return String::new();
-        };
-        let em = self.mapping.elements.values().find(|em| em.class == class);
-        let text = match em.map(|em| &em.content) {
-            Some(docql_mapping::ContentKind::TextContent) => self
-                .instance
-                .value_of(oid)
-                .ok()
-                .and_then(|v| match v.attr(docql_model::sym("contents")) {
-                    Some(Value::Str(s)) => Some(s.clone()),
-                    _ => None,
-                })
-                .unwrap_or_default(),
-            Some(docql_mapping::ContentKind::Media) => String::new(),
-            _ => {
-                // Structured / Any: concatenate child-object texts in value
-                // order. SGML-attribute fields (IDREFs, back-reference
-                // lists) are skipped precisely, using the mapping metadata.
-                let skip: Vec<docql_model::Sym> = em
-                    .map(|em| em.attrs.iter().map(|a| a.field).collect())
-                    .unwrap_or_default();
-                let mut parts = Vec::new();
-                if let Ok(v) = self.instance.value_of(oid) {
-                    let v = v.clone();
-                    collect_child_oids(&v, &skip, &mut parts);
-                }
-                let texts: Vec<String> = parts
-                    .into_iter()
-                    .map(|child| self.collect_text(child, table))
-                    .filter(|t| !t.is_empty())
-                    .collect();
-                texts.join(" ")
-            }
-        };
-        table.insert(oid, text.clone());
-        text
     }
 
     /// The DTD this store is typed by.
@@ -1218,31 +1159,6 @@ const _: () = {
     assert_send_sync::<DocStore>();
     assert_send_sync::<SharedStore>();
 };
-
-/// Child objects of a value, in order — skipping the SGML-attribute fields
-/// named in `skip` (IDREF targets and ID back-reference lists hold oids but
-/// are cross references, not content; descending through them would double
-/// text and loop).
-fn collect_child_oids(v: &Value, skip: &[docql_model::Sym], out: &mut Vec<Oid>) {
-    match v {
-        Value::Oid(o) => out.push(*o),
-        Value::Tuple(fs) => {
-            for (name, fv) in fs {
-                if skip.contains(name) {
-                    continue;
-                }
-                collect_child_oids(fv, skip, out);
-            }
-        }
-        Value::Union(_, payload) => collect_child_oids(payload, skip, out),
-        Value::List(items) | Value::Set(items) => {
-            for i in items {
-                collect_child_oids(i, skip, out);
-            }
-        }
-        _ => {}
-    }
-}
 
 /// Convenience: the paper's running example, pre-loaded: the Fig. 1 DTD
 /// with the Fig. 2 document ingested and bound to `my_article`.

@@ -6,9 +6,10 @@
 //! * [`PersistentStore::checkpoint`] captures the published snapshot as an
 //!   immutable segment file and then truncates the log,
 //! * [`PersistentStore::open`] recovers by loading the newest valid
-//!   segment, rebuilding both indexes from its objects, and replaying the
-//!   WAL's valid tail — no SGML re-parsing of checkpointed documents, and
-//!   a damaged log tail is truncated, never loaded.
+//!   segment, deriving the `text` mapping and both indexes from its
+//!   objects, and replaying the WAL's valid tail — no SGML re-parsing of
+//!   checkpointed documents, and a damaged log tail is truncated, never
+//!   loaded.
 //!
 //! # Lock ordering
 //!
@@ -459,9 +460,9 @@ fn seg_err(e: snapshot::SegmentError) -> StoreError {
 }
 
 /// Rewrite a previous-format `store.meta` with the current magic before
-/// any segment is written: segments carry no index sections now, and a
-/// binary that requires them must refuse the directory rather than skip
-/// every segment and come up without the checkpointed documents.
+/// any segment is written: segments carry no index or text sections now,
+/// and a binary that requires them must refuse the directory rather than
+/// skip every segment and come up without the checkpointed documents.
 fn upgrade_meta(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
     if meta.outdated {
         snapshot::write_meta(dir, &meta.dtd_text, &meta.extra_roots).map_err(crate::io_err)?;
@@ -470,12 +471,10 @@ fn upgrade_meta(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
 }
 
 /// Capture a store's data as a [`StoreImage`] (deterministic: every
-/// section is emitted in a canonical order). The indexes are derived from
-/// it, so they are not captured.
+/// section is emitted in a canonical order). The `text` mapping and the
+/// indexes are derived from it, so they are not captured.
 fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, StoreError> {
     let mut objects = Vec::with_capacity(store.instance.object_count());
-    // In oid order, objects without text skipped.
-    let mut text: Vec<(u32, String)> = Vec::new();
     for (oid, class, value) in store.instance.objects() {
         if oid.0 as usize != objects.len() {
             return Err(StoreError::Other(format!(
@@ -483,9 +482,6 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
             )));
         }
         objects.push((class, value.clone()));
-        if let Some(t) = store.instance.text(oid) {
-            text.push((oid.0, t.to_string()));
-        }
     }
 
     let mut roots: Vec<_> = store
@@ -502,14 +498,13 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
         objects,
         roots,
         documents,
-        text,
     })
 }
 
 /// Restore an image into a freshly constructed store (same schema). The
 /// inverse of [`image_of`]: object slots are re-created in oid order (which
-/// reproduces the original oids) with their texts, then both indexes are
-/// built from them the way ingest builds them.
+/// reproduces the original oids), then their texts and both indexes are
+/// derived from them the way ingest derives them.
 fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), StoreError> {
     for (i, (class, value)) in image.objects.iter().enumerate() {
         let oid = store
@@ -529,13 +524,7 @@ fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), S
             .map_err(|e| StoreError::Other(format!("restore root {name}: {e}")))?;
     }
     store.documents = image.documents.iter().map(|&o| Oid(o)).collect();
-    for (oid, t) in &image.text {
-        store
-            .instance
-            .set_text(Oid(*oid), Some(t))
-            .map_err(|e| StoreError::Other(format!("restore text of {oid}: {e}")))?;
-    }
-    store.reindex_documents();
+    store.refresh_text();
     Ok(())
 }
 

@@ -378,7 +378,7 @@ fn constraint_violations_surface_after_bad_update() {
             }
         }
     }
-    store.instance_mut().set_value(root, v).unwrap();
+    store.update_value(root, v).unwrap();
     let errs = store.check();
     assert!(
         errs.iter().any(|e| e.to_string().contains("authors")),

@@ -17,7 +17,7 @@
 //!   committed prefix.
 
 use docql::durable::snapshot;
-use docql::durable::{encode_frame, scan, TempDir, META_FILE, WAL_FILE};
+use docql::durable::{crc32, encode_frame, scan, Reader, TempDir, Writer, META_FILE, WAL_FILE};
 use docql::prelude::*;
 use docql::store::{DocStore, StoreError};
 use docql_corpus::{generate_letter, LetterParams};
@@ -72,6 +72,13 @@ fn run_script(ps: &PersistentStore) {
             Op::Bind(name, i) => ps.bind(name, roots[*i]).unwrap(),
         }
     }
+}
+
+/// Every object's `text`, in oid order.
+fn texts(store: &DocStore) -> Vec<Option<String>> {
+    (0..store.instance().object_count() as u32)
+        .map(|o| store.text_of(Oid(o)))
+        .collect()
 }
 
 fn ingests_in(k: usize) -> usize {
@@ -250,7 +257,7 @@ fn single_bit_flip_sweep_recovers_the_longest_valid_prefix() {
 #[test]
 fn checkpoint_plus_tail_replay_recovers_the_full_state() {
     let dir = TempDir::new("recovery-ckpt").unwrap();
-    {
+    let before = {
         let (ps, _) =
             PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
         run_script(&ps);
@@ -261,7 +268,8 @@ fn checkpoint_plus_tail_replay_recovers_the_full_state() {
         // Post-checkpoint tail: two more documents.
         ps.ingest(&article_sgml(6)).unwrap();
         ps.ingest(&article_sgml(7)).unwrap();
-    }
+        texts(&ps.read())
+    };
     let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(report.segments_skipped, 0);
@@ -274,6 +282,9 @@ fn checkpoint_plus_tail_replay_recovers_the_full_state() {
     let snap = ps.read();
     assert_eq!(snap.documents().len(), 8);
     assert!(snap.check().is_empty());
+    // The segment stores no text: recovery derives every object's text.
+    assert_eq!(texts(&snap), before);
+    assert_eq!(texts(&snap), texts(&oracle));
 
     // The recovered indexes equal the ingest-built ones, not merely the
     // answers drawn from them: sizes, index lookups, extent targets, and
@@ -662,13 +673,93 @@ fn previous_format_meta_is_read_and_rewritten_as_current() {
     let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(answers(|q| ps.query(q)), expected);
-    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA02"));
+    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
     drop(ps);
 
     stamp_v1();
     let (ps, _) = PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
     assert_eq!(answers(|q| ps.query(q)), expected);
-    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA02"));
+    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
+}
+
+/// Rewrite a segment file the way the previous format wrote it: its
+/// sections plus section 6, every object's text as `(oid, text)` pairs in
+/// oid order.
+fn add_text_section(path: &Path, texts: &[Option<String>]) {
+    let bytes = fs::read(path).unwrap();
+    let payload = &bytes[20..];
+    let mut r = Reader::new(payload);
+    let n = r.count(20).unwrap();
+    let mut sections: Vec<(u32, Vec<u8>)> = (0..n)
+        .map(|_| {
+            let id = r.u32().unwrap();
+            let off = r.u64().unwrap() as usize;
+            let len = r.u64().unwrap() as usize;
+            (id, payload[off..off + len].to_vec())
+        })
+        .collect();
+    let mut text = Writer::new();
+    text.count(texts.iter().flatten().count());
+    for (oid, t) in texts.iter().enumerate() {
+        if let Some(t) = t {
+            text.u32(oid as u32);
+            text.str(t);
+        }
+    }
+    sections.push((6, text.into_bytes()));
+
+    let mut directory = Writer::new();
+    directory.count(sections.len());
+    let mut off = 4 + 20 * sections.len() as u64;
+    for (id, body) in &sections {
+        directory.u32(*id);
+        directory.u64(off);
+        directory.u64(body.len() as u64);
+        off += body.len() as u64;
+    }
+    let mut payload = directory.into_bytes();
+    for (_, body) in &sections {
+        payload.extend_from_slice(body);
+    }
+    let mut file = bytes[..8].to_vec();
+    file.extend_from_slice(&crc32(&payload).to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&payload);
+    fs::write(path, file).unwrap();
+}
+
+#[test]
+fn previous_format_segment_with_texts_loads_and_its_meta_is_rewritten() {
+    let dir = TempDir::new("recovery-seg-v2").unwrap();
+    let (segment, before) = {
+        let (ps, _) =
+            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps);
+        let segment = ps.checkpoint().unwrap().path;
+        ps.ingest(&article_sgml(6)).unwrap();
+        (segment, texts(&ps.read()))
+    };
+    // The directory as the previous format left it: a `DQMETA02` meta and
+    // a segment that carries every checkpointed object's text.
+    let mut oracle = reference_store(SCRIPT.len());
+    add_text_section(&segment, &texts(&oracle));
+    let meta = dir.join(META_FILE);
+    let mut bytes = fs::read(&meta).unwrap();
+    bytes[..8].copy_from_slice(b"DQMETA02");
+    fs::write(&meta, &bytes).unwrap();
+    assert!(snapshot::read_segment(&segment).is_ok());
+
+    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
+    assert_eq!(report.segments_skipped, 0);
+    assert_eq!(report.replayed_records, 1);
+    oracle.ingest(&article_sgml(6)).unwrap();
+    let snap = ps.read();
+    assert_eq!(texts(&snap), before);
+    assert_eq!(texts(&snap), texts(&oracle));
+    assert_eq!(answers(|q| ps.query(q)), answers(|q| oracle.query(q)));
+    assert_eq!(snap.index_stats(), oracle.index_stats());
+    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
 }
 
 #[test]
