@@ -213,10 +213,14 @@ fn main() {
                 std::hint::black_box(snap.query_algebraic(Q3).unwrap().len());
             },
             |texts: &[String]| {
-                let mut txn = shared.write();
-                for t in texts {
-                    txn.ingest(t).unwrap();
-                }
+                shared
+                    .write(|txn| {
+                        for t in texts {
+                            txn.ingest(t)?;
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
             },
         )
     };

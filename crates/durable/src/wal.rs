@@ -29,7 +29,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// File name of the log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -71,21 +71,17 @@ pub struct WalRecord {
 
 /// What a successful [`Wal::append`] committed: the record, its on-disk
 /// frame length, and the split write/fsync wall times (the fsync is where
-/// commit latency lives; callers feed both into histograms and traces).
+/// commit latency lives; callers stamp both into their write's trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendReceipt {
     /// The committed record (seqno assigned by this append).
     pub record: WalRecord,
     /// On-disk frame length in bytes.
     pub frame_len: u64,
-    /// Nanoseconds spent in `write_all`.
-    pub write_ns: u64,
-    /// Nanoseconds spent in `sync_data` (the durability point).
-    pub fsync_ns: u64,
-}
-
-fn saturating_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+    /// Time spent in `write_all`.
+    pub write: Duration,
+    /// Time spent in `sync_data` (the durability point).
+    pub fsync: Duration,
 }
 
 /// Encode one record as its on-disk frame.
@@ -323,15 +319,15 @@ impl Wal {
             self.crashed = true;
             return Err(WalError::Io(e));
         }
-        let fsync_ns = saturating_ns(t1.elapsed());
+        let fsync = t1.elapsed();
         let frame_len = frame.len() as u64;
         self.len += frame_len;
         self.next_seqno += 1;
         Ok(AppendReceipt {
             record,
             frame_len,
-            write_ns: saturating_ns(t1.duration_since(t0)),
-            fsync_ns,
+            write: t1.duration_since(t0),
+            fsync,
         })
     }
 

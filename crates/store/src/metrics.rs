@@ -1,16 +1,18 @@
-//! Store-level metrics: ingest timings, text-search counters, and the
-//! slow-query tally.
+//! Store-level metrics: ingest and durability timings, text-search
+//! counters, and the slow-query tally.
 //!
 //! Every [`DocStore`](crate::DocStore) owns one
-//! [`MetricsRegistry`] (disabled by default) and
+//! [`MetricsRegistry`](docql_obs::MetricsRegistry) (disabled by default) and
 //! one [`StoreMetrics`] bundle of pre-resolved handles into it. The bundle
 //! embeds the engine-side [`EngineMetrics`] (query lifecycle) and the
 //! text-side [`TextMetrics`] (index lookups versus vocabulary scans), so the
 //! whole pipeline shares a single enable flag and a single exportable
-//! namespace.
+//! namespace. Every timing histogram is a view of a query trace
+//! ([`EngineMetrics::record`]) or a write-side trace (`record_write`).
 
+use crate::trace::WriteKind;
 use docql_o2sql::EngineMetrics;
-use docql_obs::{Counter, Gauge, Histogram, MetricsRegistry, SharedRegistry};
+use docql_obs::{Counter, Gauge, Histogram, QueryTrace, SharedRegistry};
 use docql_text::TextMetrics;
 use std::sync::Arc;
 
@@ -31,6 +33,28 @@ pub struct StoreMetrics {
     /// Nanoseconds building one document's path extents (at ingest, text
     /// refresh and recovery alike).
     pub extent_build_ns: Histogram,
+    /// Committed WAL records.
+    pub wal_appends: Counter,
+    /// Committed WAL bytes.
+    pub wal_bytes: Counter,
+    /// Nanoseconds in `write_all` per WAL record.
+    pub wal_append_ns: Histogram,
+    /// Nanoseconds in `sync_data` per WAL record (the commit-latency floor).
+    pub wal_fsync_ns: Histogram,
+    /// Nanoseconds per recovery (segment load plus WAL replay).
+    pub recovery_ns: Histogram,
+    /// Completed checkpoints.
+    pub checkpoints: Counter,
+    /// Nanoseconds per checkpoint.
+    pub checkpoint_ns: Histogram,
+    /// WAL records replayed by recovery.
+    pub recovery_replayed_records: Counter,
+    /// Damaged WAL tail bytes truncated by recovery.
+    pub recovery_truncated_bytes: Counter,
+    /// Size of the newest segment.
+    pub segment_bytes: Gauge,
+    /// Old segments collected by post-checkpoint GC.
+    pub segments_removed: Counter,
     /// Documents ingested (single and batch).
     pub docs_ingested: Counter,
     /// Index-accelerated document searches
@@ -42,7 +66,7 @@ pub struct StoreMetrics {
     /// `contains`/`near` predicate evaluations inside query evaluation —
     /// each is a text scan of one object's text, not an index lookup.
     pub contains_evals: Counter,
-    /// Queries at or above the slow-query threshold (see
+    /// Queries and writes at or above the slow-query threshold (see
     /// [`docql_obs::slow_query_threshold`]).
     pub slow_queries: Counter,
     /// Queries killed by their wall-clock deadline (strict mode).
@@ -59,7 +83,8 @@ pub struct StoreMetrics {
     /// [`DocStore::flight_recorder`](crate::DocStore::flight_recorder)).
     pub traces_recorded: Counter,
     /// Snapshots published by [`SharedStore`](crate::SharedStore) writers
-    /// (each committed write transaction swaps in one new version).
+    /// (each successful [`SharedStore::write`](crate::SharedStore::write)
+    /// swaps in one new version).
     pub snapshots_published: Counter,
     /// Version number of the currently published snapshot (0 = the version
     /// the store was wrapped with; readers observe it when they pin).
@@ -90,6 +115,19 @@ impl StoreMetrics {
             text,
             ingest_ns: registry.histogram("docql_store_ingest_ns"),
             extent_build_ns: registry.histogram("docql_store_extent_build_ns"),
+            wal_appends: registry.counter("docql_durable_wal_appends_total"),
+            wal_bytes: registry.counter("docql_durable_wal_bytes_total"),
+            wal_append_ns: registry.histogram("docql_durable_wal_append_ns"),
+            wal_fsync_ns: registry.histogram("docql_durable_wal_fsync_ns"),
+            recovery_ns: registry.histogram("docql_durable_recovery_ns"),
+            checkpoints: registry.counter("docql_durable_checkpoints_total"),
+            checkpoint_ns: registry.histogram("docql_durable_checkpoint_ns"),
+            recovery_replayed_records: registry
+                .counter("docql_durable_recovery_replayed_records_total"),
+            recovery_truncated_bytes: registry
+                .counter("docql_durable_recovery_truncated_bytes_total"),
+            segment_bytes: registry.gauge("docql_durable_segment_bytes"),
+            segments_removed: registry.counter("docql_durable_segments_removed_total"),
             docs_ingested: registry.counter("docql_store_docs_ingested_total"),
             text_index_searches: registry.counter("docql_store_text_index_searches_total"),
             text_scan_searches: registry.counter("docql_store_text_scan_searches_total"),
@@ -115,13 +153,6 @@ impl StoreMetrics {
         }
     }
 
-    /// Free-standing metrics over a private, **enabled** registry (tests).
-    pub fn standalone() -> StoreMetrics {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.set_enabled(true);
-        StoreMetrics::register(registry)
-    }
-
     /// Is recording on (the owning registry's enable flag)?
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -131,5 +162,34 @@ impl StoreMetrics {
     /// The owning registry.
     pub fn registry(&self) -> &SharedRegistry {
         &self.registry
+    }
+
+    /// Feed the write-side histograms from one finished trace of `kind`: a
+    /// document's `load` + `text_index` + `extent_index` spans are one
+    /// `ingest_ns` sample, and every `extent_index`, `wal_append` and
+    /// `wal_fsync` span, and a checkpoint's or recovery's total, one sample.
+    pub(crate) fn record_write(&self, kind: WriteKind, t: &QueryTrace) {
+        let mut document = None;
+        for p in &t.phases {
+            match p.name {
+                "load" => document = Some(p.ns),
+                "text_index" => document = document.map(|ns| ns + p.ns),
+                "extent_index" => {
+                    self.extent_build_ns.record(p.ns);
+                    if let Some(ns) = document.take() {
+                        self.ingest_ns.record(ns + p.ns);
+                        self.docs_ingested.inc();
+                    }
+                }
+                "wal_append" => self.wal_append_ns.record(p.ns),
+                "wal_fsync" => self.wal_fsync_ns.record(p.ns),
+                _ => {}
+            }
+        }
+        match kind {
+            WriteKind::Write => {}
+            WriteKind::Checkpoint => self.checkpoint_ns.record(t.total_ns),
+            WriteKind::Recovery => self.recovery_ns.record(t.total_ns),
+        }
     }
 }

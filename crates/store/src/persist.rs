@@ -13,26 +13,27 @@
 //!
 //! # Lock ordering
 //!
-//! The WAL mutex is the **outermost** lock: writes take it, then open a
-//! write transaction; checkpoints take it, then pin the published
-//! snapshot. Publication happens (on transaction drop) while the WAL lock
-//! is still held, so the snapshot a checkpoint pins corresponds *exactly*
-//! to the records at or below its `applied_seqno` — no committed record
-//! can be missing from it, none past it can have leaked in.
+//! The WAL mutex is the **outermost** lock: writes take it, then run a
+//! [`SharedStore::write`]; checkpoints take it, then pin the published
+//! snapshot. Publication happens (when the write's closure returns `Ok`)
+//! while the WAL lock is still held, so the snapshot a checkpoint pins
+//! corresponds *exactly* to the records at or below its `applied_seqno` —
+//! no committed record can be missing from it, none past it can have
+//! leaked in.
 //!
 //! # Crash simulation
 //!
 //! [`PersistentStore::set_io_fault_seed`] arms `docql-guard`'s seeded
 //! [`IoFaultStream`] inside the WAL. An injected fault behaves as a crash
 //! at that record boundary: the damaged bytes land on disk, the in-memory
-//! transaction is aborted (readers keep the pre-write snapshot, matching
-//! the durable prefix), and the handle refuses further writes until
-//! reopened — exactly the recovery path a real crash exercises.
+//! write fails and publishes nothing (readers keep the pre-write snapshot,
+//! matching the durable prefix), and the handle refuses further writes
+//! until reopened — exactly the recovery path a real crash exercises.
 
-use crate::{SharedStore, StoreError};
+use crate::trace::{span, WriteKind, WriteTrace};
+use crate::{set_gauge, DocStore, SharedStore, StoreError};
 use docql_durable::snapshot::{self, StoreImage, StoreMeta};
 use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
-use docql_durable::DurableMetrics;
 use docql_guard::{IoFaultStream, QueryLimits};
 use docql_model::Oid;
 use docql_o2sql::{Mode, QueryResult};
@@ -40,7 +41,6 @@ use docql_obs::QueryTrace;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// What recovery found and did while opening a store directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -87,7 +87,7 @@ pub struct CheckpointReport {
 /// ```compile_fail
 /// fn write_around_the_wal(ps: &docql_store::PersistentStore) {
 ///     let shared: &docql_store::SharedStore = ps.shared();
-///     let _unlogged = shared.write();
+///     let _unlogged = shared.write(|store| store.ingest("<article></article>"));
 /// }
 /// ```
 ///
@@ -103,14 +103,8 @@ pub struct PersistentStore {
     shared: SharedStore,
     wal: Mutex<Wal>,
     dir: PathBuf,
-    metrics: DurableMetrics,
     /// Newest valid segment generations kept by post-checkpoint GC.
     segment_retain: AtomicUsize,
-    /// The flight recorder shared by every snapshot version (see
-    /// [`crate::DocStore::flight_recorder`]); durability events — WAL
-    /// appends/fsyncs, checkpoints, recovery — land on its timeline so
-    /// traced queries show what storage was doing while they ran.
-    recorder: Arc<docql_obs::FlightRecorder>,
 }
 
 impl std::fmt::Debug for PersistentStore {
@@ -163,78 +157,26 @@ impl PersistentStore {
         PersistentStore::recover(dir, &meta.dtd_text, &root_refs)
     }
 
+    /// Recover the directory into a fresh store, as one recovery trace.
     fn recover(
         dir: &Path,
         dtd_text: &str,
         extra_roots: &[&str],
     ) -> Result<(PersistentStore, RecoveryReport), StoreError> {
-        let t0 = Instant::now();
-        let mut store = crate::DocStore::new(dtd_text, extra_roots)?;
-        let metrics = DurableMetrics::register(store.metrics_registry());
-        let recorder = Arc::clone(store.flight_recorder());
-
-        let (segment, segments_skipped) =
-            snapshot::load_newest_valid(dir).map_err(crate::io_err)?;
-        let (segment_seqno, segment_bytes) = match &segment {
-            Some((seqno, image, bytes)) => {
-                restore_into(&mut store, image)?;
-                (Some(*seqno), *bytes)
-            }
-            None => (None, 0),
-        };
-
-        let (mut wal, scanned) = Wal::open(&dir.join(WAL_FILE)).map_err(crate::io_err)?;
-        let applied = segment_seqno.unwrap_or(0);
-        let tail: Vec<_> = scanned
-            .records
-            .into_iter()
-            .filter(|r| r.seqno > applied)
-            .collect();
-        let replayed_records = tail.len();
-        replay(&mut store, &tail)?;
-        wal.set_next_seqno(applied + 1);
-
-        let recovery_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if metrics.enabled() {
-            metrics
-                .recovery_replayed_records
-                .add(replayed_records as u64);
-            metrics
-                .recovery_truncated_bytes
-                .add(scanned.truncated_bytes);
-            metrics.recovery_ns.record(recovery_ns);
-            if segment_bytes > 0 {
-                metrics
-                    .segment_bytes
-                    .set(i64::try_from(segment_bytes).unwrap_or(i64::MAX));
-            }
-        }
-        if recorder.enabled() {
-            recorder.global_event(
-                "recovery",
-                format!(
-                    "segment_seqno={} replayed={replayed_records} truncated_bytes={} ns={recovery_ns}",
-                    segment_seqno.unwrap_or(0),
-                    scanned.truncated_bytes
-                ),
-            );
-        }
-
+        let mut store = DocStore::new(dtd_text, extra_roots)?;
+        store.trace = store.begin_write(WriteKind::Recovery);
+        let recovered = recover_into(&mut store, dir);
+        let trace = store.trace.take();
+        store.finish_write(trace, &recovered);
+        let (wal, report) = recovered?;
         Ok((
             PersistentStore {
                 shared: SharedStore::new(store),
                 wal: Mutex::new(wal),
                 dir: dir.to_path_buf(),
-                metrics,
                 segment_retain: AtomicUsize::new(DEFAULT_SEGMENT_RETAIN),
-                recorder,
             },
-            RecoveryReport {
-                segment_seqno,
-                segments_skipped,
-                replayed_records,
-                truncated_bytes: scanned.truncated_bytes,
-            },
+            report,
         ))
     }
 
@@ -244,7 +186,7 @@ impl PersistentStore {
     }
 
     /// Pin the current snapshot (see [`SharedStore::read`]).
-    pub fn read(&self) -> Arc<crate::DocStore> {
+    pub fn read(&self) -> Arc<DocStore> {
         self.shared.read()
     }
 
@@ -262,12 +204,6 @@ impl PersistentStore {
         limits: &QueryLimits,
     ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
         self.shared.query_traced(src, mode, limits)
-    }
-
-    /// The persistence metric handles (registered in the store's
-    /// registry, so they also appear in its Prometheus/JSON exports).
-    pub fn durable_metrics(&self) -> &DurableMetrics {
-        &self.metrics
     }
 
     /// Bytes currently in the write-ahead log.
@@ -304,32 +240,6 @@ impl PersistentStore {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append one committed operation while holding the WAL lock,
-    /// recording metrics and flight-recorder events on success.
-    fn log(&self, wal: &mut Wal, op: WalOp) -> Result<(), StoreError> {
-        let receipt = wal.append(op).map_err(wal_err)?;
-        if self.metrics.enabled() {
-            self.metrics.wal_appends.inc();
-            self.metrics.wal_bytes.add(receipt.frame_len);
-            self.metrics.wal_append_ns.record(receipt.write_ns);
-            self.metrics.wal_fsync_ns.record(receipt.fsync_ns);
-        }
-        if self.recorder.enabled() {
-            self.recorder.global_event(
-                "wal_append",
-                format!(
-                    "seqno={} bytes={} ns={}",
-                    receipt.record.seqno, receipt.frame_len, receipt.write_ns
-                ),
-            );
-            self.recorder.global_event(
-                "wal_fsync",
-                format!("seqno={} ns={}", receipt.record.seqno, receipt.fsync_ns),
-            );
-        }
-        Ok(())
-    }
-
     /// Durably ingest one SGML document: a one-document
     /// [`PersistentStore::ingest_batch`], logged as one WAL record.
     pub fn ingest(&self, sgml_text: &str) -> Result<Oid, StoreError> {
@@ -346,7 +256,7 @@ impl PersistentStore {
     /// exactly the documents whose records were fsynced.
     pub fn ingest_batch(&self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
         let mut wal = self.lock_wal();
-        self.shared.write().commit(|store| {
+        self.shared.write(|store| {
             let roots = store.ingest_batch(docs)?;
             for doc in docs {
                 // A fault mid-batch is a crash mid-batch: the durable
@@ -354,7 +264,8 @@ impl PersistentStore {
                 // in-memory store publishes nothing (recovery's view and
                 // the readers' view only converge on reopen, as after a
                 // real crash).
-                self.log(
+                log(
+                    store,
                     &mut wal,
                     WalOp::Ingest {
                         sgml: doc.to_string(),
@@ -368,9 +279,10 @@ impl PersistentStore {
     /// Durably bind a named root of persistence to a document object.
     pub fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
         let mut wal = self.lock_wal();
-        self.shared.write().commit(|store| {
+        self.shared.write(|store| {
             store.bind(name, oid)?;
-            self.log(
+            log(
+                store,
                 &mut wal,
                 WalOp::Bind {
                     name: name.to_string(),
@@ -385,7 +297,15 @@ impl PersistentStore {
     /// locked); concurrent writers wait on the WAL mutex, which is what
     /// makes the pinned snapshot exactly cover the truncated records.
     pub fn checkpoint(&self) -> Result<CheckpointReport, StoreError> {
-        let t0 = Instant::now();
+        let pinned = self.shared.read();
+        let trace = pinned.begin_write(WriteKind::Checkpoint);
+        let out = self.write_checkpoint(trace.as_ref());
+        pinned.finish_write(trace, &out);
+        out
+    }
+
+    /// The body of [`PersistentStore::checkpoint`], spanned into `trace`.
+    fn write_checkpoint(&self, trace: Option<&WriteTrace>) -> Result<CheckpointReport, StoreError> {
         let mut wal = self.lock_wal();
         if wal.is_crashed() {
             // The log tail on disk is damaged and memory has diverged from
@@ -396,40 +316,34 @@ impl PersistentStore {
         }
         let applied_seqno = wal.next_seqno() - 1;
         let store = self.shared.read();
-        let image = image_of(&store, applied_seqno)?;
-        let (path, bytes) = snapshot::write_segment(&self.dir, &image).map_err(crate::io_err)?;
-        wal.truncate().map_err(crate::io_err)?;
+        if let Some(trace) = trace {
+            trace.snapshot(&store);
+        }
+        let (path, bytes) = span(trace, "segment_write", || {
+            let image = image_of(&store, applied_seqno)?;
+            snapshot::write_segment(&self.dir, &image).map_err(crate::io_err)
+        })?;
+        span(trace, "wal_truncate", || wal.truncate()).map_err(crate::io_err)?;
         // GC old generations while the WAL lock still serialises us
         // against concurrent checkpoints. A GC failure is not a
         // checkpoint failure — the new segment and truncated log are
         // already durable; leftovers just wait for the next pass.
-        let segments_removed = match snapshot::gc_segments(&self.dir, self.segment_retain()) {
+        let gc = span(trace, "segment_gc", || {
+            snapshot::gc_segments(&self.dir, self.segment_retain())
+        });
+        let segments_removed = match gc {
             Ok(removed) => removed.len(),
             Err(e) => {
-                if self.recorder.enabled() {
-                    self.recorder
-                        .global_event("segment_gc_error", e.to_string());
-                }
+                store
+                    .flight_recorder()
+                    .global_event("segment_gc_error", e.to_string());
                 0
             }
         };
-        let checkpoint_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if self.metrics.enabled() {
-            self.metrics.checkpoints.inc();
-            self.metrics.checkpoint_ns.record(checkpoint_ns);
-            self.metrics
-                .segment_bytes
-                .set(i64::try_from(bytes).unwrap_or(i64::MAX));
-            self.metrics.segments_removed.add(segments_removed as u64);
-        }
-        if self.recorder.enabled() {
-            self.recorder.global_event(
-                "checkpoint",
-                format!(
-                    "applied_seqno={applied_seqno} bytes={bytes} \
-                     segments_removed={segments_removed} ns={checkpoint_ns}"
-                ),
-            );
+        if store.metrics.enabled() {
+            store.metrics.checkpoints.inc();
+            set_gauge(&store.metrics.segment_bytes, bytes);
+            store.metrics.segments_removed.add(segments_removed as u64);
         }
         Ok(CheckpointReport {
             path,
@@ -455,6 +369,66 @@ fn wal_err(e: WalError) -> StoreError {
     StoreError::Other(format!("wal: {e}"))
 }
 
+/// Append one operation to the WAL (whose lock the caller holds) inside
+/// `store`'s write: one `wal_append` and one `wal_fsync` span.
+fn log(store: &DocStore, wal: &mut Wal, op: WalOp) -> Result<(), StoreError> {
+    let receipt = wal.append(op).map_err(wal_err)?;
+    if store.metrics.enabled() {
+        store.metrics.wal_appends.inc();
+        store.metrics.wal_bytes.add(receipt.frame_len);
+    }
+    if let Some(trace) = &store.trace {
+        trace.stamp("wal_append", receipt.write);
+        trace.stamp("wal_fsync", receipt.fsync);
+    }
+    Ok(())
+}
+
+/// Load the newest valid segment into a fresh `store`, then replay the
+/// WAL's valid tail past it; returns the opened log and what was found.
+fn recover_into(store: &mut DocStore, dir: &Path) -> Result<(Wal, RecoveryReport), StoreError> {
+    let (segment, segments_skipped) = span(store.trace.as_ref(), "segment_load", || {
+        snapshot::load_newest_valid(dir)
+    })
+    .map_err(crate::io_err)?;
+    let (segment_seqno, segment_bytes) = match &segment {
+        Some((seqno, image, bytes)) => {
+            restore_into(store, image)?;
+            (Some(*seqno), *bytes)
+        }
+        None => (None, 0),
+    };
+    let (mut wal, scanned) = span(store.trace.as_ref(), "wal_scan", || {
+        Wal::open(&dir.join(WAL_FILE))
+    })
+    .map_err(crate::io_err)?;
+    let applied = segment_seqno.unwrap_or(0);
+    let tail: Vec<_> = scanned
+        .records
+        .into_iter()
+        .filter(|r| r.seqno > applied)
+        .collect();
+    replay(store, &tail)?;
+    wal.set_next_seqno(applied + 1);
+    let m = &store.metrics;
+    if m.enabled() {
+        m.recovery_replayed_records.add(tail.len() as u64);
+        m.recovery_truncated_bytes.add(scanned.truncated_bytes);
+        if segment_bytes > 0 {
+            set_gauge(&m.segment_bytes, segment_bytes);
+        }
+    }
+    Ok((
+        wal,
+        RecoveryReport {
+            segment_seqno,
+            segments_skipped,
+            replayed_records: tail.len(),
+            truncated_bytes: scanned.truncated_bytes,
+        },
+    ))
+}
+
 fn seg_err(e: snapshot::SegmentError) -> StoreError {
     StoreError::Other(format!("segment: {e}"))
 }
@@ -473,7 +447,7 @@ fn upgrade_meta(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
 /// Capture a store's data as a [`StoreImage`] (deterministic: every
 /// section is emitted in a canonical order). The `text` mapping and the
 /// indexes are derived from it, so they are not captured.
-fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, StoreError> {
+fn image_of(store: &DocStore, applied_seqno: u64) -> Result<StoreImage, StoreError> {
     let mut objects = Vec::with_capacity(store.instance.object_count());
     for (oid, class, value) in store.instance.objects() {
         if oid.0 as usize != objects.len() {
@@ -505,7 +479,7 @@ fn image_of(store: &crate::DocStore, applied_seqno: u64) -> Result<StoreImage, S
 /// inverse of [`image_of`]: object slots are re-created in oid order (which
 /// reproduces the original oids), then their texts and both indexes are
 /// derived from them the way ingest derives them.
-fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), StoreError> {
+fn restore_into(store: &mut DocStore, image: &StoreImage) -> Result<(), StoreError> {
     for (i, (class, value)) in image.objects.iter().enumerate() {
         let oid = store
             .instance
@@ -529,10 +503,7 @@ fn restore_into(store: &mut crate::DocStore, image: &StoreImage) -> Result<(), S
 }
 
 /// Replay a WAL tail onto a store, one record at a time in log order.
-fn replay(
-    store: &mut crate::DocStore,
-    records: &[docql_durable::WalRecord],
-) -> Result<(), StoreError> {
+fn replay(store: &mut DocStore, records: &[docql_durable::WalRecord]) -> Result<(), StoreError> {
     for record in records {
         match &record.op {
             WalOp::Ingest { sgml } => store.ingest(sgml).map(drop)?,

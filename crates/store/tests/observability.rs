@@ -299,8 +299,11 @@ fn shared_store_serves_profiles_and_slow_log_counter() {
     let shared = docql_store::SharedStore::new(article_store(2));
     shared.set_metrics_enabled(true);
     shared
-        .write()
-        .set_slow_query_threshold(Some(std::time::Duration::ZERO));
+        .write(|s| {
+            s.set_slow_query_threshold(Some(std::time::Duration::ZERO));
+            Ok(())
+        })
+        .unwrap();
     let q = "select t from Articles PATH_p.title(t)";
     let direct = shared.query_algebraic(q).unwrap();
     let report = shared

@@ -8,7 +8,7 @@ use docql_corpus::{
 };
 use docql_model::{sym, Value};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
-use docql_store::DocStore;
+use docql_store::{DocStore, SharedStore};
 use std::collections::BTreeSet;
 
 fn article_store(n_docs: usize) -> DocStore {
@@ -384,4 +384,25 @@ fn constraint_violations_surface_after_bad_update() {
         errs.iter().any(|e| e.to_string().contains("authors")),
         "{errs:?}"
     );
+}
+
+#[test]
+fn wrong_shape_update_is_refused_before_anything_changes() {
+    let shared = SharedStore::new(docql_store::paper_store().unwrap());
+    let root = shared.read().documents()[0];
+    let err = shared
+        .write(|s| s.update_value(root, Value::str("x")))
+        .unwrap_err()
+        .to_string();
+    // `ModelError::TypeMismatch`'s rendering.
+    assert!(err.contains("\"x\" is not in dom("), "{err}");
+    assert_eq!(shared.snapshot_version(), 0, "nothing was published");
+    let store = shared.read();
+    assert!(store.check().is_empty(), "{:?}", store.check());
+    assert!(store.export(root).is_ok());
+    // A bare store refuses it the same way and stays unchanged.
+    let mut bare = docql_store::paper_store().unwrap();
+    assert!(bare.update_value(root, Value::str("x")).is_err());
+    assert!(bare.check().is_empty());
+    assert!(bare.export(root).is_ok());
 }

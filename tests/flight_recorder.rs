@@ -14,7 +14,9 @@
 //! * the recent ring evicts oldest-first at capacity while the slow
 //!   reservoir retains its traces through bursts of fast queries;
 //! * `EXPLAIN ANALYZE` is a trace with operator timing on: the filed
-//!   trace, the report and the phase histograms agree on one record.
+//!   trace, the report and the phase histograms agree on one record;
+//! * every write, durable write and checkpoint files exactly one trace
+//!   with its named spans, and the write-side histograms are views of it.
 
 use docql::prelude::*;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
@@ -289,9 +291,9 @@ fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
             done.store(true, Ordering::Release);
         });
         while !writer_done.load(Ordering::Acquire) {
-            let _ = store.query(q);
-            let recent = store.read().flight_recorder().recent();
-            let t = recent.last().expect("query traced");
+            // The query's own trace: write traces share the ring.
+            let (_, t) = store.query_traced(q, Mode::Interpret, &QueryLimits::none());
+            let t = t.expect("query traced");
             if t.has_event("wal_append") || t.has_event("checkpoint") {
                 assert!(
                     t.events
@@ -373,11 +375,12 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
 
     let recorder = shared.read().flight_recorder().clone();
     // Accounting: every traced query left exactly one trace (the reference
-    // pass ran before tracing was enabled), and the ring never overfills.
+    // pass ran before tracing was enabled), each of the 8 ingests one write
+    // trace, and the ring never overfills.
     assert_eq!(
         recorder.recorded(),
-        served.load(Ordering::Relaxed) as u64,
-        "one trace per served query, none lost, none duplicated"
+        served.load(Ordering::Relaxed) as u64 + 8,
+        "one trace per served query and per write, none lost, none duplicated"
     );
     assert!(recorder.len() <= recorder.capacity());
 
@@ -390,6 +393,11 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
         assert!(ids.insert(t.id.0), "duplicate trace id {}", t.id);
         assert!(t.snapshot_version <= final_version);
         assert_eq!(t.outcome, "ok", "stress queries all succeed: {}", t.query);
+        if t.query == "ingest 1 document" {
+            assert_eq!(span_names(&t), INGEST_SPANS, "{}", t.to_json());
+            assert!(t.snapshot_version >= 1, "a write trace names its version");
+            continue;
+        }
         assert!(!t.operators.is_empty(), "algebraic trace without op spans");
         assert!(
             t.phase_ns("execute").is_some(),
@@ -493,4 +501,143 @@ fn explain_analyze_trace_is_the_report_and_feeds_the_histograms() {
             "{name} counts the query once"
         );
     }
+}
+
+/// The span names of a trace, in order.
+fn span_names(t: &QueryTrace) -> Vec<&'static str> {
+    t.phases.iter().map(|p| p.name).collect()
+}
+
+/// The spans of a one-document in-memory ingest.
+const INGEST_SPANS: [&str; 6] = [
+    "fork",
+    "sgml_parse",
+    "load",
+    "text_index",
+    "extent_index",
+    "snapshot_publish",
+];
+
+/// The one trace `recorder` filed since it had filed `before`.
+fn only_trace_since(recorder: &FlightRecorder, before: u64) -> std::sync::Arc<QueryTrace> {
+    assert_eq!(recorder.recorded(), before + 1, "exactly one trace filed");
+    recorder.recent().pop().expect("a retained trace")
+}
+
+/// The trace's spans sum to no more than its wall time.
+fn assert_spans_fit(t: &QueryTrace) {
+    let spans: u64 = t.phases.iter().map(|p| p.ns).sum();
+    assert!(
+        spans <= t.total_ns,
+        "spans exceed the total: {}",
+        t.to_json()
+    );
+}
+
+#[test]
+fn writes_and_checkpoints_each_file_one_trace_of_named_spans() {
+    // An in-memory ingest: one write, one trace.
+    let shared = SharedStore::new(article_store(2));
+    shared.set_tracing_enabled(true);
+    shared.set_metrics_enabled(true);
+    let recorder = shared.read().flight_recorder().clone();
+    let before = recorder.recorded();
+    shared.ingest(&article_sgml(10)).unwrap();
+    let t = only_trace_since(&recorder, before);
+    assert_eq!(t.query, "ingest 1 document");
+    assert_eq!(t.outcome, "ok");
+    assert_eq!(span_names(&t), INGEST_SPANS, "{}", t.to_json());
+    assert_eq!(t.snapshot_version, 1, "the version the write published");
+    assert_spans_fit(&t);
+
+    // A failed write files its trace as an error and publishes nothing.
+    let before = recorder.recorded();
+    assert!(shared.ingest("<article><title>unterminated").is_err());
+    let t = only_trace_since(&recorder, before);
+    assert_eq!(t.outcome, "error");
+    assert!(t.detail.is_some());
+    assert_eq!(span_names(&t), ["fork", "sgml_parse"]);
+    assert_eq!(shared.snapshot_version(), 1);
+
+    // A durable ingest of two documents: one trace, a WAL record each.
+    let dir = docql::durable::TempDir::new("docql-write-traces").unwrap();
+    let (ps, _) =
+        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+    ps.read().set_tracing_enabled(true);
+    let recorder = ps.read().flight_recorder().clone();
+    let before = recorder.recorded();
+    let (a, b) = (article_sgml(0), article_sgml(1));
+    ps.ingest_batch(&[&a, &b]).unwrap();
+    let t = only_trace_since(&recorder, before);
+    assert_eq!(t.query, "ingest 2 documents");
+    #[rustfmt::skip]
+    let expected = [
+        "fork", "sgml_parse",
+        "load", "text_index", "extent_index", // per document
+        "load", "text_index", "extent_index",
+        "wal_append", "wal_fsync", // per WAL record
+        "wal_append", "wal_fsync",
+        "snapshot_publish",
+    ];
+    assert_eq!(span_names(&t), expected, "{}", t.to_json());
+    assert_spans_fit(&t);
+
+    // A checkpoint: one trace of its own.
+    let before = recorder.recorded();
+    ps.checkpoint().unwrap();
+    let t = only_trace_since(&recorder, before);
+    assert_eq!(t.query, "checkpoint");
+    assert_eq!(
+        span_names(&t),
+        ["segment_write", "wal_truncate", "segment_gc"],
+        "{}",
+        t.to_json()
+    );
+    assert_spans_fit(&t);
+}
+
+#[test]
+fn write_histograms_count_once_per_document_record_and_checkpoint() {
+    let dir = docql::durable::TempDir::new("docql-write-histograms").unwrap();
+    let (ps, _) =
+        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+    // Tracing on as well, so write traces are filed while they feed the
+    // histograms; each must be counted once either way.
+    ps.read().set_metrics_enabled(true);
+    ps.read().set_tracing_enabled(true);
+    let texts: Vec<String> = (0..3).map(article_sgml).collect();
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    ps.ingest_batch(&refs).unwrap();
+    let root = ps.ingest(&article_sgml(3)).unwrap();
+    ps.bind("my_article", root).unwrap();
+    ps.checkpoint().unwrap();
+    ps.checkpoint().unwrap();
+
+    let snap = ps.read().metrics_registry().snapshot();
+    let count = |name: &str| snap.histogram(name).map(|h| h.count);
+    assert_eq!(count("docql_store_ingest_ns"), Some(4), "once per document");
+    assert_eq!(count("docql_store_extent_build_ns"), Some(4));
+    assert_eq!(snap.counter("docql_store_docs_ingested_total"), Some(4));
+    assert_eq!(
+        count("docql_durable_wal_append_ns"),
+        Some(5),
+        "once per record"
+    );
+    assert_eq!(
+        count("docql_durable_wal_fsync_ns"),
+        Some(5),
+        "once per record"
+    );
+    assert_eq!(snap.counter("docql_durable_wal_appends_total"), Some(5));
+    assert_eq!(
+        count("docql_durable_checkpoint_ns"),
+        Some(2),
+        "once per checkpoint"
+    );
+    assert_eq!(snap.counter("docql_durable_checkpoints_total"), Some(2));
+    assert_eq!(
+        snap.counter("docql_store_snapshots_published_total"),
+        Some(3),
+        "one publication per write"
+    );
 }

@@ -636,12 +636,13 @@ fn wal_and_checkpoint_metrics_are_recorded() {
     ps.read().set_metrics_enabled(true);
     ps.ingest(&article_sgml(0)).unwrap();
     ps.ingest(&article_sgml(1)).unwrap();
-    let m = ps.durable_metrics();
-    assert_eq!(m.wal_appends.get(), 2);
-    assert!(m.wal_bytes.get() > 0);
+    let snap = ps.read().metrics_registry().snapshot();
+    assert_eq!(snap.counter("docql_durable_wal_appends_total"), Some(2));
+    assert!(snap.counter("docql_durable_wal_bytes_total").unwrap() > 0);
     ps.checkpoint().unwrap();
-    assert_eq!(m.checkpoints.get(), 1);
-    assert!(m.segment_bytes.get() > 0);
+    let snap = ps.read().metrics_registry().snapshot();
+    assert_eq!(snap.counter("docql_durable_checkpoints_total"), Some(1));
+    assert!(snap.gauge("docql_durable_segment_bytes").unwrap() > 0);
     let prom = ps.read().metrics_registry().to_prometheus();
     assert!(prom.contains("docql_durable_wal_appends_total"), "{prom}");
     assert!(prom.contains("docql_durable_checkpoints_total"), "{prom}");

@@ -110,8 +110,7 @@ fn q6_letters_pinned_snapshot_is_isolated() {
                     sender_first: Some(true),
                     paras: 2,
                 });
-                let mut txn = writer.write();
-                txn.ingest_document(&doc).unwrap();
+                writer.write(|txn| txn.ingest_document(&doc)).unwrap();
             }
         });
         let pinned = &pinned;
@@ -158,14 +157,14 @@ fn pinned_snapshot_keeps_its_text_after_an_update() {
     let old_text = pinned.text_of(title).unwrap();
     assert!(!old_text.contains("Retitled"));
 
-    {
-        let mut txn = shared.write();
-        txn.update_value(
-            title,
-            Value::tuple([("contents", Value::str("Retitled in a write transaction"))]),
-        )
-        .unwrap();
-    } // dropping the transaction publishes it
+    shared
+        .write(|txn| {
+            txn.update_value(
+                title,
+                Value::tuple([("contents", Value::str("Retitled in a write transaction"))]),
+            )
+        })
+        .unwrap(); // a successful write publishes
 
     assert_eq!(pinned.text_of(title).as_deref(), Some(old_text.as_str()));
     assert_eq!(pinned.query(retitled).unwrap().len(), 0);
