@@ -33,8 +33,10 @@ DOCQL_FAULT=0xD0C41994 cargo test -q --test recovery
 echo "==> serving-tier suites (parser properties, robustness, chaos battery, HTTP smoke)"
 # server_smoke boots the docql-serve binary on a temp store and proves
 # Q1-Q6 over HTTP byte-identical to in-process, /metrics + /healthz
-# serve, and graceful shutdown + restart recovery; chaos runs the
-# 64-seed hostile-client battery and kill -9 recovery.
+# serve, and graceful shutdown + restart recovery; robustness includes
+# the keep-alive load gate (1, 8 and 64 connections, reconnecting on
+# Connection: close); chaos runs the 64-seed hostile-client battery and
+# kill -9 recovery.
 DOCQL_FAULT=0xD0C41994 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 \
     cargo test -q -p docql-serve
 
@@ -99,9 +101,6 @@ echo "==> B10/B15 observability-overhead smoke (disabled/metrics/traced/sink/pro
 b15_out=$(DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench trace_overhead)
 grep "^B10 interleaved" <<<"$b15_out"
 grep "^B15 interleaved" <<<"$b15_out"
-
-echo "==> B16 serve-load smoke (HTTP over the wire, 1 ms windows)"
-DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench serve_load | grep "^B16"
 
 echo "==> profile_query example (EXPLAIN ANALYZE + metrics export)"
 cargo run -q --example profile_query >/dev/null

@@ -82,9 +82,7 @@ impl QueryResult {
     }
 
     /// The body rows of [`QueryResult::to_table`], rendered and sorted but
-    /// not newline-terminated. Shared with the serving tier's chunked
-    /// streaming writer, which is what keeps streamed bodies byte-identical
-    /// to in-process `to_table()` output.
+    /// not newline-terminated.
     pub fn rendered_rows(&self) -> Vec<String> {
         let mut rendered: Vec<String> = self
             .rows

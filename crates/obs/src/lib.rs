@@ -5,7 +5,7 @@
 //! dependency.
 //!
 //! - [`metric`] — the primitives: [`Counter`], [`Gauge`], and the
-//!   log2-bucket [`Histogram`] with [`Span`] timers. Handles are `Arc`
+//!   log2-bucket [`Histogram`]. Handles are `Arc`
 //!   clones, so a hot path and an exporter share the same cells.
 //! - [`registry`] — [`MetricsRegistry`]: a named namespace with an enable
 //!   flag (one relaxed load — the per-query gate), snapshots, and
@@ -30,7 +30,7 @@ pub mod serve;
 pub mod slowlog;
 pub mod trace;
 
-pub use metric::{bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, Span, BUCKETS};
+pub use metric::{bucket_of, bucket_upper_bound, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{
     HistogramSnapshot, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SharedRegistry,
 };

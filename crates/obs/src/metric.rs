@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -147,20 +146,6 @@ impl Histogram {
         self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Release);
     }
 
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Start a span that records its elapsed nanoseconds here when dropped.
-    pub fn start_span(&self) -> Span {
-        Span {
-            hist: self.clone(),
-            start: Instant::now(),
-        }
-    }
-
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -195,29 +180,6 @@ impl Histogram {
         }
         self.0.sum.store(0, Ordering::Relaxed);
         self.0.count.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A running timer that records into its histogram on drop.
-pub struct Span {
-    hist: Histogram,
-    start: Instant,
-}
-
-impl Span {
-    /// Stop now and record (equivalent to dropping, but explicit at call
-    /// sites where the scope would otherwise be unclear).
-    pub fn finish(self) {}
-
-    /// Elapsed time so far, without stopping.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
     }
 }
 
@@ -279,15 +241,5 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.buckets().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn span_records_on_drop() {
-        let h = Histogram::new();
-        {
-            let _s = h.start_span();
-        }
-        h.start_span().finish();
-        assert_eq!(h.count(), 2);
     }
 }

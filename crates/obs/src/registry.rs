@@ -8,13 +8,12 @@
 //! what keeps instrumentation always-compiled yet within noise.
 //!
 //! Each `DocStore` owns its own registry so per-store counts stay exact
-//! under parallel test execution; [`MetricsRegistry::global`] exists for
-//! embedders that want one process-wide namespace.
+//! under parallel test execution.
 
 use crate::metric::{bucket_upper_bound, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A handle to any registered metric.
 #[derive(Clone, Debug)]
@@ -199,13 +198,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The process-wide registry (for embedders that want one namespace;
-    /// `DocStore` uses a per-store registry instead).
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
     /// Is recording on? One relaxed load — the per-query gate.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -270,12 +262,6 @@ impl MetricsRegistry {
     pub fn register_gauge(&self, name: &str, g: &Gauge) {
         self.lock()
             .insert(name.to_string(), Metric::Gauge(g.clone()));
-    }
-
-    /// Adopt an existing histogram under `name`.
-    pub fn register_histogram(&self, name: &str, h: &Histogram) {
-        self.lock()
-            .insert(name.to_string(), Metric::Histogram(h.clone()));
     }
 
     /// Read every metric at this instant.

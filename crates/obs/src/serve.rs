@@ -33,7 +33,7 @@ pub struct ServeMetrics {
     pub responses_5xx: Counter,
     /// Wall nanoseconds per request (request parsed → response written).
     pub request_ns: Histogram,
-    /// Response body bytes streamed (chunk payloads, headers excluded).
+    /// `/query` result body bytes sent (`200` bodies, headers excluded).
     pub bytes_streamed: Counter,
     /// Requests cut off by the per-connection read deadline (slow-loris
     /// defense; answered `408` best-effort).

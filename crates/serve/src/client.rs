@@ -1,8 +1,8 @@
 //! A small blocking HTTP/1.1 client, just capable enough to talk to this
-//! crate's server: keep-alive, fixed-length and chunked bodies, trailers.
-//! The integration suites, the chaos battery, the CI smoke step, and bench
-//! B16's load generator all drive the server through it, so the server is
-//! exercised over real sockets rather than in-process shortcuts.
+//! crate's server: keep-alive and `Content-Length` bodies, the only
+//! framing the server sends. The integration suites and the chaos battery
+//! drive the server through it, so the server is exercised over real
+//! sockets rather than in-process shortcuts.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -15,19 +15,15 @@ pub struct HttpResponse {
     pub status: u16,
     /// Headers in arrival order.
     pub headers: Vec<(String, String)>,
-    /// The decoded body (chunk framing removed).
+    /// The body.
     pub body: Vec<u8>,
-    /// Trailers, when the body was chunked.
-    pub trailers: Vec<(String, String)>,
 }
 
 impl HttpResponse {
-    /// First value of `name` among headers then trailers,
-    /// case-insensitively.
+    /// First value of header `name`, case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
-            .chain(self.trailers.iter())
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
@@ -135,44 +131,16 @@ impl HttpClient {
                 )
             })?;
         let headers = self.read_header_block()?;
-        let find = |name: &str| {
-            headers
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        };
-
-        let mut body = Vec::new();
-        let mut trailers = Vec::new();
-        if find("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-            loop {
-                let size_line = self.read_line()?;
-                let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad chunk size: {size_line:?}"),
-                    )
-                })?;
-                if size == 0 {
-                    trailers = self.read_header_block()?;
-                    break;
-                }
-                let mut chunk = vec![0u8; size];
-                self.reader.read_exact(&mut chunk)?;
-                body.extend_from_slice(&chunk);
-                let mut crlf = [0u8; 2];
-                self.reader.read_exact(&mut crlf)?;
-            }
-        } else if let Some(n) = find("content-length").and_then(|v| v.parse::<usize>().ok()) {
-            body = vec![0u8; n];
-            self.reader.read_exact(&mut body)?;
-        }
-
-        Ok(HttpResponse {
+        let mut response = HttpResponse {
             status,
             headers,
-            body,
-            trailers,
-        })
+            body: Vec::new(),
+        };
+        let len = response
+            .header("content-length")
+            .and_then(|v| v.parse().ok());
+        response.body = vec![0u8; len.unwrap_or(0)];
+        self.reader.read_exact(&mut response.body)?;
+        Ok(response)
     }
 }

@@ -1,5 +1,6 @@
 //! A deliberately small HTTP/1.1 wire layer: a bounded request parser and
-//! response writers (fixed-length and chunked-with-trailers).
+//! response writers (fixed-length, which the server uses for every
+//! response, and chunked-with-trailers).
 //!
 //! The parser is written for hostile input. Every byte read is charged
 //! against a hard limit ([`ParseLimits`]), so a peer can make us hold at
@@ -239,7 +240,8 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write a complete fixed-length response. `close` adds
-/// `Connection: close`.
+/// `Connection: close`. Head and body leave in one `write`, so a response
+/// never goes out as several small segments on a `TCP_NODELAY` socket.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -247,25 +249,26 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
+    let mut wire = Vec::with_capacity(256 + body.len());
+    write!(wire, "HTTP/1.1 {status} {}\r\n", reason(status))?;
     for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    head.push_str("Content-Type: text/plain; charset=utf-8\r\n");
+    write!(wire, "Content-Length: {}\r\n", body.len())?;
+    wire.extend_from_slice(b"Content-Type: text/plain; charset=utf-8\r\n");
     if close {
-        head.push_str("Connection: close\r\n");
+        wire.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
-/// A `Transfer-Encoding: chunked` response in progress: rows stream out
-/// one chunk at a time and the governance outcome rides in HTTP trailers,
-/// so a partial (degraded) result is flagged *after* its prefix has
-/// already been delivered.
+/// A `Transfer-Encoding: chunked` response in progress: data goes out one
+/// chunk at a time and trailers follow the last chunk. The server itself
+/// answers every route with [`write_response`]; this writer remains for
+/// tools that model or test chunked framing.
 pub struct ChunkedWriter<'a, W: Write> {
     w: &'a mut W,
 }
@@ -348,6 +351,42 @@ mod tests {
             Some(413)
         );
         assert!(matches!(parse(b""), Err(HttpError::Closed)));
+    }
+
+    /// A writer that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        for body in [Vec::new(), vec![b'x'; 64 * 1024]] {
+            let mut w = CountingWriter::default();
+            let headers = [("X-Docql-Rows", "1".to_string())];
+            write_response(&mut w, 200, &headers, &body, true).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte body", body.len());
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nX-Docql-Rows: 1\r\nContent-Length: {}\r\n\
+                 Content-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n",
+                body.len()
+            );
+            assert_eq!(&w.bytes[..head.len()], head.as_bytes());
+            assert_eq!(&w.bytes[head.len()..], &body[..]);
+        }
     }
 
     #[test]

@@ -6,21 +6,21 @@
 //! failure mode mapped to a typed, observable outcome.
 //!
 //! - [`http`] — the bounded request parser (hard head/body ceilings →
-//!   `431`/`413`/`400`, socket deadlines → `408`) and response writers,
-//!   including chunked streaming with governance trailers.
+//!   `431`/`413`/`400`, socket deadlines → `408`) and response writers:
+//!   every response leaves as one fixed-length write.
 //! - [`server`] — the fixed accept/worker pool (the one concurrency
 //!   limit), backpressure (`503` + `Retry-After`), per-request
 //!   `X-Docql-*` limits, cancel-on-disconnect,
 //!   and graceful drain + checkpoint-on-shutdown.
-//! - [`client`] — the small blocking client the tests, chaos battery, CI
-//!   smoke step, and bench B16 drive the server with.
+//! - [`client`] — the small blocking client the tests and the chaos
+//!   battery drive the server with.
 //! - [`signal`] — `SIGINT`/`SIGTERM` → drain, for the binary.
 //!
 //! ## Routes
 //!
 //! | Route | Method | Purpose |
 //! |---|---|---|
-//! | `/query` | POST | O₂SQL text in the body; chunked table out |
+//! | `/query` | POST | O₂SQL text in the body; result table out |
 //! | `/ingest` | POST | SGML document in the body; `201` + oid |
 //! | `/bind` | POST | `<root-name> <oid>` in the body; `204` |
 //! | `/metrics` | GET | Prometheus text exposition |
@@ -32,8 +32,10 @@
 //! Per-request governance headers on `/query`: `X-Docql-Deadline-Ms`,
 //! `X-Docql-Row-Budget`, `X-Docql-Path-Fuel`, `X-Docql-Degrade`,
 //! `X-Docql-Mode` (`interp`|`algebraic`). Responses echo
-//! `X-Docql-Trace-Id` and carry `X-Docql-Rows` / `X-Docql-Partial`
-//! trailers after the chunked body.
+//! `X-Docql-Trace-Id`; a `200` also carries `X-Docql-Rows` and
+//! `X-Docql-Partial` headers (`none`, or the limit a degraded result hit).
+//! Every response has a `Content-Length` body: `/query` sends the same
+//! bytes as in-process `QueryResult::to_table()`.
 
 #![warn(missing_docs)]
 

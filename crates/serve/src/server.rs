@@ -26,7 +26,7 @@
 //!   drains in-flight work under a deadline, force-cancels stragglers,
 //!   then checkpoints a persistent store.
 
-use crate::http::{read_request, write_response, ChunkedWriter, HttpError, ParseLimits, Request};
+use crate::http::{read_request, write_response, HttpError, ParseLimits, Request};
 use docql_guard::{CancelProbe, CancelToken, ExecError, QueryLimits};
 use docql_model::Oid;
 use docql_o2sql::{Mode, QueryResult};
@@ -446,7 +446,12 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                     let close = !req.keep_alive()
                         || served == max_requests
                         || inner.draining.load(Ordering::SeqCst);
-                    let keep_going = respond(inner, &mut stream, &req, conn_id, close);
+                    let mut peer = Peer {
+                        stream: &mut stream,
+                        id: conn_id,
+                        close,
+                    };
+                    let keep_going = respond(inner, &mut peer, &req);
                     if inner.metrics.enabled() {
                         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         inner.metrics.request_ns.record(ns);
@@ -466,121 +471,119 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
     }
 }
 
+/// The connection a response goes back on.
+struct Peer<'a> {
+    stream: &'a mut TcpStream,
+    /// Tags the connection's flight-recorder events.
+    id: u64,
+    /// This response is the connection's last (`Connection: close`).
+    close: bool,
+}
+
 /// Write a complete response, counting it by status class. Returns
-/// whether the peer received it (a failed write means it is gone).
+/// whether the peer received it: a failed write means it is gone, and is
+/// counted as a client disconnect.
 fn send(
     inner: &Inner,
-    stream: &mut TcpStream,
+    peer: &mut Peer,
     status: u16,
     headers: &[(&str, String)],
     body: &[u8],
-    close: bool,
 ) -> bool {
     inner.metrics.count_status(status);
-    write_response(stream, status, headers, body, close).is_ok()
+    if write_response(peer.stream, status, headers, body, peer.close).is_ok() {
+        return true;
+    }
+    if inner.metrics.enabled() {
+        inner.metrics.client_disconnects.inc();
+    }
+    inner.recorder.connection_event(
+        "conn_disconnect_midstream",
+        peer.id,
+        "write failed while sending the response",
+    );
+    false
 }
 
 /// Routes. Returns `false` when the connection should close (write
 /// failure — the peer is gone).
-fn respond(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    req: &Request,
-    conn_id: u64,
-    close: bool,
-) -> bool {
-    let draining = inner.draining.load(Ordering::SeqCst);
-    let retry = ("Retry-After", inner.config.retry_after_secs.to_string());
+fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
+    let route = (req.method.as_str(), req.path.as_str());
+    let refused_while_draining = matches!(
+        route,
+        ("GET", "/healthz") | ("POST", "/query" | "/ingest" | "/bind")
+    );
+    if refused_while_draining && inner.draining.load(Ordering::SeqCst) {
+        let retry = ("Retry-After", inner.config.retry_after_secs.to_string());
+        return send(inner, peer, 503, &[retry], b"draining\n");
+    }
 
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            if draining {
-                send(inner, stream, 503, &[retry], b"draining\n", close)
-            } else {
-                send(inner, stream, 200, &[], b"ok\n", close)
-            }
-        }
+    match route {
+        ("GET", "/healthz") => send(inner, peer, 200, &[], b"ok\n"),
         ("GET", "/metrics") => {
             let text = inner.store.read().metrics_registry().to_prometheus();
-            send(inner, stream, 200, &[], text.as_bytes(), close)
+            send(inner, peer, 200, &[], text.as_bytes())
         }
         ("GET", "/metrics.json") => {
             let text = inner.store.read().metrics_registry().to_json();
-            send(inner, stream, 200, &[], text.as_bytes(), close)
+            send(inner, peer, 200, &[], text.as_bytes())
         }
         ("GET", "/traces") => {
             let text = inner.recorder.to_json();
-            send(inner, stream, 200, &[], text.as_bytes(), close)
+            send(inner, peer, 200, &[], text.as_bytes())
         }
-        ("POST", "/query") => {
-            if draining {
-                send(inner, stream, 503, &[retry], b"draining\n", close)
-            } else {
-                serve_query(inner, stream, req, conn_id, close)
-            }
-        }
-        ("POST", "/ingest") => {
-            if draining {
-                send(inner, stream, 503, &[retry], b"draining\n", close)
-            } else {
-                match std::str::from_utf8(&req.body) {
-                    Err(_) => send(inner, stream, 400, &[], b"body is not UTF-8\n", close),
-                    Ok(sgml) => match inner.store.ingest(sgml) {
-                        Ok(oid) => {
-                            let headers = [("X-Docql-Oid", oid.to_string())];
-                            let body = format!("{}\n", oid.0);
-                            send(inner, stream, 201, &headers, body.as_bytes(), close)
-                        }
-                        Err(e) => {
-                            let body = format!("ingest failed: {e}\n");
-                            send(inner, stream, 400, &[], body.as_bytes(), close)
-                        }
-                    },
+        ("POST", "/query") => serve_query(inner, peer, req),
+        ("POST", "/ingest") => match std::str::from_utf8(&req.body) {
+            Err(_) => send(inner, peer, 400, &[], b"body is not UTF-8\n"),
+            Ok(sgml) => match inner.store.ingest(sgml) {
+                Ok(oid) => {
+                    let headers = [("X-Docql-Oid", oid.to_string())];
+                    let body = format!("{}\n", oid.0);
+                    send(inner, peer, 201, &headers, body.as_bytes())
                 }
-            }
-        }
+                Err(e) => {
+                    let body = format!("ingest failed: {e}\n");
+                    send(inner, peer, 400, &[], body.as_bytes())
+                }
+            },
+        },
         ("POST", "/bind") => {
-            if draining {
-                send(inner, stream, 503, &[retry], b"draining\n", close)
-            } else {
-                let body = String::from_utf8_lossy(&req.body);
-                let mut parts = body.split_whitespace();
-                match (
-                    parts.next(),
-                    parts.next().and_then(|s| s.parse::<u32>().ok()),
-                ) {
-                    (Some(name), Some(id)) => match inner.store.bind(name, Oid(id)) {
-                        Ok(()) => send(inner, stream, 204, &[], b"", close),
-                        Err(e) => {
-                            let body = format!("bind failed: {e}\n");
-                            send(inner, stream, 400, &[], body.as_bytes(), close)
-                        }
-                    },
-                    _ => send(
-                        inner,
-                        stream,
-                        400,
-                        &[],
-                        b"expected body: <root-name> <oid-number>\n",
-                        close,
-                    ),
-                }
+            let body = String::from_utf8_lossy(&req.body);
+            let mut parts = body.split_whitespace();
+            match (
+                parts.next(),
+                parts.next().and_then(|s| s.parse::<u32>().ok()),
+            ) {
+                (Some(name), Some(id)) => match inner.store.bind(name, Oid(id)) {
+                    Ok(()) => send(inner, peer, 204, &[], b""),
+                    Err(e) => {
+                        let body = format!("bind failed: {e}\n");
+                        send(inner, peer, 400, &[], body.as_bytes())
+                    }
+                },
+                _ => send(
+                    inner,
+                    peer,
+                    400,
+                    &[],
+                    b"expected body: <root-name> <oid-number>\n",
+                ),
             }
         }
         ("POST", "/admin/shutdown") => {
             inner.shutdown_requested.store(true, Ordering::SeqCst);
             inner
                 .recorder
-                .connection_event("shutdown_requested", conn_id, "admin endpoint");
-            send(inner, stream, 202, &[], b"draining\n", close)
+                .connection_event("shutdown_requested", peer.id, "admin endpoint");
+            send(inner, peer, 202, &[], b"draining\n")
         }
         (_, "/healthz" | "/metrics" | "/metrics.json" | "/traces") => {
-            send(inner, stream, 405, &[], b"use GET\n", close)
+            send(inner, peer, 405, &[], b"use GET\n")
         }
         (_, "/query" | "/ingest" | "/bind" | "/admin/shutdown") => {
-            send(inner, stream, 405, &[], b"use POST\n", close)
+            send(inner, peer, 405, &[], b"use POST\n")
         }
-        _ => send(inner, stream, 404, &[], b"no such route\n", close),
+        _ => send(inner, peer, 404, &[], b"no such route\n"),
     }
 }
 
@@ -653,30 +656,24 @@ fn disconnect_probe(stream: &TcpStream) -> Option<CancelProbe> {
     }))
 }
 
-fn serve_query(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    req: &Request,
-    conn_id: u64,
-    close: bool,
-) -> bool {
+fn serve_query(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
     let Ok(src) = std::str::from_utf8(&req.body) else {
-        return send(inner, stream, 400, &[], b"query body is not UTF-8\n", close);
+        return send(inner, peer, 400, &[], b"query body is not UTF-8\n");
     };
     if src.trim().is_empty() {
-        return send(inner, stream, 400, &[], b"empty query body\n", close);
+        return send(inner, peer, 400, &[], b"empty query body\n");
     }
     let (limits, mode) = match request_limits(req) {
         Ok(v) => v,
         Err(msg) => {
             let body = format!("{msg}\n");
-            return send(inner, stream, 400, &[], body.as_bytes(), close);
+            return send(inner, peer, 400, &[], body.as_bytes());
         }
     };
 
     let token = CancelToken::new();
     let mut limits = limits.with_cancel(token.clone());
-    if let Some(probe) = disconnect_probe(stream) {
+    if let Some(probe) = disconnect_probe(peer.stream) {
         limits = limits.with_probe(probe);
     }
     let limits = limits.or(&inner.config.default_limits);
@@ -684,13 +681,13 @@ fn serve_query(
         .active_queries
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(conn_id, token.clone());
+        .insert(peer.id, token.clone());
     let (result, trace) = inner.store.query_traced(src, mode, &limits);
     inner
         .active_queries
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .remove(&conn_id);
+        .remove(&peer.id);
 
     let mut headers: Vec<(&str, String)> = Vec::new();
     if let Some(t) = &trace {
@@ -705,68 +702,27 @@ fn serve_query(
                 }
                 inner.recorder.connection_event(
                     "conn_disconnect_cancel",
-                    conn_id,
+                    peer.id,
                     "query cancelled",
                 );
             }
             let body = format!("{e}\n");
-            send(inner, stream, status, &headers, body.as_bytes(), close)
+            send(inner, peer, status, &headers, body.as_bytes())
         }
         Ok(result) => {
-            // Stream the table: header lines, then one chunk per row, so
-            // a large or degraded (partial-prefix) result reaches the
-            // client incrementally; the governance outcome rides in the
-            // trailers. The concatenated body is byte-identical to
-            // `QueryResult::to_table()`.
-            if close {
-                headers.push(("Connection", "close".to_string()));
-            }
-            let rows = result.rendered_rows();
-            let mut streamed = 0u64;
-            let write = (|| -> io::Result<()> {
-                let mut w = ChunkedWriter::begin(
-                    stream,
-                    200,
-                    &headers,
-                    &["X-Docql-Rows", "X-Docql-Partial"],
-                )?;
-                let head = result.table_header();
-                w.chunk(head.as_bytes())?;
-                streamed += head.len() as u64;
-                for row in &rows {
-                    w.chunk(format!("{row}\n").as_bytes())?;
-                    streamed += row.len() as u64 + 1;
-                }
-                let partial = match &result.partial {
-                    Some(trip) => trip.to_string(),
-                    None => "none".to_string(),
-                };
-                w.finish(&[
-                    ("X-Docql-Rows", rows.len().to_string()),
-                    ("X-Docql-Partial", partial),
-                ])
-            })();
+            // The governance outcome rides in headers, so a degraded
+            // (partial-prefix) result is flagged before its body.
+            let partial = match &result.partial {
+                Some(trip) => trip.to_string(),
+                None => "none".to_string(),
+            };
+            headers.push(("X-Docql-Rows", result.rows.len().to_string()));
+            headers.push(("X-Docql-Partial", partial));
+            let body = result.to_table();
             if inner.metrics.enabled() {
-                inner.metrics.count_status(200);
-                inner.metrics.bytes_streamed.add(streamed);
+                inner.metrics.bytes_streamed.add(body.len() as u64);
             }
-            match write {
-                Ok(()) => true,
-                Err(_) => {
-                    // The peer vanished mid-stream.
-                    if inner.metrics.enabled() {
-                        inner.metrics.client_disconnects.inc();
-                    }
-                    if inner.recorder.enabled() {
-                        inner.recorder.connection_event(
-                            "conn_disconnect_midstream",
-                            conn_id,
-                            "write failed while streaming rows",
-                        );
-                    }
-                    false
-                }
-            }
+            send(inner, peer, 200, &headers, body.as_bytes())
         }
     }
 }

@@ -1,8 +1,9 @@
 //! In-process server robustness: wire-level status goldens, backpressure
 //! (the worker pool and its bounded queue are the server's one
 //! concurrency limit: a queued request waits, an overflowing one gets
-//! `503`), cancel-on-disconnect, and drain force-cancel — each against a
-//! `Server::start`ed pool whose metrics we can read directly.
+//! `503`), cancel-on-disconnect, drain force-cancel, and keep-alive load
+//! with reconnects — each against a `Server::start`ed pool whose metrics
+//! we can read directly.
 
 mod common;
 
@@ -290,6 +291,65 @@ fn last_permitted_request_on_a_connection_says_close() {
         "the server closed after the third response"
     );
     handle.shutdown();
+}
+
+#[test]
+fn keep_alive_load_at_1_8_and_64_connections_answers_every_request() {
+    // Each connection loops Q3 a fixed number of times and reconnects
+    // whenever a response says `Connection: close`. Every answer must be a
+    // 200 carrying the in-process table, and the server must still drain
+    // in time after the load.
+    const REQUESTS_PER_CONN: usize = 10;
+    const MAX_PER_CONN: usize = 3;
+    let shared = match article_serve_store(10) {
+        ServeStore::Shared(shared) => shared,
+        ServeStore::Persistent(_) => unreachable!("an in-memory store"),
+    };
+    let q = "select t from my_article PATH_p.title(t)";
+    let expected = shared.query(q).unwrap().to_table();
+    let config = ServerConfig {
+        workers: 64,
+        queue_depth: 128,
+        max_requests_per_conn: MAX_PER_CONN,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(config, ServeStore::Shared(shared)).unwrap();
+    let addr = handle.addr();
+
+    for conns in [1, 8, 64] {
+        let threads: Vec<_> = (0..conns)
+            .map(|_| {
+                let expected = expected.clone();
+                std::thread::spawn(move || {
+                    let connect = || HttpClient::connect(addr, Duration::from_secs(10)).unwrap();
+                    let mut client = connect();
+                    let mut reconnects = 0;
+                    for n in 0..REQUESTS_PER_CONN {
+                        let resp = client.post("/query", &[], q.as_bytes()).unwrap();
+                        assert_eq!(resp.status, 200, "request {n}: {}", resp.text());
+                        assert_eq!(resp.text(), expected, "request {n}");
+                        if resp
+                            .header("connection")
+                            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+                        {
+                            client = connect();
+                            reconnects += 1;
+                        }
+                    }
+                    reconnects
+                })
+            })
+            .collect();
+        let reconnects: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(
+            reconnects,
+            conns * (REQUESTS_PER_CONN / MAX_PER_CONN),
+            "{conns} connections"
+        );
+    }
+
+    let report = handle.shutdown();
+    assert!(report.drained_in_time, "{report:?}");
 }
 
 #[test]

@@ -39,10 +39,28 @@ fn article_queries_over_http_are_byte_identical() {
             resp.header("X-Docql-Rows")
                 .and_then(|v| v.parse::<usize>().ok()),
             Some(expected.rows.len()),
-            "Q{} row trailer",
+            "Q{} row count header",
             i + 1
         );
         assert_eq!(resp.header("X-Docql-Partial"), Some("none"));
+        // One fixed-length framing: no chunked body, and the governance
+        // outcome arrives in the head rather than in trailers.
+        assert_eq!(resp.header("Transfer-Encoding"), None, "Q{}", i + 1);
+        assert_eq!(
+            resp.header("Content-Length"),
+            Some(resp.body.len().to_string().as_str()),
+            "Q{} Content-Length",
+            i + 1
+        );
+        for name in ["X-Docql-Rows", "X-Docql-Partial"] {
+            assert!(
+                resp.headers
+                    .iter()
+                    .any(|(n, _)| n.eq_ignore_ascii_case(name)),
+                "Q{}: {name} is not a response header",
+                i + 1
+            );
+        }
     }
 
     // The algebraic engine must agree over the wire too.
@@ -123,7 +141,7 @@ fn governance_headers_map_onto_statuses() {
     assert_eq!(resp.status, 422, "{}", resp.text());
 
     // The same budget with degrade: a 200 partial prefix, flagged in the
-    // trailer after the rows have streamed.
+    // response headers ahead of the rows.
     let resp = client
         .post(
             "/query",

@@ -7,7 +7,7 @@
 //! owning registry's enable flag (one relaxed load per text operation), so
 //! an attached-but-disabled bundle keeps the index's hot paths unchanged.
 
-use docql_obs::{Counter, MetricsRegistry, SharedRegistry};
+use docql_obs::{Counter, SharedRegistry};
 
 /// Registry handles for text-search counters.
 #[derive(Clone, Debug)]
@@ -30,13 +30,6 @@ impl TextMetrics {
             vocab_scans: registry.counter("docql_text_vocab_scans_total"),
             registry,
         }
-    }
-
-    /// Free-standing counters over a private, **enabled** registry.
-    pub fn standalone() -> TextMetrics {
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
-        registry.set_enabled(true);
-        TextMetrics::register(registry)
     }
 
     /// Is recording on (the owning registry's enable flag)?
