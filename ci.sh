@@ -119,6 +119,30 @@ else
 fi
 rm -f "$trace_out"
 
+echo "==> slow-log smoke (DOCQL_LOG=0 prints one stderr line per slow trace; unset prints none)"
+# DOCQL_LOG is read once per process, so only a fresh process reaches it.
+slow_out=$(mktemp)
+DOCQL_LOG=0 cargo run -q --example profile_query >/dev/null 2>"$slow_out"
+# Every stderr line must be a whole slow-log line: a query text that
+# leaked a newline would leave a continuation line behind.
+if awk '/^\[docql\] slow query \(/ { seen+=1; next } { bad=1 } \
+        END { exit (bad || seen == 0) }' "$slow_out"; then
+    echo "    $(grep -c '^\[docql\] slow query (' "$slow_out") slow-log lines, each a single line"
+else
+    echo "    malformed or missing slow-log lines:" >&2
+    cat "$slow_out" >&2
+    rm -f "$slow_out"
+    exit 1
+fi
+env -u DOCQL_LOG cargo run -q --example profile_query >/dev/null 2>"$slow_out"
+if grep -q '^\[docql\] slow query (' "$slow_out"; then
+    echo "    slow-log lines printed without DOCQL_LOG:" >&2
+    cat "$slow_out" >&2
+    rm -f "$slow_out"
+    exit 1
+fi
+rm -f "$slow_out"
+
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -10,9 +10,9 @@
 //! - [`registry`] — [`MetricsRegistry`]: a named namespace with an enable
 //!   flag (one relaxed load — the per-query gate), snapshots, and
 //!   Prometheus-text / JSON exporters.
-//! - [`slowlog`] — the `DOCQL_LOG` env-gated slow-query log (threshold in
-//!   milliseconds, read once per process), plain or structured JSON
-//!   (`DOCQL_LOG_FORMAT=json`).
+//! - [`slowlog`] — the `DOCQL_LOG` env-gated slow-query log: the value (in
+//!   milliseconds, read once per process) sets the flight recorder's slow
+//!   cutoff, and the recorder prints one line per slow trace.
 //! - [`trace`] — per-query structured traces ([`TraceBuilder`] →
 //!   [`QueryTrace`]) and the bounded [`FlightRecorder`] (recent ring,
 //!   slow/error reservoir, background-event log, `DOCQL_TRACE` JSON-lines
@@ -35,10 +35,7 @@ pub use registry::{
     HistogramSnapshot, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SharedRegistry,
 };
 pub use serve::ServeMetrics;
-pub use slowlog::{
-    log_slow_query, slow_log_format, slow_query_json_line, slow_query_line, slow_query_threshold,
-    SlowLogFormat, SLOW_LOG_ENV, SLOW_LOG_FORMAT_ENV,
-};
+pub use slowlog::{log_slow_query, slow_query_line, slow_query_threshold, SLOW_LOG_ENV};
 pub use trace::{
     json_escape, FlightRecorder, OpSpan, PhaseSpan, QueryTrace, TraceBuilder, TraceEvent, TraceId,
     TraceSink, TRACE_ENV,

@@ -3,17 +3,17 @@
 //! exports through the same `/metrics` endpoint as the query pipeline's.
 //!
 //! Lives here rather than in the server crate so the bundle follows the
-//! same conventions (one `register` per registry, `docql_serve_*` names,
-//! zero cost while the registry is disabled) as every other bundle, and so
-//! embedders without the server crate can still read a scrape that
-//! mentions these names without dangling-metric surprises.
+//! same conventions (one `register` per registry, `docql_serve_*` names)
+//! as every other bundle, and so embedders without the server crate can
+//! still read a scrape that mentions these names without dangling-metric
+//! surprises.
 
 use crate::registry::SharedRegistry;
-use crate::{Counter, Gauge, Histogram, MetricsRegistry};
-use std::sync::Arc;
+use crate::{Counter, Gauge, Histogram};
 
 /// Registry handles for the network serving tier, resolved once at server
-/// construction. Counters stay readable while recording is disabled.
+/// construction. The server enables the registry and records
+/// unconditionally.
 #[derive(Clone, Debug)]
 pub struct ServeMetrics {
     registry: SharedRegistry,
@@ -72,31 +72,15 @@ impl ServeMetrics {
         }
     }
 
-    /// Free-standing metrics over a private, **enabled** registry (tests).
-    pub fn standalone() -> ServeMetrics {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.set_enabled(true);
-        ServeMetrics::register(registry)
-    }
-
     /// The registry the handles live in.
     pub fn registry(&self) -> &SharedRegistry {
         &self.registry
-    }
-
-    /// Is recording enabled?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
     }
 
     /// Count one response by status class (1xx/3xx are not emitted by the
     /// server and fall into the 2xx bucket by construction).
     #[inline]
     pub fn count_status(&self, status: u16) {
-        if !self.enabled() {
-            return;
-        }
         match status {
             400..=499 => self.responses_4xx.inc(),
             500..=599 => self.responses_5xx.inc(),
@@ -108,10 +92,12 @@ impl ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsRegistry;
+    use std::sync::Arc;
 
     #[test]
     fn status_classes_are_counted() {
-        let m = ServeMetrics::standalone();
+        let m = ServeMetrics::register(Arc::new(MetricsRegistry::new()));
         m.count_status(200);
         m.count_status(404);
         m.count_status(431);
@@ -121,12 +107,5 @@ mod tests {
         assert_eq!(m.responses_5xx.get(), 1);
         let snap = m.registry().snapshot();
         assert_eq!(snap.counter("docql_serve_responses_4xx_total"), Some(2));
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let m = ServeMetrics::register(Arc::new(MetricsRegistry::new()));
-        m.count_status(200);
-        assert_eq!(m.responses_2xx.get(), 0);
     }
 }

@@ -1,52 +1,21 @@
 //! The `DOCQL_LOG`-gated slow-query log.
 //!
 //! Setting `DOCQL_LOG` to a threshold in milliseconds (integer or decimal,
-//! e.g. `DOCQL_LOG=2.5`) makes serving paths print one line to stderr for
-//! every query whose wall time meets the threshold. The line is rendered
-//! from the query's finished [`QueryTrace`], so with the log on every query
-//! is traced. Unset (or unparsable), the log is off and the only cost on
-//! the query path is one cached `Option` check — the environment is read
+//! e.g. `DOCQL_LOG=2.5`) sets the [`FlightRecorder`](crate::FlightRecorder)'s
+//! slow cutoff, turns the recorder on, and makes it print one line to
+//! stderr for every trace it marks slow — the same cutoff that fills the
+//! slow/error reservoir and the `docql_store_slow_queries_total` counter.
+//! The line is rendered from the finished [`QueryTrace`]; the full record,
+//! `"slow"` flag included, goes to the `DOCQL_TRACE` JSON-lines sink.
+//! Unset (or unparsable), nothing is printed. The environment is read
 //! exactly once per process.
 
-use crate::trace::{json_escape, QueryTrace};
+use crate::trace::QueryTrace;
 use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Environment variable holding the threshold in milliseconds.
 pub const SLOW_LOG_ENV: &str = "DOCQL_LOG";
-
-/// Environment variable selecting the slow-log line format: `json` for the
-/// structured variant, anything else (or unset) for the legacy plain line —
-/// so current behavior is unchanged by default.
-pub const SLOW_LOG_FORMAT_ENV: &str = "DOCQL_LOG_FORMAT";
-
-/// The slow-log output format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlowLogFormat {
-    /// The legacy one-line human-readable format.
-    Plain,
-    /// One JSON object per slow query, carrying its trace's id and phases.
-    Json,
-}
-
-/// Parse a `DOCQL_LOG_FORMAT` value (case-insensitive; unknown → plain).
-pub fn parse_log_format(s: &str) -> SlowLogFormat {
-    if s.trim().eq_ignore_ascii_case("json") {
-        SlowLogFormat::Json
-    } else {
-        SlowLogFormat::Plain
-    }
-}
-
-/// The process-wide slow-log format, read once and cached.
-pub fn slow_log_format() -> SlowLogFormat {
-    static FORMAT: OnceLock<SlowLogFormat> = OnceLock::new();
-    *FORMAT.get_or_init(|| {
-        std::env::var(SLOW_LOG_FORMAT_ENV)
-            .map(|s| parse_log_format(&s))
-            .unwrap_or(SlowLogFormat::Plain)
-    })
-}
 
 /// Parse a threshold string (milliseconds, integer or decimal) into a
 /// duration. Negative, empty, and non-numeric values disable the log.
@@ -69,8 +38,8 @@ pub fn slow_query_threshold() -> Option<Duration> {
     })
 }
 
-/// Render the plain log line for a slow query from its trace (separated
-/// from printing so tests can pin the format). The trace's query text is
+/// Render the log line for a slow query from its trace (separated from
+/// printing so tests can pin the format). The trace's query text is
 /// already flattened to one line.
 pub fn slow_query_line(trace: &QueryTrace) -> String {
     format!(
@@ -80,34 +49,9 @@ pub fn slow_query_line(trace: &QueryTrace) -> String {
     )
 }
 
-/// The structured slow-log line: one JSON object with an `event` marker,
-/// carrying the trace id, per-phase timings, and the governance outcome.
-pub fn slow_query_json_line(t: &QueryTrace) -> String {
-    let phases: Vec<String> = t
-        .phases
-        .iter()
-        .map(|p| format!("\"{}\":{}", json_escape(p.name), p.ns))
-        .collect();
-    format!(
-        "{{\"event\":\"slow_query\",\"trace_id\":\"{}\",\"ms\":{:.3},\"query\":\"{}\",\"phases\":{{{}}},\"governance\":\"{}\",\"outcome\":\"{}\",\"rows\":{}}}",
-        t.id,
-        t.total_ns as f64 / 1e6,
-        json_escape(&t.query),
-        phases.join(","),
-        json_escape(&t.governance),
-        json_escape(&t.outcome),
-        t.rows
-    )
-}
-
-/// Print the slow-query line for `trace` to stderr, in the process-wide
-/// [`slow_log_format`].
+/// Print the slow-query line for `trace` to stderr.
 pub fn log_slow_query(trace: &QueryTrace) {
-    let line = match slow_log_format() {
-        SlowLogFormat::Plain => slow_query_line(trace),
-        SlowLogFormat::Json => slow_query_json_line(trace),
-    };
-    eprintln!("{line}");
+    eprintln!("{}", slow_query_line(trace));
 }
 
 #[cfg(test)]
@@ -140,27 +84,5 @@ mod tests {
         assert!(!line.contains('\n'));
         assert!(line.contains("1.500 ms"));
         assert!(line.contains("select t from x"));
-    }
-
-    #[test]
-    fn format_parsing_defaults_to_plain() {
-        assert_eq!(parse_log_format("json"), SlowLogFormat::Json);
-        assert_eq!(parse_log_format(" JSON "), SlowLogFormat::Json);
-        assert_eq!(parse_log_format("plain"), SlowLogFormat::Plain);
-        assert_eq!(parse_log_format(""), SlowLogFormat::Plain);
-        assert_eq!(parse_log_format("yaml"), SlowLogFormat::Plain);
-    }
-
-    #[test]
-    fn json_line_with_trace_carries_id_phases_governance() {
-        let t = finished("select t from x", Duration::from_millis(2));
-        let line = slow_query_json_line(&t);
-        assert!(line.starts_with("{\"event\":\"slow_query\""));
-        assert!(line.contains(&format!("\"trace_id\":\"{}\"", t.id)));
-        assert!(line.contains("\"ms\":2.000"));
-        assert!(line.contains("\"phases\":{\"parse\":100,\"execute\":900}"));
-        assert!(line.contains("\"governance\":\"row budget exhausted\""));
-        assert!(line.contains("\"outcome\":\"partial\""));
-        assert!(line.contains("\"rows\":3"));
     }
 }

@@ -19,7 +19,8 @@
 //! compiled and **off by default**; a disabled recorder costs one relaxed
 //! atomic load per query and allocates nothing. Setting `DOCQL_TRACE` to
 //! `stderr` or a file path enables the recorder at construction and emits
-//! one JSON line per finished query.
+//! one JSON line per finished query; setting `DOCQL_LOG` enables it too,
+//! with that slow cutoff, and prints one stderr line per slow trace.
 //!
 //! Concurrency: trace rings are a fixed array of slots with an atomic write
 //! cursor — writers claim a slot wait-free and swap an `Arc` pointer under
@@ -576,14 +577,14 @@ impl FlightRecorder {
         }
     }
 
-    /// A recorder honoring the process environment: enabled, with the
-    /// JSON-lines sink attached, when `DOCQL_TRACE` is set.
+    /// A recorder honoring the process environment: enabled when
+    /// `DOCQL_TRACE` is set (with the JSON-lines sink attached) or when
+    /// `DOCQL_LOG` is set (with the slow log on).
     pub fn from_env() -> FlightRecorder {
         let r = FlightRecorder::default();
-        if let Some(sink) = env_sink() {
-            r.set_sink(Some(sink));
-            r.set_enabled(true);
-        }
+        let sink = env_sink();
+        r.set_enabled(sink.is_some() || crate::slow_query_threshold().is_some());
+        r.set_sink(sink);
         r
     }
 
@@ -609,7 +610,8 @@ impl FlightRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The slow cutoff used to route traces into the reservoir.
+    /// The slow cutoff: traces at or above it are marked slow, kept in the
+    /// reservoir, counted, and (under `DOCQL_LOG`) printed to stderr.
     pub fn slow_cutoff(&self) -> Duration {
         Duration::from_nanos(self.slow_cutoff_ns.load(Ordering::Relaxed))
     }
@@ -655,7 +657,9 @@ impl FlightRecorder {
     /// tagged with the server's connection id so the events of one socket
     /// can be grepped out of the shared timeline. A no-op when disabled.
     pub fn connection_event(&self, kind: &'static str, conn_id: u64, detail: &str) {
-        self.global_event(kind, format!("conn={conn_id} {detail}"));
+        if self.enabled() {
+            self.global_event(kind, format!("conn={conn_id} {detail}"));
+        }
     }
 
     /// Events whose timestamp falls in `[from_ns, to_ns]`, oldest first.
@@ -669,8 +673,9 @@ impl FlightRecorder {
     }
 
     /// Retain a finished trace: merge in the global events that fell inside
-    /// its window, stamp the slow flag, route to the rings, and emit to the
-    /// sink. Returns the retained trace.
+    /// its window, stamp the slow flag, route to the rings, emit to the
+    /// sink, and print a slow trace's line when `DOCQL_LOG` is set. Returns
+    /// the retained trace.
     pub fn record(&self, mut trace: QueryTrace) -> Arc<QueryTrace> {
         let end_ns = trace.start_ns.saturating_add(trace.total_ns);
         let mut window = self.events_between(trace.start_ns, end_ns);
@@ -679,6 +684,9 @@ impl FlightRecorder {
             trace.events.sort_by_key(|e| e.at_ns);
         }
         trace.slow = trace.total_ns >= self.slow_cutoff_ns.load(Ordering::Relaxed);
+        if trace.slow && crate::slow_query_threshold().is_some() {
+            crate::log_slow_query(&trace);
+        }
         let keep = trace.slow || trace.outcome != "ok";
         let trace = Arc::new(trace);
         self.recent.push(Arc::clone(&trace));

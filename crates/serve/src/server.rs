@@ -265,9 +265,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> ShutdownReport {
         let inner = &self.inner;
         inner.draining.store(true, Ordering::SeqCst);
-        if inner.metrics.enabled() {
-            inner.metrics.drains_started.inc();
-        }
+        inner.metrics.drains_started.inc();
         if inner.recorder.enabled() {
             inner
                 .recorder
@@ -297,12 +295,10 @@ impl ServerHandle {
                 token.cancel();
                 force_cancelled += 1;
             }
-            if inner.metrics.enabled() {
-                inner
-                    .metrics
-                    .drain_force_cancels
-                    .add(force_cancelled as u64);
-            }
+            inner
+                .metrics
+                .drain_force_cancels
+                .add(force_cancelled as u64);
         }
         for t in self.workers.drain(..) {
             let _ = t.join();
@@ -331,9 +327,7 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
             Ok(s) => s,
             Err(_) => continue,
         };
-        if inner.metrics.enabled() {
-            inner.metrics.connections_total.inc();
-        }
+        inner.metrics.connections_total.inc();
         inner.active_conns.fetch_add(1, Ordering::SeqCst);
         match tx.try_send(stream) {
             Ok(()) => {}
@@ -349,9 +343,7 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
 /// Tell an un-admitted peer to come back later, without letting it stall
 /// the accept thread.
 fn reject_busy(inner: &Inner, mut stream: TcpStream) {
-    if inner.metrics.enabled() {
-        inner.metrics.connections_rejected_busy.inc();
-    }
+    inner.metrics.connections_rejected_busy.inc();
     inner.metrics.count_status(503);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let _ = write_response(
@@ -388,9 +380,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<TcpStream>>) {
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&conn_id);
         if outcome.is_err() {
-            if inner.metrics.enabled() {
-                inner.metrics.worker_panics.inc();
-            }
+            inner.metrics.worker_panics.inc();
             inner
                 .recorder
                 .connection_event("conn_panic", conn_id, "worker caught a panic");
@@ -399,9 +389,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<TcpStream>>) {
 }
 
 fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
-    if inner.metrics.enabled() {
-        inner.metrics.connections_active.add(1);
-    }
+    inner.metrics.connections_active.add(1);
     let cfg = &inner.config;
     let served = (|| -> io::Result<()> {
         stream.set_read_timeout(Some(cfg.read_timeout))?;
@@ -414,9 +402,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                 Err(e) => {
                     match &e {
                         HttpError::Timeout => {
-                            if inner.metrics.enabled() {
-                                inner.metrics.read_timeouts.inc();
-                            }
+                            inner.metrics.read_timeouts.inc();
                             inner.recorder.connection_event(
                                 "conn_read_timeout",
                                 conn_id,
@@ -452,10 +438,8 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
                         close,
                     };
                     let keep_going = respond(inner, &mut peer, &req);
-                    if inner.metrics.enabled() {
-                        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        inner.metrics.request_ns.record(ns);
-                    }
+                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    inner.metrics.request_ns.record(ns);
                     if close || !keep_going {
                         break;
                     }
@@ -466,9 +450,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, conn_id: u64) {
     })();
     let _ = served;
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    if inner.metrics.enabled() {
-        inner.metrics.connections_active.add(-1);
-    }
+    inner.metrics.connections_active.add(-1);
 }
 
 /// The connection a response goes back on.
@@ -494,9 +476,7 @@ fn send(
     if write_response(peer.stream, status, headers, body, peer.close).is_ok() {
         return true;
     }
-    if inner.metrics.enabled() {
-        inner.metrics.client_disconnects.inc();
-    }
+    inner.metrics.client_disconnects.inc();
     inner.recorder.connection_event(
         "conn_disconnect_midstream",
         peer.id,
@@ -697,9 +677,7 @@ fn serve_query(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
         Err(e) => {
             let status = error_status(&e);
             if status == 499 {
-                if inner.metrics.enabled() {
-                    inner.metrics.client_disconnects.inc();
-                }
+                inner.metrics.client_disconnects.inc();
                 inner.recorder.connection_event(
                     "conn_disconnect_cancel",
                     peer.id,
@@ -719,9 +697,7 @@ fn serve_query(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
             headers.push(("X-Docql-Rows", result.rows.len().to_string()));
             headers.push(("X-Docql-Partial", partial));
             let body = result.to_table();
-            if inner.metrics.enabled() {
-                inner.metrics.bytes_streamed.add(body.len() as u64);
-            }
+            inner.metrics.bytes_streamed.add(body.len() as u64);
             send(inner, peer, 200, &headers, body.as_bytes())
         }
     }

@@ -10,8 +10,9 @@
 //!   each object (Q2),
 //! * O₂SQL and calculus querying, in interpreter or algebraic mode,
 //! * index-accelerated document search (the §4.1/§6 full-text machinery),
-//! * observability: a per-store metrics registry, `EXPLAIN ANALYZE`
-//!   profiling, and a `DOCQL_LOG`-gated slow-query log ([`metrics`]),
+//! * observability: a per-store metrics registry ([`metrics`]), `EXPLAIN
+//!   ANALYZE` profiling, and the query flight recorder, whose slow cutoff
+//!   (`DOCQL_LOG`) drives the slow-query log and its counter,
 //! * export back to SGML (the update path of §6).
 
 pub mod metrics;
@@ -31,7 +32,7 @@ use docql_text::{ContainsExpr, InvertedIndex};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use trace::{span, WriteKind, WriteTrace};
 
 /// Store-level error.
@@ -165,16 +166,14 @@ pub struct DocStore {
     /// the plan cache) — recent-query and slow/error history therefore
     /// survives MVCC snapshot publication, and background events (WAL,
     /// checkpoints, publications) land on one shared timeline. Disabled by
-    /// default; enabled at construction when `DOCQL_TRACE` is set.
+    /// default; enabled at construction when `DOCQL_TRACE` or `DOCQL_LOG`
+    /// is set.
     recorder: Arc<docql_obs::FlightRecorder>,
     /// MVCC publication stamp, set when a [`SharedStore`] wraps (version 0)
     /// or publishes this store: the snapshot version it *is* and when it
     /// was published. Traced queries report both.
     published_version: u64,
     published_at: Instant,
-    /// Slow-query threshold: wall times at or above it are logged to stderr
-    /// and counted. Defaults to the process-wide `DOCQL_LOG` setting.
-    slow_threshold: Option<Duration>,
     /// The trace of the write under way on this store, if one is traced;
     /// never carried across a fork.
     trace: Option<WriteTrace>,
@@ -247,7 +246,6 @@ impl DocStore {
             recorder: Arc::new(docql_obs::FlightRecorder::from_env()),
             published_version: 0,
             published_at: Instant::now(),
-            slow_threshold: docql_obs::slow_query_threshold(),
             trace: None,
         })
     }
@@ -279,7 +277,6 @@ impl DocStore {
             recorder: Arc::clone(&self.recorder),
             published_version: self.published_version,
             published_at: self.published_at,
-            slow_threshold: self.slow_threshold,
             trace: None,
         }
     }
@@ -531,26 +528,21 @@ impl DocStore {
         (result, filed)
     }
 
-    /// Is a trace built? Whenever one of its consumers is on — metrics, the
-    /// flight recorder, or the slow log; with all three off nothing is
-    /// traced or allocated, on the read path and the write path alike.
+    /// Is a trace built? Whenever one of its consumers is on — metrics or
+    /// the flight recorder; with both off nothing is traced or allocated,
+    /// on the read path and the write path alike.
     fn tracing(&self) -> bool {
-        self.metrics.enabled() || self.recorder.enabled() || self.slow_threshold.is_some()
+        self.metrics.enabled() || self.recorder.enabled()
     }
 
     /// Hand a finished query or write-side trace to each consumer that is
-    /// on: `meter` (its metrics view), the slow log, and the recorder,
-    /// which retains it — only a retained trace is returned.
+    /// on: `meter` (its metrics view) and the recorder, which retains it,
+    /// decides whether it is slow, and logs it — only a retained trace is
+    /// returned.
     fn file(&self, qt: QueryTrace, meter: impl FnOnce(&QueryTrace)) -> Option<Arc<QueryTrace>> {
         let metered = self.metrics.enabled();
         if metered {
             meter(&qt);
-        }
-        if let Some(threshold) = self.slow_threshold {
-            if Duration::from_nanos(qt.total_ns) >= threshold {
-                self.metrics.slow_queries.inc();
-                docql_obs::log_slow_query(&qt);
-            }
         }
         if !self.recorder.enabled() {
             return None;
@@ -558,6 +550,9 @@ impl DocStore {
         let qt = self.recorder.record(qt);
         if metered {
             self.metrics.traces_recorded.inc();
+            if qt.slow {
+                self.metrics.slow_queries.inc();
+            }
         }
         Some(qt)
     }
@@ -602,18 +597,6 @@ impl DocStore {
     /// while queries run. Accumulated values are kept when disabling.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.metrics.registry().set_enabled(on);
-    }
-
-    /// Override the slow-query threshold (default: the process-wide
-    /// `DOCQL_LOG` value read at construction). `Some(Duration::ZERO)` logs
-    /// and counts every query; `None` disables the log.
-    pub fn set_slow_query_threshold(&mut self, threshold: Option<Duration>) {
-        self.slow_threshold = threshold;
-    }
-
-    /// The active slow-query threshold.
-    pub fn slow_query_threshold(&self) -> Option<Duration> {
-        self.slow_threshold
     }
 
     /// An engine over this store (interpreter mode; set `.mode` to switch).
@@ -1361,8 +1344,12 @@ mod tests {
 
     #[test]
     fn slow_query_threshold_zero_counts_every_query() {
-        let mut store = paper_store().unwrap();
-        store.set_slow_query_threshold(Some(std::time::Duration::ZERO));
+        let store = paper_store().unwrap();
+        store.set_metrics_enabled(true);
+        store.set_tracing_enabled(true);
+        store
+            .flight_recorder()
+            .set_slow_cutoff(std::time::Duration::ZERO);
         store
             .query("select t from my_article PATH_p.title(t)")
             .unwrap();

@@ -66,8 +66,8 @@ pub struct StoreMetrics {
     /// `contains`/`near` predicate evaluations inside query evaluation —
     /// each is a text scan of one object's text, not an index lookup.
     pub contains_evals: Counter,
-    /// Queries and writes at or above the slow-query threshold (see
-    /// [`docql_obs::slow_query_threshold`]).
+    /// Recorded queries and writes the flight recorder marks slow (see
+    /// [`docql_obs::FlightRecorder::slow_cutoff`]).
     pub slow_queries: Counter,
     /// Queries killed by their wall-clock deadline (strict mode).
     pub queries_deadline_exceeded: Counter,

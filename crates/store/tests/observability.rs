@@ -298,12 +298,11 @@ fn plan_cache_reset_clears_counters_and_registry_export() {
 fn shared_store_serves_profiles_and_slow_log_counter() {
     let shared = docql_store::SharedStore::new(article_store(2));
     shared.set_metrics_enabled(true);
+    shared.set_tracing_enabled(true);
     shared
-        .write(|s| {
-            s.set_slow_query_threshold(Some(std::time::Duration::ZERO));
-            Ok(())
-        })
-        .unwrap();
+        .read()
+        .flight_recorder()
+        .set_slow_cutoff(std::time::Duration::ZERO);
     let q = "select t from Articles PATH_p.title(t)";
     let direct = shared.query_algebraic(q).unwrap();
     let report = shared
@@ -316,7 +315,7 @@ fn shared_store_serves_profiles_and_slow_log_counter() {
     assert_eq!(profile.result.to_table(), direct.to_table());
     assert!(
         shared.read().metrics().slow_queries.get() >= 1,
-        "zero threshold counts every query as slow"
+        "zero cutoff counts every query as slow"
     );
     assert!(shared
         .read()

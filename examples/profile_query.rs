@@ -7,7 +7,7 @@
 //!
 //! ```sh
 //! cargo run --example profile_query
-//! # or, to also see the slow-query log on stderr:
+//! # or, to also see the slow-query log's line per query on stderr:
 //! DOCQL_LOG=0 cargo run --example profile_query
 //! ```
 
@@ -75,9 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = db.metrics_registry().to_json();
     println!("{}…", &json[..json.len().min(200)]);
 
-    // 6. Slow-query log: any query at or above the threshold (here: all of
-    //    them) is counted and printed to stderr.
-    db.set_slow_query_threshold(Some(std::time::Duration::ZERO));
+    // 6. Slow queries: the flight recorder marks every query at or above
+    //    its cutoff (here: all of them) slow, and the store counts it;
+    //    under `DOCQL_LOG` the recorder also prints it to stderr.
+    db.set_tracing_enabled(true);
+    db.flight_recorder()
+        .set_slow_cutoff(std::time::Duration::ZERO);
     db.query(q3)?;
     println!(
         "\nslow queries counted: {}",

@@ -137,6 +137,7 @@ fn slow_query_trace_carries_full_diagnostics() {
     let expected_rows = store.query_algebraic(q).unwrap().rows.len() as u64;
     store.plan_cache().clear();
     store.set_tracing_enabled(true);
+    store.set_metrics_enabled(true);
     let recorder = store.flight_recorder();
     recorder.set_slow_cutoff(Duration::ZERO); // everything is slow
     store.query_algebraic(q).unwrap();
@@ -194,8 +195,18 @@ fn slow_query_trace_carries_full_diagnostics() {
         assert_eq!(t.rows, expected_rows);
     }
 
-    // Slow reservoir retained both; JSON renders one object per line.
+    // Slow reservoir retained both, and the slow counter reads the same
+    // flag; JSON renders one object per line.
     assert_eq!(store.flight_recorder().slow().len(), 2);
+    let marked_slow = recent.iter().filter(|t| t.slow).count() as u64;
+    assert_eq!(
+        store
+            .metrics_registry()
+            .snapshot()
+            .counter("docql_store_slow_queries_total"),
+        Some(marked_slow),
+        "the counter counts exactly the traces the recorder marks slow"
+    );
     for t in store.flight_recorder().slow() {
         let json = t.to_json();
         assert!(json.starts_with("{\"trace_id\":\""), "{json}");
@@ -210,6 +221,7 @@ fn slow_query_trace_carries_full_diagnostics() {
 fn governed_and_failing_queries_land_in_the_error_reservoir() {
     let store = article_store(4);
     store.set_tracing_enabled(true);
+    store.set_metrics_enabled(true);
     store.flight_recorder().set_slow_cutoff(NEVER_SLOW);
 
     // A parse error: outcome "error", retained despite being fast.
@@ -236,6 +248,11 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
         store.flight_recorder().recent().len(),
         3,
         "recent ring holds all three"
+    );
+    assert_eq!(
+        store.metrics().slow_queries.get(),
+        0,
+        "error traces in the reservoir are not slow queries"
     );
 }
 
