@@ -16,6 +16,23 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> perfbench type-checks against the workspace"
+# perfbench is a workspace of its own, so the steps above never build it:
+# a store or serve API change that breaks it would first show up as a
+# failed benchmark run. Its committed Cargo.lock is stale and any build
+# rewrites it, so the step puts the committed file back either way.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+perfbench_status=0
+cargo check --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench-check || perfbench_status=$?
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
+if [ "$perfbench_status" -ne 0 ]; then
+    echo "    perfbench no longer compiles against the workspace" >&2
+    exit "$perfbench_status"
+fi
+
 echo "==> property suites (fixed seed, bounded cases)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test --workspace -q \
     --test prop_model --test prop_text --test prop_sgml --test prop_paths \

@@ -1,6 +1,6 @@
 //! B13 — durability: on-disk footprint of a checkpoint segment versus the
 //! flat SGML corpus, and cold-start time of snapshot-load recovery
-//! ([`PersistentStore::reopen`], which restores the object slots from the
+//! ([`SharedStore::reopen`], which restores the object slots from the
 //! segment and derives their texts and both indexes from them) versus
 //! re-parsing the SGML from scratch.
 //!
@@ -39,7 +39,7 @@ fn corpus_texts(n_docs: usize) -> Vec<String> {
 fn checkpointed_dir(texts: &[String]) -> (TempDir, u64, u64) {
     let dir = TempDir::new("b13-durability").unwrap();
     let (ps, _) =
-        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+        SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
     let roots = ps.ingest_batch(&refs).unwrap();
     ps.bind("my_article", roots[0]).unwrap();
@@ -63,7 +63,7 @@ fn bench_durability(c: &mut Criterion) {
         // Cold start from the snapshot segment: full recovery, no re-parse.
         group.bench_with_input(BenchmarkId::new("snapshot_load", n_docs), &dir, |b, dir| {
             b.iter(|| {
-                let (ps, report) = PersistentStore::reopen(black_box(dir.path())).unwrap();
+                let (ps, report) = SharedStore::reopen(black_box(dir.path())).unwrap();
                 assert_eq!(report.replayed_records, 0);
                 black_box(ps.read().documents().len())
             })

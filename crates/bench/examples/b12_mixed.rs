@@ -213,14 +213,8 @@ fn main() {
                 std::hint::black_box(snap.query_algebraic(Q3).unwrap().len());
             },
             |texts: &[String]| {
-                shared
-                    .write(|txn| {
-                        for t in texts {
-                            txn.ingest(t)?;
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
+                let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+                shared.ingest_batch(&refs).unwrap();
             },
         )
     };

@@ -31,8 +31,11 @@
 //! an execution [`Mode`](o2sql::Mode), per-call
 //! [`QueryLimits`](guard::QueryLimits) (deadline, row budget, path fuel,
 //! cancellation), and the flight-recorder trace back. Share a store across
-//! threads with [`SharedStore::new`](store::SharedStore::new); make its
-//! commits durable with [`PersistentStore`](store::PersistentStore).
+//! threads with [`SharedStore::new`](store::SharedStore::new), or open one
+//! whose commits are durable with
+//! [`SharedStore::open`](store::SharedStore::open); either way every write
+//! is a list of [`WalOp`](store::WalOp)s run by
+//! [`SharedStore::apply`](store::SharedStore::apply).
 //!
 //! ## Crate map
 //!
@@ -74,6 +77,6 @@ pub mod prelude {
     pub use docql_obs::{FlightRecorder, QueryTrace, TraceId};
     pub use docql_paths::{ConcretePath, PathSemantics, PathStep};
     pub use docql_sgml::{Document, Dtd};
-    pub use docql_store::{DocStore, PersistentStore, SharedStore};
+    pub use docql_store::{DocStore, PersistentStore, SharedStore, WalOp};
     pub use docql_text::ContainsExpr;
 }

@@ -1,11 +1,12 @@
 //! Durable storage for docql: a checksummed write-ahead log, snapshot
 //! segments, and crash recovery — all std-only, no external dependencies.
 //!
-//! The durability contract (wired up by `docql-store`'s `PersistentStore`):
+//! The durability contract (wired up by `docql-store`'s durable
+//! `SharedStore`):
 //!
-//! 1. Every committed write (document ingest, root binding) is appended to
-//!    the WAL ([`wal`]) and fsynced *before* the new store version is
-//!    published to readers — write-ahead in the classical sense.
+//! 1. Every committed write (document ingest, root binding, object update)
+//!    is appended to the WAL ([`wal`]) and fsynced *before* the new store
+//!    version is published to readers — write-ahead in the classical sense.
 //! 2. `checkpoint()` captures the current MVCC snapshot as a
 //!    [`StoreImage`], writes it as an immutable segment file ([`snapshot`])
 //!    with tmp → fsync → rename discipline, and only then truncates the

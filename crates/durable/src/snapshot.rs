@@ -45,14 +45,15 @@ use std::path::{Path, PathBuf};
 
 /// Segment file magic (8 bytes, format version 001).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"DQSEG001";
-/// Store-meta file magic (8 bytes). Version 03 marks a directory whose
-/// segments may lack the text section (02: the index sections), so a
-/// binary that still requires them refuses the directory at open instead
-/// of skipping every such segment.
-pub const META_MAGIC: &[u8; 8] = b"DQMETA03";
+/// Store-meta file magic (8 bytes). Version 04 marks a directory whose log
+/// may hold `Update` records (03: segments may lack the text section, 02:
+/// the index sections), so a binary that cannot read them refuses the
+/// directory at open instead of cutting the log at the first such record
+/// or skipping every such segment.
+pub const META_MAGIC: &[u8; 8] = b"DQMETA04";
 /// Previous store-meta magics: still read, and rewritten as
 /// [`META_MAGIC`] when a store is opened.
-pub const OUTDATED_META_MAGICS: [&[u8; 8]; 2] = [b"DQMETA01", b"DQMETA02"];
+pub const OUTDATED_META_MAGICS: [&[u8; 8]; 3] = [b"DQMETA01", b"DQMETA02", b"DQMETA03"];
 /// File name of the store meta (DTD text + declared extra roots).
 pub const META_FILE: &str = "store.meta";
 
@@ -285,6 +286,25 @@ fn decode_value(r: &mut Reader<'_>, syms: &SymDecoder, depth: u32) -> Result<Val
         }
         tag => return Err(CodecError::BadTag { what: "value", tag }),
     })
+}
+
+/// Encode `v` on its own — a symbol table of its names, then the value —
+/// for a record that travels without a segment's table (a WAL update).
+pub(crate) fn encode_lone_value(w: &mut Writer, v: &Value) {
+    let mut syms = SymEncoder::default();
+    let mut body = Writer::new();
+    encode_value(&mut body, &mut syms, v);
+    syms.encode(w);
+    w.bytes(&body.into_bytes());
+}
+
+/// Decode what [`encode_lone_value`] wrote.
+pub(crate) fn decode_lone_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    let syms = SymDecoder::decode(r)?;
+    let mut body = Reader::new(r.bytes()?);
+    let v = decode_value(&mut body, &syms, 0)?;
+    body.finish()?;
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! The checksummed, length-prefixed write-ahead log.
 //!
-//! One record per committed write (a document ingest or a root binding).
+//! One record per committed operation: a document ingest, a root binding
+//! or an object update.
 //! The on-disk frame is
 //!
 //! ```text
@@ -24,7 +25,9 @@
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::crc32::crc32;
+use crate::snapshot::{decode_lone_value, encode_lone_value};
 use docql_guard::{IoFault, IoFaultStream};
+use docql_model::Value;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
@@ -38,7 +41,8 @@ pub const WAL_FILE: &str = "wal.log";
 /// bounds what a garbage length field can make the scanner swallow.
 const MAX_FRAME_PAYLOAD: u32 = 1 << 30;
 
-/// One logged operation.
+/// One logged operation — the store's write vocabulary: live writes and
+/// recovery's replay both run these through `DocStore::apply`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     /// A document ingest, carrying the validated SGML source text (replay
@@ -54,10 +58,18 @@ pub enum WalOp {
         /// The bound object id (`Oid.0`).
         oid: u32,
     },
+    /// An object's new value (§6's update from the database).
+    Update {
+        /// The updated object id (`Oid.0`).
+        oid: u32,
+        /// The new value, encoded with the segments' value codec.
+        value: Value,
+    },
 }
 
 const TAG_INGEST: u8 = 1;
 const TAG_BIND: u8 = 2;
+const TAG_UPDATE: u8 = 3;
 
 /// A decoded log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,6 +110,11 @@ pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
             payload.str(name);
             payload.u32(*oid);
         }
+        WalOp::Update { oid, value } => {
+            payload.u8(TAG_UPDATE);
+            payload.u32(*oid);
+            encode_lone_value(&mut payload, value);
+        }
     }
     let payload = payload.into_bytes();
     let mut frame = Writer::new();
@@ -118,6 +135,10 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, CodecError> {
         TAG_BIND => WalOp::Bind {
             name: r.str()?.to_string(),
             oid: r.u32()?,
+        },
+        TAG_UPDATE => WalOp::Update {
+            oid: r.u32()?,
+            value: decode_lone_value(&mut r)?,
         },
         tag => {
             return Err(CodecError::BadTag {
@@ -381,15 +402,18 @@ mod tests {
         (1..=n)
             .map(|seqno| WalRecord {
                 seqno,
-                op: if seqno % 3 == 0 {
-                    WalOp::Bind {
+                op: match seqno % 4 {
+                    0 => WalOp::Update {
+                        oid: seqno as u32,
+                        value: Value::tuple([("contents", Value::str(format!("v{seqno}")))]),
+                    },
+                    3 => WalOp::Bind {
                         name: format!("root{seqno}"),
                         oid: seqno as u32,
-                    }
-                } else {
-                    WalOp::Ingest {
+                    },
+                    _ => WalOp::Ingest {
                         sgml: format!("<doc>{seqno}</doc>"),
-                    }
+                    },
                 },
             })
             .collect()

@@ -85,6 +85,10 @@ fn arb_op() -> Gen<WalOp> {
             name: n.clone(),
             oid: *o,
         }),
+        zip(arb_u32(10_000), arb_value()).map(|(o, v)| WalOp::Update {
+            oid: *o,
+            value: v.clone(),
+        }),
     ])
 }
 

@@ -3,7 +3,10 @@
 //! An HTTP/1.1 server (std-only, like the rest of the workspace) that
 //! puts the whole stack behind a wire: MVCC snapshot reads, governed
 //! queries, WAL-durable writes, metrics, and traces — with every socket
-//! failure mode mapped to a typed, observable outcome.
+//! failure mode mapped to a typed, observable outcome. It serves one
+//! [`SharedStore`](docql_store::SharedStore), in memory or opened from a
+//! directory; `/ingest` and `/bind` are each one
+//! [`SharedStore::apply`](docql_store::SharedStore::apply).
 //!
 //! - [`http`] — the bounded request parser (hard head/body ceilings →
 //!   `431`/`413`/`400`, socket deadlines → `408`) and response writers:
@@ -21,7 +24,7 @@
 //! | Route | Method | Purpose |
 //! |---|---|---|
 //! | `/query` | POST | O₂SQL text in the body; result table out |
-//! | `/ingest` | POST | SGML document in the body; `201` + oid |
+//! | `/ingest` | POST | SGML document in the body; `201` + oid (`400` if it does not parse or load, `500` if the log fails) |
 //! | `/bind` | POST | `<root-name> <oid>` in the body; `204` |
 //! | `/metrics` | GET | Prometheus text exposition |
 //! | `/metrics.json` | GET | the same registry as JSON |
@@ -31,8 +34,9 @@
 //!
 //! Per-request governance headers on `/query`: `X-Docql-Deadline-Ms`,
 //! `X-Docql-Row-Budget`, `X-Docql-Path-Fuel`, `X-Docql-Degrade`,
-//! `X-Docql-Mode` (`interp`|`algebraic`). Responses echo
-//! `X-Docql-Trace-Id`; a `200` also carries `X-Docql-Rows` and
+//! `X-Docql-Mode` (`interp`|`algebraic`). `/query`, `/ingest` and `/bind`
+//! responses echo `X-Docql-Trace-Id`, the id `/traces` lists the trace
+//! under; a `/query` `200` also carries `X-Docql-Rows` and
 //! `X-Docql-Partial` headers (`none`, or the limit a degraded result hit).
 //! Every response has a `Content-Length` body: `/query` sends the same
 //! bytes as in-process `QueryResult::to_table()`.
@@ -48,4 +52,4 @@ pub use client::{HttpClient, HttpResponse};
 pub use http::{
     read_request, reason, write_response, ChunkedWriter, HttpError, ParseLimits, Request,
 };
-pub use server::{ServeStore, Server, ServerConfig, ServerHandle, ShutdownReport};
+pub use server::{Server, ServerConfig, ServerHandle, ShutdownReport};

@@ -16,13 +16,12 @@
 //!
 //! On `SIGINT`/`SIGTERM` (or `POST /admin/shutdown`) the server stops
 //! accepting, drains in-flight queries under `--drain-ms`, force-cancels
-//! stragglers, and checkpoints a persistent store before exiting.
+//! stragglers, and checkpoints a durable store before exiting.
 
-use docql_serve::server::{ServeStore, Server, ServerConfig};
+use docql_serve::server::{Server, ServerConfig};
 use docql_serve::signal;
-use docql_store::{DocStore, PersistentStore, SharedStore};
+use docql_store::{DocStore, SharedStore};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
@@ -169,14 +168,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            ServeStore::Shared(SharedStore::new(store))
+            SharedStore::new(store)
         }
         Some(dir) => {
             let path = std::path::Path::new(dir);
             let opened = if path.join("store.meta").exists() {
-                PersistentStore::reopen(path)
+                SharedStore::reopen(path)
             } else {
-                PersistentStore::open(path, &dtd, &roots)
+                SharedStore::open(path, &dtd, &roots)
             };
             match opened {
                 Ok((ps, report)) => {
@@ -187,7 +186,7 @@ fn main() -> ExitCode {
                         "recovered {dir}: segment_seqno={:?} replayed={} truncated_bytes={}",
                         report.segment_seqno, report.replayed_records, report.truncated_bytes
                     );
-                    ServeStore::Persistent(Arc::new(ps))
+                    ps
                 }
                 Err(e) => {
                     eprintln!("cannot open store at {dir}: {e}");

@@ -1,5 +1,5 @@
 //! The server proper: a fixed accept/worker thread pool over a
-//! [`ServeStore`], with every socket failure mode mapped to a typed,
+//! [`SharedStore`], with every socket failure mode mapped to a typed,
 //! observable outcome.
 //!
 //! Robustness machinery, layer by layer:
@@ -18,20 +18,20 @@
 //! - **Governed queries** — `X-Docql-*` headers become per-request
 //!   [`QueryLimits`] merged over the server's defaults; guard trips map to
 //!   distinct statuses (`504`/`422`/`499`) and the flight-recorder
-//!   trace id is echoed in `X-Docql-Trace-Id`.
+//!   trace id is echoed in `X-Docql-Trace-Id` (on `/ingest` and `/bind`
+//!   too, from the write's trace).
 //! - **Cancel on disconnect** — while a query runs, its guard polls a
 //!   [`CancelProbe`] that peeks the connection socket; a vanished client
 //!   cancels the query within one guard-check boundary.
 //! - **Graceful shutdown** — [`ServerHandle::shutdown`] stops accepting,
 //!   drains in-flight work under a deadline, force-cancels stragglers,
-//!   then checkpoints a persistent store.
+//!   then checkpoints a durable store.
 
 use crate::http::{read_request, write_response, HttpError, ParseLimits, Request};
 use docql_guard::{CancelProbe, CancelToken, ExecError, QueryLimits};
-use docql_model::Oid;
-use docql_o2sql::{Mode, QueryResult};
+use docql_o2sql::Mode;
 use docql_obs::{FlightRecorder, QueryTrace, ServeMetrics};
-use docql_store::{CheckpointReport, DocStore, PersistentStore, SharedStore, StoreError};
+use docql_store::{CheckpointReport, SharedStore, StoreError, WalOp};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,60 +40,6 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The store a server fronts: plain MVCC, or MVCC + WAL durability.
-pub enum ServeStore {
-    /// In-memory [`SharedStore`] — writes die with the process.
-    Shared(SharedStore),
-    /// [`PersistentStore`] — writes are WAL-logged before they are
-    /// acknowledged, and shutdown checkpoints the store.
-    Persistent(Arc<PersistentStore>),
-}
-
-impl ServeStore {
-    /// Pin the current snapshot. Its metrics registry and flight recorder
-    /// are shared by every snapshot version, so they are reached here too.
-    pub fn read(&self) -> Arc<DocStore> {
-        match self {
-            ServeStore::Shared(s) => s.read(),
-            ServeStore::Persistent(p) => p.read(),
-        }
-    }
-
-    /// The general query entry point (see [`SharedStore::query_traced`]).
-    pub fn query_traced(
-        &self,
-        src: &str,
-        mode: Mode,
-        limits: &QueryLimits,
-    ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
-        match self {
-            ServeStore::Shared(s) => s.query_traced(src, mode, limits),
-            ServeStore::Persistent(p) => p.query_traced(src, mode, limits),
-        }
-    }
-
-    fn ingest(&self, sgml: &str) -> Result<Oid, StoreError> {
-        match self {
-            ServeStore::Shared(s) => s.ingest(sgml),
-            ServeStore::Persistent(p) => p.ingest(sgml),
-        }
-    }
-
-    fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        match self {
-            ServeStore::Shared(s) => s.bind(name, oid),
-            ServeStore::Persistent(p) => p.bind(name, oid),
-        }
-    }
-
-    fn checkpoint(&self) -> Option<Result<CheckpointReport, StoreError>> {
-        match self {
-            ServeStore::Shared(_) => None,
-            ServeStore::Persistent(p) => Some(p.checkpoint()),
-        }
-    }
-}
 
 /// Server tuning knobs. The defaults suit tests and small deployments;
 /// the binary exposes each as a flag.
@@ -150,13 +96,13 @@ pub struct ShutdownReport {
     pub drained_in_time: bool,
     /// Queries force-cancelled at the deadline.
     pub force_cancelled: usize,
-    /// The shutdown checkpoint, when the store is persistent.
+    /// The shutdown checkpoint, when the store is durable.
     pub checkpoint: Option<Result<CheckpointReport, StoreError>>,
 }
 
 struct Inner {
     config: ServerConfig,
-    store: ServeStore,
+    store: SharedStore,
     metrics: ServeMetrics,
     recorder: Arc<FlightRecorder>,
     addr: SocketAddr,
@@ -185,7 +131,7 @@ impl Server {
     /// Bind, spawn the pool, and start serving. Enables the store's
     /// metrics registry and flight recorder — the serving tier is not
     /// observable without them, and `/metrics` would otherwise be empty.
-    pub fn start(config: ServerConfig, store: ServeStore) -> io::Result<ServerHandle> {
+    pub fn start(config: ServerConfig, store: SharedStore) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let snapshot = store.read();
@@ -243,7 +189,7 @@ impl ServerHandle {
     }
 
     /// The store being served.
-    pub fn store(&self) -> &ServeStore {
+    pub fn store(&self) -> &SharedStore {
         &self.inner.store
     }
 
@@ -260,7 +206,7 @@ impl ServerHandle {
 
     /// Stop accepting, drain in-flight connections under the configured
     /// deadline, force-cancel whatever is still running, join the pool,
-    /// and checkpoint a persistent store. Idempotent per handle (the
+    /// and checkpoint a durable store. Idempotent per handle (the
     /// handle is consumed).
     pub fn shutdown(mut self) -> ShutdownReport {
         let inner = &self.inner;
@@ -303,7 +249,7 @@ impl ServerHandle {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        let checkpoint = inner.store.checkpoint();
+        let checkpoint = inner.store.is_durable().then(|| inner.store.checkpoint());
         if inner.recorder.enabled() {
             inner.recorder.global_event(
                 "drain_complete",
@@ -515,17 +461,30 @@ fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
         ("POST", "/query") => serve_query(inner, peer, req),
         ("POST", "/ingest") => match std::str::from_utf8(&req.body) {
             Err(_) => send(inner, peer, 400, &[], b"body is not UTF-8\n"),
-            Ok(sgml) => match inner.store.ingest(sgml) {
-                Ok(oid) => {
-                    let headers = [("X-Docql-Oid", oid.to_string())];
-                    let body = format!("{}\n", oid.0);
-                    send(inner, peer, 201, &headers, body.as_bytes())
+            Ok(sgml) => {
+                let op = WalOp::Ingest {
+                    sgml: sgml.to_string(),
+                };
+                let (result, trace) = inner.store.apply(vec![op]);
+                let mut headers = trace_header(&trace);
+                match result.as_deref() {
+                    Ok([oid]) => {
+                        headers.push(("X-Docql-Oid", oid.to_string()));
+                        let body = format!("{}\n", oid.0);
+                        send(inner, peer, 201, &headers, body.as_bytes())
+                    }
+                    Ok(roots) => {
+                        let body = format!("ingest loaded {} documents\n", roots.len());
+                        send(inner, peer, 500, &headers, body.as_bytes())
+                    }
+                    // Rejected SGML is the client's fault; a log failure
+                    // is the server's, and the client should retry.
+                    Err(e) => {
+                        let body = format!("ingest failed: {e}\n");
+                        send(inner, peer, error_status(e), &headers, body.as_bytes())
+                    }
                 }
-                Err(e) => {
-                    let body = format!("ingest failed: {e}\n");
-                    send(inner, peer, 400, &[], body.as_bytes())
-                }
-            },
+            }
         },
         ("POST", "/bind") => {
             let body = String::from_utf8_lossy(&req.body);
@@ -534,13 +493,23 @@ fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
                 parts.next(),
                 parts.next().and_then(|s| s.parse::<u32>().ok()),
             ) {
-                (Some(name), Some(id)) => match inner.store.bind(name, Oid(id)) {
-                    Ok(()) => send(inner, peer, 204, &[], b""),
-                    Err(e) => {
-                        let body = format!("bind failed: {e}\n");
-                        send(inner, peer, 400, &[], body.as_bytes())
+                (Some(name), Some(oid)) => {
+                    let op = WalOp::Bind {
+                        name: name.to_string(),
+                        oid,
+                    };
+                    let (result, trace) = inner.store.apply(vec![op]);
+                    let headers = trace_header(&trace);
+                    match result {
+                        Ok(_) => send(inner, peer, 204, &headers, b""),
+                        // An unknown root is a `StoreError::Other` too, so
+                        // every bind failure stays the client's 400.
+                        Err(e) => {
+                            let body = format!("bind failed: {e}\n");
+                            send(inner, peer, 400, &headers, body.as_bytes())
+                        }
                     }
-                },
+                }
                 _ => send(
                     inner,
                     peer,
@@ -567,7 +536,15 @@ fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
     }
 }
 
-/// Map a query failure onto the wire.
+/// The `X-Docql-Trace-Id` header for a filed trace, if there is one.
+fn trace_header(trace: &Option<Arc<QueryTrace>>) -> Vec<(&'static str, String)> {
+    trace
+        .iter()
+        .map(|t| ("X-Docql-Trace-Id", t.id.to_string()))
+        .collect()
+}
+
+/// Map a query or ingest failure onto the wire.
 fn error_status(e: &StoreError) -> u16 {
     match e {
         StoreError::Interrupted(ExecError::DeadlineExceeded) => 504,
@@ -669,10 +646,7 @@ fn serve_query(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
         .unwrap_or_else(PoisonError::into_inner)
         .remove(&peer.id);
 
-    let mut headers: Vec<(&str, String)> = Vec::new();
-    if let Some(t) = &trace {
-        headers.push(("X-Docql-Trace-Id", t.id.to_string()));
-    }
+    let mut headers = trace_header(&trace);
     match result {
         Err(e) => {
             let status = error_status(&e);

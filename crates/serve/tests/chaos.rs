@@ -12,7 +12,7 @@ use common::{article_sgml, fault_base_seed, ServerProc, ARTICLE_QUERIES, FAULT_C
 use docql::durable::TempDir;
 use docql_prop::SeededRng;
 use docql_serve::http::ParseLimits;
-use docql_serve::server::{ServeStore, Server, ServerConfig};
+use docql_serve::server::{Server, ServerConfig};
 use docql_serve::HttpClient;
 use docql_store::{DocStore, SharedStore};
 use std::io::Write;
@@ -113,11 +113,7 @@ fn chaos_battery_leaves_the_server_standing() {
     };
     let reference = article_store(N_DOCS);
     let expected = reference.query(ARTICLE_QUERIES[2]).unwrap().to_table();
-    let handle = Server::start(
-        config,
-        ServeStore::Shared(SharedStore::new(article_store(N_DOCS))),
-    )
-    .unwrap();
+    let handle = Server::start(config, SharedStore::new(article_store(N_DOCS))).unwrap();
     let addr = handle.addr();
 
     // The well-formed peer: keeps asking Q3 throughout the storm. Backoff

@@ -3,19 +3,22 @@
 //! concurrency limit: a queued request waits, an overflowing one gets
 //! `503`), cancel-on-disconnect, drain force-cancel, and keep-alive load
 //! with reconnects — each against a `Server::start`ed pool whose metrics
-//! we can read directly.
+//! we can read directly. Writes: a rejected document is the client's
+//! `400`, a log failure the server's `500`, and every write answer names
+//! its trace.
 
 mod common;
 
 use common::{article_sgml, SLOW_QUERY};
-use docql_serve::server::{ServeStore, Server, ServerConfig, ServerHandle};
+use docql::durable::TempDir;
+use docql_serve::server::{Server, ServerConfig, ServerHandle};
 use docql_serve::HttpClient;
 use docql_store::{DocStore, SharedStore};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-fn article_serve_store(n_docs: usize) -> ServeStore {
+fn article_serve_store(n_docs: usize) -> SharedStore {
     let mut store = DocStore::new(
         docql_sgml::fixtures::ARTICLE_DTD,
         &["my_article", "my_old_article"],
@@ -26,7 +29,7 @@ fn article_serve_store(n_docs: usize) -> ServeStore {
     let roots = store.ingest_batch(&refs).unwrap();
     store.bind("my_article", roots[1]).unwrap();
     store.bind("my_old_article", roots[0]).unwrap();
-    ServeStore::Shared(SharedStore::new(store))
+    SharedStore::new(store)
 }
 
 fn start(config: ServerConfig, n_docs: usize) -> ServerHandle {
@@ -301,10 +304,7 @@ fn keep_alive_load_at_1_8_and_64_connections_answers_every_request() {
     // in time after the load.
     const REQUESTS_PER_CONN: usize = 10;
     const MAX_PER_CONN: usize = 3;
-    let shared = match article_serve_store(10) {
-        ServeStore::Shared(shared) => shared,
-        ServeStore::Persistent(_) => unreachable!("an in-memory store"),
-    };
+    let shared = article_serve_store(10);
     let q = "select t from my_article PATH_p.title(t)";
     let expected = shared.query(q).unwrap().to_table();
     let config = ServerConfig {
@@ -313,7 +313,7 @@ fn keep_alive_load_at_1_8_and_64_connections_answers_every_request() {
         max_requests_per_conn: MAX_PER_CONN,
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, ServeStore::Shared(shared)).unwrap();
+    let handle = Server::start(config, shared).unwrap();
     let addr = handle.addr();
 
     for conns in [1, 8, 64] {
@@ -383,13 +383,94 @@ fn malformed_ingest_is_400_and_publishes_no_snapshot() {
 }
 
 #[test]
+fn ingest_log_failures_are_500_while_malformed_documents_stay_400() {
+    let dir = TempDir::new("docql-serve-log-fault").unwrap();
+    let (store, _) = SharedStore::open(
+        dir.path(),
+        docql_sgml::fixtures::ARTICLE_DTD,
+        &["my_article", "my_old_article"],
+    )
+    .unwrap();
+    store.set_io_fault_seed(Some(0xD0C4_1994));
+    let handle = Server::start(ServerConfig::default(), store).unwrap();
+    let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+
+    // Ingest until the log faults (a simulated crash at that record);
+    // every failure from then on is the log's, so the server's fault.
+    let mut failures = 0;
+    for seed in 0..64u64 {
+        let resp = client
+            .post("/ingest", &[], article_sgml(seed).as_bytes())
+            .unwrap();
+        if resp.status == 201 {
+            assert_eq!(failures, 0, "a crashed log accepted a write");
+            continue;
+        }
+        assert_eq!(resp.status, 500, "seed {seed}: {}", resp.text());
+        assert!(resp.text().contains("wal"), "{}", resp.text());
+        failures += 1;
+    }
+    assert!(failures > 0, "the fault stream never fired");
+
+    // A document that does not parse is still the client's fault.
+    let resp = client
+        .post("/ingest", &[], b"<article><title>unterminated")
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    drop(client);
+    let report = handle.shutdown();
+    assert!(
+        matches!(report.checkpoint, Some(Err(_))),
+        "a crashed log refuses the shutdown checkpoint: {report:?}"
+    );
+}
+
+#[test]
+fn ingest_and_bind_echo_a_trace_id_that_traces_lists() {
+    let handle = start(ServerConfig::default(), 2);
+    let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
+    let trace_id = |resp: &docql_serve::HttpResponse| {
+        let id = resp
+            .header("X-Docql-Trace-Id")
+            .unwrap_or_else(|| panic!("no X-Docql-Trace-Id: {}", resp.text()))
+            .to_string();
+        assert_eq!(id.len(), 16, "trace id {id:?}");
+        id
+    };
+
+    let ingest = client
+        .post("/ingest", &[], article_sgml(9).as_bytes())
+        .unwrap();
+    assert_eq!(ingest.status, 201, "{}", ingest.text());
+    let oid = ingest
+        .header("X-Docql-Oid")
+        .unwrap()
+        .trim_start_matches('o');
+    let bind = client
+        .post("/bind", &[], format!("my_article {oid}").as_bytes())
+        .unwrap();
+    assert_eq!(bind.status, 204, "{}", bind.text());
+    // A failed write names its trace too.
+    let refused = client.post("/bind", &[], b"no_such_root 0").unwrap();
+    assert_eq!(refused.status, 400, "{}", refused.text());
+
+    let traces = client.get("/traces").unwrap().text();
+    for resp in [&ingest, &bind, &refused] {
+        let id = trace_id(resp);
+        assert!(
+            traces.contains(&format!("\"trace_id\":\"{id}\"")),
+            "trace {id} is not listed:\n{traces}"
+        );
+    }
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
 fn server_default_limits_govern_queries_and_headers_override_them() {
     // `default_limits` (`--row-budget` and friends) is the one layer of
     // default query limits; per-request headers override it field-wise.
-    let shared = match article_serve_store(8) {
-        ServeStore::Shared(shared) => shared,
-        ServeStore::Persistent(_) => unreachable!("an in-memory store"),
-    };
+    let shared = article_serve_store(8);
     let q = "select t from Articles PATH_p.title(t)";
     let expected = shared.query(q).unwrap();
     assert!(expected.rows.len() > 2, "the default budget must bite");
@@ -397,7 +478,7 @@ fn server_default_limits_govern_queries_and_headers_override_them() {
         default_limits: docql_guard::QueryLimits::none().with_row_budget(2),
         ..ServerConfig::default()
     };
-    let handle = Server::start(config, ServeStore::Shared(shared)).unwrap();
+    let handle = Server::start(config, shared).unwrap();
     let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 
     let resp = client.post("/query", &[], q.as_bytes()).unwrap();

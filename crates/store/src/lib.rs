@@ -19,6 +19,7 @@ pub mod metrics;
 pub mod persist;
 mod trace;
 
+pub use docql_durable::WalOp;
 pub use metrics::StoreMetrics;
 pub use persist::{CheckpointReport, PersistentStore, RecoveryReport, DEFAULT_SEGMENT_RETAIN};
 
@@ -29,6 +30,7 @@ use docql_o2sql::{CacheStats, Engine, Mode, O2sqlError, PlanCache, QueryProfile,
 use docql_obs::{QueryTrace, SharedRegistry};
 use docql_sgml::{DocParser, Document, Dtd, SgmlError};
 use docql_text::{ContainsExpr, InvertedIndex};
+use persist::Log;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -118,10 +120,12 @@ impl From<O2sqlError> for StoreError {
 /// re-planning may re-cost one whose estimates drifted far from what
 /// execution observed.
 ///
-/// [`DocStore::fork`] produces an independent copy in O(structure) — the
-/// document data (object values, position lists, extent targets, text) is
-/// shared copy-on-write — which is what makes [`SharedStore`]'s snapshot
-/// publication cheap enough to run per write.
+/// [`DocStore::fork`] produces the independent copy [`SharedStore`]
+/// publishes per write. The document data (object values, position lists,
+/// extent targets, text) is shared copy-on-write, but the fork still
+/// copies three tables whose size grows with the corpus: the object-slot
+/// `Vec`, the postings map and each path's extent map. So a write's fork
+/// costs O(corpus) pointer copies, not O(what the write touches).
 pub struct DocStore {
     dtd: Arc<Dtd>,
     mapping: Arc<DtdMapping>,
@@ -250,11 +254,12 @@ impl DocStore {
         })
     }
 
-    /// An independent copy of this store in O(structure): schema, mapping,
-    /// plan cache and metrics registry are shared outright; the object
-    /// table (values and `text` alike) and both indexes share their bulk
-    /// data copy-on-write, so mutating either side copies only what it
-    /// touches.
+    /// An independent copy of this store: schema, mapping, plan cache and
+    /// metrics registry are shared outright; object values, `text`, posting
+    /// lists and extent targets are shared copy-on-write. The tables that
+    /// hold them are copied: the object-slot `Vec` (one `Arc` per object),
+    /// the postings map (one entry per term and document) and each path's
+    /// extent map, so a fork costs O(corpus) pointer copies.
     ///
     /// This is [`SharedStore`]'s snapshot primitive: a write
     /// forks the published version, mutates the fork, and publishes it.
@@ -364,6 +369,32 @@ impl DocStore {
             set_gauge(&m.stats_extent_targets, self.extents.target_count());
             set_gauge(&m.stats_text_terms, self.index.term_count());
         }
+    }
+
+    /// Apply logged operations in order: the one definition of what each
+    /// [`WalOp`] does, run by [`SharedStore::apply`] and by recovery's
+    /// replay alike. A run of consecutive ingests is one
+    /// [`DocStore::ingest_batch`] (one parser, one `sgml_parse` span).
+    /// Returns the document roots the ingests loaded, in order.
+    pub fn apply(&mut self, ops: &[WalOp]) -> Result<Vec<Oid>, StoreError> {
+        fn sgml(op: &WalOp) -> Option<&str> {
+            match op {
+                WalOp::Ingest { sgml } => Some(sgml),
+                _ => None,
+            }
+        }
+        let mut roots = Vec::new();
+        for run in ops.chunk_by(|a, b| sgml(a).is_some() && sgml(b).is_some()) {
+            match run {
+                [WalOp::Bind { name, oid }] => self.bind(name, Oid(*oid))?,
+                [WalOp::Update { oid, value }] => self.update_value(Oid(*oid), value.clone())?,
+                ingests => {
+                    let docs: Vec<&str> = ingests.iter().filter_map(sgml).collect();
+                    roots.extend(self.ingest_batch(&docs)?);
+                }
+            }
+        }
+        Ok(roots)
     }
 
     /// Bind a named root of persistence (declared at construction) to a
@@ -879,13 +910,34 @@ fn strip_explain_analyze(src: &str) -> Option<&str> {
 /// A clonable handle serving one logical store to many threads via
 /// multi-version snapshots: readers pin the currently published immutable
 /// [`DocStore`] version — one `Arc` clone, never a lock held across query
-/// work — while a writer forks that version, mutates the fork privately,
-/// and publishes it as the next snapshot when its [`SharedStore::write`]
-/// succeeds.
+/// work — while a writer forks that version, applies its operations to the
+/// fork privately, and publishes it as the next snapshot.
 /// Object store, inverted text index and path-extent index travel together
 /// in each version, so a pinned snapshot is always internally consistent,
 /// and an in-flight reader keeps serving its version for as long as it
 /// holds the `Arc` — writers never stall it, it never blocks them.
+///
+/// Every write is a list of [`WalOp`]s run by [`SharedStore::apply`]. A
+/// handle built with [`SharedStore::new`] lives in memory; one opened from
+/// a directory with [`SharedStore::open`] or [`SharedStore::reopen`] also
+/// carries a write-ahead log, and `apply` fsyncs each operation to it
+/// before publishing (see [`persist`]). The closure-taking write behind
+/// `apply` is private, so no write can skip the log:
+///
+/// ```compile_fail
+/// fn write_around_the_log(shared: &docql_store::SharedStore) {
+///     let _unlogged = shared.write(|store, _log| store.ingest("<article></article>"));
+/// }
+/// ```
+///
+/// A pinned snapshot is immutable, so it offers no way around the log
+/// either:
+///
+/// ```compile_fail
+/// fn write_through_a_snapshot(shared: &docql_store::SharedStore) {
+///     let _unlogged = shared.read().ingest("<article></article>");
+/// }
+/// ```
 ///
 /// Memory reclamation is `Arc`-structural: when the last reader of a
 /// superseded version drops it, everything that version alone kept alive is
@@ -910,21 +962,37 @@ struct SharedInner {
     /// Each version carries its own publication stamp: its version number
     /// and when it was published.
     current: Mutex<Arc<DocStore>>,
-    /// Serialises writes: each [`SharedStore::write`] forks from `current`
-    /// and publishes back, so two concurrent writers would lose updates.
-    /// Readers never touch this lock.
-    writer: Mutex<()>,
+    /// Serialises writes and checkpoints, and holds a durable handle's
+    /// log: each write forks from `current` and publishes back (two
+    /// concurrent writers would lose updates), and a checkpoint pins
+    /// exactly the version its log position describes. Readers never touch
+    /// this lock.
+    writer: Mutex<Option<Log>>,
+}
+
+impl std::fmt::Debug for SharedStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedStore")
+            .field("snapshot_version", &self.snapshot_version())
+            .finish_non_exhaustive()
+    }
 }
 
 impl SharedStore {
-    /// Wrap a store for shared serving; it becomes snapshot version 0.
-    pub fn new(mut store: DocStore) -> SharedStore {
+    /// Wrap a store for shared in-memory serving; it becomes snapshot
+    /// version 0.
+    pub fn new(store: DocStore) -> SharedStore {
+        SharedStore::with_log(store, None)
+    }
+
+    /// Wrap a store, with the log its writes append to when durable.
+    fn with_log(mut store: DocStore, log: Option<Log>) -> SharedStore {
         store.published_version = 0;
         store.published_at = Instant::now();
         SharedStore {
             inner: Arc::new(SharedInner {
                 current: Mutex::new(Arc::new(store)),
-                writer: Mutex::new(()),
+                writer: Mutex::new(log),
             }),
         }
     }
@@ -946,26 +1014,55 @@ impl SharedStore {
     }
 
     /// The version number of the currently published snapshot (0 = the
-    /// store as wrapped; +1 per successful [`SharedStore::write`]).
+    /// store as wrapped; +1 per successful write).
     pub fn snapshot_version(&self) -> u64 {
         self.current().published_version
     }
 
-    /// Run `op` as one write: fork the published snapshot under the writer
-    /// mutex, run `op` on the fork, and publish the fork as the next version
-    /// if `op` returns `Ok`. On `Err` or a panic the fork is dropped: a
-    /// failed write publishes nothing. Readers wait only for the swap, and
-    /// the write never waits for them; concurrent writes serialise. The
-    /// write is one trace: `fork`, the spans of `op`, `snapshot_publish`.
-    pub fn write<T>(
+    /// Does this handle log its writes (opened from a directory)?
+    pub fn is_durable(&self) -> bool {
+        self.lock_writer().is_some()
+    }
+
+    /// Run `ops` as one write: apply every op to a fork of the published
+    /// snapshot ([`DocStore::apply`]), then append every op to the log if
+    /// the handle has one, then publish. A rejected op fails the write
+    /// before anything is logged, and a failed write publishes nothing.
+    /// Returns the document roots the ingests loaded and the write's
+    /// filed trace (`None` when the flight recorder is off), the way
+    /// [`SharedStore::query_traced`] returns a query's.
+    pub fn apply(
         &self,
-        op: impl FnOnce(&mut DocStore) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let _writer = self
-            .inner
-            .writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        ops: Vec<WalOp>,
+    ) -> (Result<Vec<Oid>, StoreError>, Option<Arc<QueryTrace>>) {
+        self.write(|store, log| {
+            let roots = store.apply(&ops)?;
+            if let Some(log) = log {
+                // A fault mid-batch is a crash mid-batch: the durable
+                // prefix keeps the operations logged so far, and the
+                // in-memory store publishes nothing (recovery's view and
+                // the readers' view only converge on reopen, as after a
+                // real crash).
+                for op in ops {
+                    log.append(store, op)?;
+                }
+            }
+            Ok(roots)
+        })
+    }
+
+    /// Run `op` as one write: fork the published snapshot under the writer
+    /// mutex, run `op` on the fork and the log, and publish the fork as the
+    /// next version if `op` returns `Ok`. On `Err` or a panic the fork is
+    /// dropped: a failed write publishes nothing. Readers wait only for the
+    /// swap, and the write never waits for them; concurrent writes
+    /// serialise. The write is one trace: `fork`, the spans of `op`,
+    /// `snapshot_publish`.
+    fn write<T>(
+        &self,
+        op: impl FnOnce(&mut DocStore, Option<&mut Log>) -> Result<T, StoreError>,
+    ) -> (Result<T, StoreError>, Option<Arc<QueryTrace>>) {
+        let mut writer = self.lock_writer();
         // Forking under the writer mutex pins the latest version: no other
         // writer can publish between the fork and our publication. The
         // publication cell is held only for the `Arc` clone, not the fork,
@@ -977,7 +1074,7 @@ impl SharedStore {
         // unless a reader pins it. Kept past it, timing picks who frees it.
         drop(latest);
         store.trace = trace;
-        let out = op(&mut store);
+        let out = op(&mut store, writer.as_mut());
         let trace = store.trace.take();
         if out.is_ok() {
             span(trace.as_ref(), "snapshot_publish", || {
@@ -996,14 +1093,25 @@ impl SharedStore {
             });
         }
         let filer = Arc::clone(&self.current());
-        filer.finish_write(trace, &out);
-        out
+        let filed = filer.finish_write(trace, &out);
+        (out, filed)
     }
 
     /// The publication cell, locked for a pointer-sized read or swap.
     fn current(&self) -> MutexGuard<'_, Arc<DocStore>> {
         self.inner
             .current
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The writer mutex and the log it guards. Poison recovery is sound: a
+    /// panicking writer aborts its write (nothing published), and the
+    /// log's own `crashed` flag — not the mutex state — gates a damaged
+    /// log.
+    fn lock_writer(&self) -> MutexGuard<'_, Option<Log>> {
+        self.inner
+            .writer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
@@ -1040,20 +1148,30 @@ impl SharedStore {
         self.read().set_tracing_enabled(on);
     }
 
-    /// Ingest one document as one [`SharedStore::write`].
+    /// Ingest one document: a one-document [`SharedStore::ingest_batch`].
     pub fn ingest(&self, sgml_text: &str) -> Result<Oid, StoreError> {
-        self.write(|store| store.ingest(sgml_text))
+        self.ingest_batch(&[sgml_text])?
+            .pop()
+            .ok_or_else(|| StoreError::Other("ingest loaded no document".into()))
     }
 
-    /// Batch ingest as one [`SharedStore::write`] (see
-    /// [`DocStore::ingest_batch`]).
+    /// Ingest a batch as one write of one [`WalOp::Ingest`] per document
+    /// (see [`SharedStore::apply`]): validated and loaded together, logged
+    /// as one record per document, published atomically.
     pub fn ingest_batch(&self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        self.write(|store| store.ingest_batch(docs))
+        let ops = docs.iter().map(|d| WalOp::Ingest {
+            sgml: d.to_string(),
+        });
+        self.apply(ops.collect()).0
     }
 
-    /// Bind a named root of persistence as one [`SharedStore::write`].
+    /// Bind a named root of persistence as one write.
     pub fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        self.write(|store| store.bind(name, oid))
+        let op = WalOp::Bind {
+            name: name.to_string(),
+            oid: oid.0,
+        };
+        self.apply(vec![op]).0.map(drop)
     }
 }
 
@@ -1230,11 +1348,13 @@ mod tests {
             .ingest_batch(&[FIG2_DOCUMENT, "<article><title>unterminated"])
             .is_err());
         assert!(shared.bind("no_such_root", Oid(0)).is_err());
-        // A failed mutation inside a general write publishes nothing
-        // either (the error, not a doc comment, settles the write).
-        assert!(shared
-            .write(|s| s.update_value(Oid(u32::MAX), Value::str("x")))
-            .is_err());
+        // A failed update publishes nothing either (the error, not a doc
+        // comment, settles the write).
+        let update = WalOp::Update {
+            oid: u32::MAX,
+            value: Value::str("x"),
+        };
+        assert!(shared.apply(vec![update]).0.is_err());
         assert_eq!(
             shared.snapshot_version(),
             0,

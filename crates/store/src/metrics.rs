@@ -83,7 +83,7 @@ pub struct StoreMetrics {
     /// [`DocStore::flight_recorder`](crate::DocStore::flight_recorder)).
     pub traces_recorded: Counter,
     /// Snapshots published by [`SharedStore`](crate::SharedStore) writers
-    /// (each successful [`SharedStore::write`](crate::SharedStore::write)
+    /// (each successful [`SharedStore::apply`](crate::SharedStore::apply)
     /// swaps in one new version).
     pub snapshots_published: Counter,
     /// Version number of the currently published snapshot (0 = the version

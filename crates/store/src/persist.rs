@@ -1,29 +1,26 @@
-//! The durable store: [`SharedStore`] MVCC serving plus the `docql-durable`
-//! write-ahead log and snapshot segments, composed so that
+//! Durability for [`SharedStore`]: a handle opened from a directory
+//! carries the `docql-durable` write-ahead log and snapshot segments, so
+//! that
 //!
-//! * every committed write (ingest, bind) is fsynced to the WAL *before*
-//!   the new snapshot version is published to readers,
-//! * [`PersistentStore::checkpoint`] captures the published snapshot as an
+//! * every committed write ([`SharedStore::apply`]) is fsynced to the WAL,
+//!   one record per [`WalOp`], *before* the new snapshot version is
+//!   published to readers,
+//! * [`SharedStore::checkpoint`] captures the published snapshot as an
 //!   immutable segment file and then truncates the log,
-//! * [`PersistentStore::open`] recovers by loading the newest valid
-//!   segment, deriving the `text` mapping and both indexes from its
-//!   objects, and replaying the WAL's valid tail — no SGML re-parsing of
-//!   checkpointed documents, and a damaged log tail is truncated, never
-//!   loaded.
+//! * [`SharedStore::open`] recovers by loading the newest valid segment,
+//!   deriving the `text` mapping and both indexes from its objects, and
+//!   replaying the WAL's valid tail through [`DocStore::apply`] — no SGML
+//!   re-parsing of checkpointed documents, and a damaged log tail is
+//!   truncated, never loaded.
 //!
-//! # Lock ordering
-//!
-//! The WAL mutex is the **outermost** lock: writes take it, then run a
-//! [`SharedStore::write`]; checkpoints take it, then pin the published
-//! snapshot. Publication happens (when the write's closure returns `Ok`)
-//! while the WAL lock is still held, so the snapshot a checkpoint pins
-//! corresponds *exactly* to the records at or below its `applied_seqno` —
-//! no committed record can be missing from it, none past it can have
-//! leaked in.
+//! The log lives under the writer mutex. A write appends to it and
+//! publishes inside one critical section, and a checkpoint takes the same
+//! mutex, so the snapshot it pins corresponds *exactly* to the records at
+//! or below its `applied_seqno`.
 //!
 //! # Crash simulation
 //!
-//! [`PersistentStore::set_io_fault_seed`] arms `docql-guard`'s seeded
+//! [`SharedStore::set_io_fault_seed`] arms `docql-guard`'s seeded
 //! [`IoFaultStream`] inside the WAL. An injected fault behaves as a crash
 //! at that record boundary: the damaged bytes land on disk, the in-memory
 //! write fails and publishes nothing (readers keep the pre-write snapshot,
@@ -33,14 +30,10 @@
 use crate::trace::{span, WriteKind, WriteTrace};
 use crate::{set_gauge, DocStore, SharedStore, StoreError};
 use docql_durable::snapshot::{self, StoreImage, StoreMeta};
-use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
-use docql_guard::{IoFaultStream, QueryLimits};
+use docql_durable::wal::{Wal, WalOp, WAL_FILE};
+use docql_guard::IoFaultStream;
 use docql_model::Oid;
-use docql_o2sql::{Mode, QueryResult};
-use docql_obs::QueryTrace;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What recovery found and did while opening a store directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -70,52 +63,45 @@ pub struct CheckpointReport {
     /// Highest WAL seqno whose effects the segment contains.
     pub applied_seqno: u64,
     /// Old segment generations collected by GC after this checkpoint
-    /// (see [`PersistentStore::set_segment_retain`]).
+    /// (see [`SharedStore::set_segment_retain`]).
     pub segments_removed: usize,
 }
 
-/// A [`SharedStore`] whose commits survive process death.
-///
-/// Reads are plain MVCC snapshot reads — pin with
-/// [`PersistentStore::read`] and query lock-free. Every write goes through
-/// this handle's [`ingest`](PersistentStore::ingest),
-/// [`ingest_batch`](PersistentStore::ingest_batch) and
-/// [`bind`](PersistentStore::bind), which log before they publish. The
-/// inner [`SharedStore`] never leaves the handle, so a write that skips
-/// the WAL does not compile:
-///
-/// ```compile_fail
-/// fn write_around_the_wal(ps: &docql_store::PersistentStore) {
-///     let shared: &docql_store::SharedStore = ps.shared();
-///     let _unlogged = shared.write(|store| store.ingest("<article></article>"));
-/// }
-/// ```
-///
-/// A pinned snapshot is immutable, so it offers no way around the log
-/// either:
-///
-/// ```compile_fail
-/// fn write_through_a_snapshot(ps: &docql_store::PersistentStore) {
-///     let _unlogged = ps.read().ingest("<article></article>");
-/// }
-/// ```
-pub struct PersistentStore {
-    shared: SharedStore,
-    wal: Mutex<Wal>,
+/// The durable store: a [`SharedStore`] opened from a directory with
+/// [`SharedStore::open`] or [`SharedStore::reopen`], whose writes are
+/// logged before they publish. The name stays for callers that spell the
+/// durable handle out.
+pub type PersistentStore = SharedStore;
+
+/// A durable handle's log, held under the writer mutex: the WAL, the
+/// directory its segments go to, and how many of them checkpoints keep.
+pub(crate) struct Log {
+    wal: Wal,
     dir: PathBuf,
-    /// Newest valid segment generations kept by post-checkpoint GC.
-    segment_retain: AtomicUsize,
+    segment_retain: usize,
 }
 
-impl std::fmt::Debug for PersistentStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PersistentStore")
-            .field("dir", &self.dir)
-            .finish_non_exhaustive()
+impl Log {
+    /// Append one operation inside `store`'s write: one `wal_append` and
+    /// one `wal_fsync` span.
+    pub(crate) fn append(&mut self, store: &DocStore, op: WalOp) -> Result<(), StoreError> {
+        let receipt = self
+            .wal
+            .append(op)
+            .map_err(|e| StoreError::Other(format!("wal: {e}")))?;
+        if store.metrics.enabled() {
+            store.metrics.wal_appends.inc();
+            store.metrics.wal_bytes.add(receipt.frame_len);
+        }
+        if let Some(trace) = &store.trace {
+            trace.stamp("wal_append", receipt.write);
+            trace.stamp("wal_fsync", receipt.fsync);
+        }
+        Ok(())
     }
 }
 
-impl PersistentStore {
+impl SharedStore {
     /// Open (creating if empty) the store directory `dir` for the given
     /// schema, recovering whatever state previous runs committed: newest
     /// valid segment first, then the WAL's valid tail.
@@ -127,7 +113,7 @@ impl PersistentStore {
         dir: &Path,
         dtd_text: &str,
         extra_roots: &[&str],
-    ) -> Result<(PersistentStore, RecoveryReport), StoreError> {
+    ) -> Result<(SharedStore, RecoveryReport), StoreError> {
         std::fs::create_dir_all(dir).map_err(crate::io_err)?;
         match snapshot::read_meta(dir) {
             Ok(meta) => {
@@ -144,17 +130,17 @@ impl PersistentStore {
             }
             Err(e) => return Err(seg_err(e)),
         }
-        PersistentStore::recover(dir, dtd_text, extra_roots)
+        SharedStore::recover(dir, dtd_text, extra_roots)
     }
 
     /// Open an existing store directory, taking the schema and root
     /// declarations from its `store.meta` (written by the first
-    /// [`PersistentStore::open`]).
-    pub fn reopen(dir: &Path) -> Result<(PersistentStore, RecoveryReport), StoreError> {
+    /// [`SharedStore::open`]).
+    pub fn reopen(dir: &Path) -> Result<(SharedStore, RecoveryReport), StoreError> {
         let meta = snapshot::read_meta(dir).map_err(seg_err)?;
         upgrade_meta(dir, &meta)?;
         let root_refs: Vec<&str> = meta.extra_roots.iter().map(String::as_str).collect();
-        PersistentStore::recover(dir, &meta.dtd_text, &root_refs)
+        SharedStore::recover(dir, &meta.dtd_text, &root_refs)
     }
 
     /// Recover the directory into a fresh store, as one recovery trace.
@@ -162,174 +148,100 @@ impl PersistentStore {
         dir: &Path,
         dtd_text: &str,
         extra_roots: &[&str],
-    ) -> Result<(PersistentStore, RecoveryReport), StoreError> {
+    ) -> Result<(SharedStore, RecoveryReport), StoreError> {
         let mut store = DocStore::new(dtd_text, extra_roots)?;
         store.trace = store.begin_write(WriteKind::Recovery);
         let recovered = recover_into(&mut store, dir);
         let trace = store.trace.take();
         store.finish_write(trace, &recovered);
         let (wal, report) = recovered?;
-        Ok((
-            PersistentStore {
-                shared: SharedStore::new(store),
-                wal: Mutex::new(wal),
-                dir: dir.to_path_buf(),
-                segment_retain: AtomicUsize::new(DEFAULT_SEGMENT_RETAIN),
-            },
-            report,
-        ))
+        let log = Log {
+            wal,
+            dir: dir.to_path_buf(),
+            segment_retain: DEFAULT_SEGMENT_RETAIN,
+        };
+        Ok((SharedStore::with_log(store, Some(log)), report))
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Pin the current snapshot (see [`SharedStore::read`]).
-    pub fn read(&self) -> Arc<DocStore> {
-        self.shared.read()
-    }
-
-    /// Run an O₂SQL query against the current snapshot.
-    pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.shared.query(src)
-    }
-
-    /// The general query entry point against the current snapshot (see
-    /// [`SharedStore::query_traced`]).
-    pub fn query_traced(
-        &self,
-        src: &str,
-        mode: Mode,
-        limits: &QueryLimits,
-    ) -> (Result<QueryResult, StoreError>, Option<Arc<QueryTrace>>) {
-        self.shared.query_traced(src, mode, limits)
-    }
-
-    /// Bytes currently in the write-ahead log.
+    /// Bytes currently in the write-ahead log (0 without one).
     pub fn wal_len_bytes(&self) -> u64 {
-        self.lock_wal().len_bytes()
+        self.lock_writer()
+            .as_ref()
+            .map_or(0, |log| log.wal.len_bytes())
     }
 
     /// How many newest valid segment generations checkpoints keep
     /// (older ones are garbage-collected after each checkpoint).
     pub fn segment_retain(&self) -> usize {
-        self.segment_retain.load(Ordering::Relaxed)
+        self.lock_writer()
+            .as_ref()
+            .map_or(DEFAULT_SEGMENT_RETAIN, |log| log.segment_retain)
     }
 
     /// Set the checkpoint retention depth. Clamped to at least 1; the
     /// default is [`DEFAULT_SEGMENT_RETAIN`]. Only validating segments
     /// count toward the quota, so a corrupt newest segment never evicts
-    /// its recovery fallback.
+    /// its recovery fallback. An in-memory handle ignores it.
     pub fn set_segment_retain(&self, keep: usize) {
-        self.segment_retain.store(keep.max(1), Ordering::Relaxed);
+        if let Some(log) = self.lock_writer().as_mut() {
+            log.segment_retain = keep.max(1);
+        }
     }
 
     /// Arm (or disarm, with `None`) seeded I/O fault injection at WAL
-    /// record boundaries — each subsequent committed write draws one fault
-    /// decision from `docql-guard`'s [`IoFaultStream`].
+    /// record boundaries — each subsequent logged operation draws one
+    /// fault decision from `docql-guard`'s [`IoFaultStream`]. An in-memory
+    /// handle ignores it.
     pub fn set_io_fault_seed(&self, seed: Option<u64>) {
-        self.lock_wal()
-            .set_fault_stream(seed.map(IoFaultStream::new));
-    }
-
-    fn lock_wal(&self) -> MutexGuard<'_, Wal> {
-        // Poison recovery is sound: a panicking writer aborts its
-        // transaction (nothing published), and the Wal's own `crashed`
-        // flag — not the mutex state — is what gates a damaged log.
-        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Durably ingest one SGML document: a one-document
-    /// [`PersistentStore::ingest_batch`], logged as one WAL record.
-    pub fn ingest(&self, sgml_text: &str) -> Result<Oid, StoreError> {
-        self.ingest_batch(&[sgml_text])?
-            .pop()
-            .ok_or_else(|| StoreError::Other("ingest loaded no document".into()))
-    }
-
-    /// Durably ingest a batch: the documents are validated and loaded as
-    /// one [`crate::DocStore::ingest_batch`] into a private fork, logged as
-    /// one fsynced WAL record *per document*, then published atomically.
-    /// On any failure the fork is discarded — readers never see a state the
-    /// log does not cover — and recovery after a crash mid-batch restores
-    /// exactly the documents whose records were fsynced.
-    pub fn ingest_batch(&self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        let mut wal = self.lock_wal();
-        self.shared.write(|store| {
-            let roots = store.ingest_batch(docs)?;
-            for doc in docs {
-                // A fault mid-batch is a crash mid-batch: the durable
-                // prefix keeps the documents logged so far, and the
-                // in-memory store publishes nothing (recovery's view and
-                // the readers' view only converge on reopen, as after a
-                // real crash).
-                log(
-                    store,
-                    &mut wal,
-                    WalOp::Ingest {
-                        sgml: doc.to_string(),
-                    },
-                )?;
-            }
-            Ok(roots)
-        })
-    }
-
-    /// Durably bind a named root of persistence to a document object.
-    pub fn bind(&self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        let mut wal = self.lock_wal();
-        self.shared.write(|store| {
-            store.bind(name, oid)?;
-            log(
-                store,
-                &mut wal,
-                WalOp::Bind {
-                    name: name.to_string(),
-                    oid: oid.0,
-                },
-            )
-        })
+        if let Some(log) = self.lock_writer().as_mut() {
+            log.wal.set_fault_stream(seed.map(IoFaultStream::new));
+        }
     }
 
     /// Write the published snapshot as a new segment file, then truncate
     /// the WAL. Readers are never blocked (the snapshot is pinned, not
-    /// locked); concurrent writers wait on the WAL mutex, which is what
-    /// makes the pinned snapshot exactly cover the truncated records.
+    /// locked); concurrent writers wait on the writer mutex, which is what
+    /// makes the pinned snapshot exactly cover the truncated records. An
+    /// in-memory handle has nothing to checkpoint and fails.
     pub fn checkpoint(&self) -> Result<CheckpointReport, StoreError> {
-        let pinned = self.shared.read();
+        let pinned = self.read();
         let trace = pinned.begin_write(WriteKind::Checkpoint);
         let out = self.write_checkpoint(trace.as_ref());
         pinned.finish_write(trace, &out);
         out
     }
 
-    /// The body of [`PersistentStore::checkpoint`], spanned into `trace`.
+    /// The body of [`SharedStore::checkpoint`], spanned into `trace`.
     fn write_checkpoint(&self, trace: Option<&WriteTrace>) -> Result<CheckpointReport, StoreError> {
-        let mut wal = self.lock_wal();
-        if wal.is_crashed() {
+        let mut writer = self.lock_writer();
+        let Some(log) = writer.as_mut() else {
+            return Err(StoreError::Other(
+                "an in-memory store has no log to checkpoint".into(),
+            ));
+        };
+        if log.wal.is_crashed() {
             // The log tail on disk is damaged and memory has diverged from
             // it; truncating would discard committed records. Reopen first.
             return Err(StoreError::Other(
                 "wal crashed; reopen the store before checkpointing".into(),
             ));
         }
-        let applied_seqno = wal.next_seqno() - 1;
-        let store = self.shared.read();
+        let applied_seqno = log.wal.next_seqno() - 1;
+        let store = self.read();
         if let Some(trace) = trace {
             trace.snapshot(&store);
         }
         let (path, bytes) = span(trace, "segment_write", || {
             let image = image_of(&store, applied_seqno)?;
-            snapshot::write_segment(&self.dir, &image).map_err(crate::io_err)
+            snapshot::write_segment(&log.dir, &image).map_err(crate::io_err)
         })?;
-        span(trace, "wal_truncate", || wal.truncate()).map_err(crate::io_err)?;
-        // GC old generations while the WAL lock still serialises us
+        span(trace, "wal_truncate", || log.wal.truncate()).map_err(crate::io_err)?;
+        // GC old generations while the writer mutex still serialises us
         // against concurrent checkpoints. A GC failure is not a
         // checkpoint failure — the new segment and truncated log are
         // already durable; leftovers just wait for the next pass.
         let gc = span(trace, "segment_gc", || {
-            snapshot::gc_segments(&self.dir, self.segment_retain())
+            snapshot::gc_segments(&log.dir, log.segment_retain)
         });
         let segments_removed = match gc {
             Ok(removed) => removed.len(),
@@ -358,30 +270,10 @@ impl PersistentStore {
     /// test battery (which writes segments out-of-band to exercise the
     /// crash window between segment rename and WAL truncation).
     pub fn image(&self) -> Result<StoreImage, StoreError> {
-        let wal = self.lock_wal();
-        let applied_seqno = wal.next_seqno() - 1;
-        let store = self.shared.read();
-        image_of(&store, applied_seqno)
+        let writer = self.lock_writer();
+        let applied_seqno = writer.as_ref().map_or(0, |log| log.wal.next_seqno() - 1);
+        image_of(&self.read(), applied_seqno)
     }
-}
-
-fn wal_err(e: WalError) -> StoreError {
-    StoreError::Other(format!("wal: {e}"))
-}
-
-/// Append one operation to the WAL (whose lock the caller holds) inside
-/// `store`'s write: one `wal_append` and one `wal_fsync` span.
-fn log(store: &DocStore, wal: &mut Wal, op: WalOp) -> Result<(), StoreError> {
-    let receipt = wal.append(op).map_err(wal_err)?;
-    if store.metrics.enabled() {
-        store.metrics.wal_appends.inc();
-        store.metrics.wal_bytes.add(receipt.frame_len);
-    }
-    if let Some(trace) = &store.trace {
-        trace.stamp("wal_append", receipt.write);
-        trace.stamp("wal_fsync", receipt.fsync);
-    }
-    Ok(())
 }
 
 /// Load the newest valid segment into a fresh `store`, then replay the
@@ -403,12 +295,16 @@ fn recover_into(store: &mut DocStore, dir: &Path) -> Result<(Wal, RecoveryReport
     })
     .map_err(crate::io_err)?;
     let applied = segment_seqno.unwrap_or(0);
-    let tail: Vec<_> = scanned
+    let tail: Vec<WalOp> = scanned
         .records
         .into_iter()
         .filter(|r| r.seqno > applied)
+        .map(|r| r.op)
         .collect();
-    replay(store, &tail)?;
+    // One record at a time, in log order, the way each was committed.
+    for op in &tail {
+        store.apply(std::slice::from_ref(op))?;
+    }
     wal.set_next_seqno(applied + 1);
     let m = &store.metrics;
     if m.enabled() {
@@ -499,16 +395,5 @@ fn restore_into(store: &mut DocStore, image: &StoreImage) -> Result<(), StoreErr
     }
     store.documents = image.documents.iter().map(|&o| Oid(o)).collect();
     store.refresh_text();
-    Ok(())
-}
-
-/// Replay a WAL tail onto a store, one record at a time in log order.
-fn replay(store: &mut DocStore, records: &[docql_durable::WalRecord]) -> Result<(), StoreError> {
-    for record in records {
-        match &record.op {
-            WalOp::Ingest { sgml } => store.ingest(sgml).map(drop)?,
-            WalOp::Bind { name, oid } => store.bind(name, Oid(*oid))?,
-        }
-    }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! write-side histograms are views of it (`StoreMetrics::record_write`).
 
 use crate::{DocStore, StoreError};
-use docql_obs::{FlightRecorder, TraceBuilder};
+use docql_obs::{FlightRecorder, QueryTrace, TraceBuilder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,11 +86,13 @@ impl DocStore {
     }
 
     /// Seal a write-side trace, if one was begun, with the outcome of its
-    /// work and file it.
-    pub(crate) fn finish_write<T>(&self, trace: Option<WriteTrace>, out: &Result<T, StoreError>) {
-        let Some(trace) = trace else {
-            return;
-        };
+    /// work and file it; returns the trace if the recorder retained it.
+    pub(crate) fn finish_write<T>(
+        &self,
+        trace: Option<WriteTrace>,
+        out: &Result<T, StoreError>,
+    ) -> Option<Arc<QueryTrace>> {
+        let trace = trace?;
         let kind = trace.kind;
         if kind != WriteKind::Write {
             trace.timeline(kind.name());
@@ -102,11 +104,11 @@ impl DocStore {
         let total = trace.tb.elapsed();
         let mut qt = trace.tb.finish(outcome, "complete", detail, 0, total);
         qt.query = trace.label.unwrap_or_else(|| kind.name().to_string());
-        self.file(qt, |t| self.metrics.record_write(kind, t));
+        self.file(qt, |t| self.metrics.record_write(kind, t))
     }
 
     /// Run one mutation as a write: inside a traced write already under way
-    /// (a [`SharedStore::write`](crate::SharedStore::write), recovery) it
+    /// (a [`SharedStore::apply`](crate::SharedStore::apply), recovery) it
     /// joins that trace; otherwise it is a write of its own, filed when done.
     pub(crate) fn mutate<T>(
         &mut self,

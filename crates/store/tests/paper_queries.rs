@@ -8,7 +8,7 @@ use docql_corpus::{
 };
 use docql_model::{sym, Value};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
-use docql_store::{DocStore, SharedStore};
+use docql_store::{DocStore, SharedStore, WalOp};
 use std::collections::BTreeSet;
 
 fn article_store(n_docs: usize) -> DocStore {
@@ -390,10 +390,11 @@ fn constraint_violations_surface_after_bad_update() {
 fn wrong_shape_update_is_refused_before_anything_changes() {
     let shared = SharedStore::new(docql_store::paper_store().unwrap());
     let root = shared.read().documents()[0];
-    let err = shared
-        .write(|s| s.update_value(root, Value::str("x")))
-        .unwrap_err()
-        .to_string();
+    let update = WalOp::Update {
+        oid: root.0,
+        value: Value::str("x"),
+    };
+    let err = shared.apply(vec![update]).0.unwrap_err().to_string();
     // `ModelError::TypeMismatch`'s rendering.
     assert!(err.contains("\"x\" is not in dom("), "{err}");
     assert_eq!(shared.snapshot_version(), 0, "nothing was published");

@@ -299,7 +299,7 @@ fn mvcc_writer_churn_does_not_tear_results() {
                     subsections: 1,
                     ..ArticleParams::default()
                 });
-                shared.write(|s| s.ingest_document(&doc)).unwrap();
+                shared.ingest(&doc.to_sgml()).unwrap();
             }
         });
         for reader in 0..READERS {

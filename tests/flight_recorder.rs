@@ -260,7 +260,7 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
 fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
     let dir = docql::durable::TempDir::new("docql-flight-recorder").unwrap();
     let (store, _) =
-        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+        SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     store.read().set_tracing_enabled(true);
     let recorder = store.read().flight_recorder().clone();
     recorder.set_slow_cutoff(Duration::ZERO);
@@ -579,7 +579,7 @@ fn writes_and_checkpoints_each_file_one_trace_of_named_spans() {
     // A durable ingest of two documents: one trace, a WAL record each.
     let dir = docql::durable::TempDir::new("docql-write-traces").unwrap();
     let (ps, _) =
-        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+        SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     ps.read().set_tracing_enabled(true);
     let recorder = ps.read().flight_recorder().clone();
     let before = recorder.recorded();
@@ -617,7 +617,7 @@ fn writes_and_checkpoints_each_file_one_trace_of_named_spans() {
 fn write_histograms_count_once_per_document_record_and_checkpoint() {
     let dir = docql::durable::TempDir::new("docql-write-histograms").unwrap();
     let (ps, _) =
-        PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+        SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     // Tracing on as well, so write traces are filed while they feed the
     // histograms; each must be counted once either way.
     ps.read().set_metrics_enabled(true);

@@ -1,9 +1,12 @@
-//! Crash-recovery battery for [`PersistentStore`]:
+//! Crash-recovery battery for the durable store, a [`SharedStore`] opened
+//! from a directory:
 //!
 //! * **kill at every WAL record boundary** — for each of the N+1 clean
-//!   prefixes of the log, a store reopened on that prefix answers Q1–Q5
-//!   byte-identically to a fresh ingest of the same operation prefix, with
-//!   no partial documents visible;
+//!   prefixes of the log (ingests, binds and updates), a store reopened on
+//!   that prefix answers Q1–Q5 byte-identically to a fresh ingest of the
+//!   same operation prefix, with no partial documents visible;
+//! * **rejected writes** — a write refused before it publishes leaves no
+//!   log record;
 //! * **torn / truncated / bit-flipped tails** — mid-record cuts, trailing
 //!   garbage, and a ≥64-seed single-bit-flip sweep are all detected by
 //!   checksum and cleanly truncated to the longest valid prefix, never
@@ -19,7 +22,7 @@
 use docql::durable::snapshot;
 use docql::durable::{crc32, encode_frame, scan, Reader, TempDir, Writer, META_FILE, WAL_FILE};
 use docql::prelude::*;
-use docql::store::{DocStore, StoreError};
+use docql::store::{DocStore, StoreError, WalOp};
 use docql_corpus::{generate_letter, LetterParams};
 use std::fs;
 use std::path::Path;
@@ -37,6 +40,8 @@ enum Op {
     Ingest(u64),
     /// Bind the named root to the root object of the i-th ingest.
     Bind(&'static str, usize),
+    /// Set the title of the i-th ingest to this text (an update record).
+    Retitle(usize, &'static str),
 }
 
 const SCRIPT: &[Op] = &[
@@ -44,11 +49,23 @@ const SCRIPT: &[Op] = &[
     Op::Ingest(1),
     Op::Bind("my_old_article", 0),
     Op::Bind("my_article", 1),
+    Op::Retitle(1, "A retitled SGML article"),
     Op::Ingest(2),
     Op::Ingest(3),
     Op::Ingest(4),
+    Op::Retitle(3, "Another title"),
     Op::Ingest(5),
 ];
+
+/// The title object of the document rooted at `root`, and a title value
+/// holding `text`.
+fn retitle(store: &DocStore, root: Oid, text: &str) -> (Oid, Value) {
+    let title = match store.instance().value_of(root).unwrap().attr(sym("title")) {
+        Some(Value::Oid(o)) => *o,
+        other => panic!("an article has a title object, got {other:?}"),
+    };
+    (title, Value::tuple([("contents", Value::str(text))]))
+}
 
 /// Fresh in-memory ingest of the first `k` script operations — the oracle
 /// a recovered store is compared against.
@@ -59,18 +76,36 @@ fn reference_store(k: usize) -> DocStore {
         match op {
             Op::Ingest(seed) => roots.push(store.ingest(&article_sgml(*seed)).unwrap()),
             Op::Bind(name, i) => store.bind(name, roots[*i]).unwrap(),
+            Op::Retitle(i, text) => {
+                let (title, value) = retitle(&store, roots[*i], text);
+                store.update_value(title, value).unwrap();
+            }
         }
     }
     store
 }
 
-fn run_script(ps: &PersistentStore) {
-    let mut roots = Vec::new();
-    for op in SCRIPT {
-        match op {
-            Op::Ingest(seed) => roots.push(ps.ingest(&article_sgml(*seed)).unwrap()),
-            Op::Bind(name, i) => ps.bind(name, roots[*i]).unwrap(),
+/// Run one script operation as a durable write; `roots` collects the
+/// documents ingested so far.
+fn run_op(ps: &SharedStore, roots: &mut Vec<Oid>, op: &Op) {
+    match op {
+        Op::Ingest(seed) => roots.push(ps.ingest(&article_sgml(*seed)).unwrap()),
+        Op::Bind(name, i) => ps.bind(name, roots[*i]).unwrap(),
+        Op::Retitle(i, text) => {
+            let (title, value) = retitle(&ps.read(), roots[*i], text);
+            let update = WalOp::Update {
+                oid: title.0,
+                value,
+            };
+            ps.apply(vec![update]).0.unwrap();
         }
+    }
+}
+
+fn run_script(ps: &SharedStore, ops: &[Op]) {
+    let mut roots = Vec::new();
+    for op in ops {
+        run_op(ps, &mut roots, op);
     }
 }
 
@@ -136,18 +171,23 @@ fn splitmix(state: &mut u64) -> u64 {
 fn kill_at_every_wal_record_boundary_recovers_the_exact_prefix() {
     let base = TempDir::new("recovery-base").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
     }
     let wal = fs::read(base.join(WAL_FILE)).unwrap();
     let bounds = wal_boundaries(&wal);
     assert_eq!(bounds.len(), SCRIPT.len() + 1, "one record per operation");
+    let updates = scan(&wal)
+        .records
+        .iter()
+        .filter(|r| matches!(r.op, WalOp::Update { .. }))
+        .count();
+    assert_eq!(updates, 2, "the script's retitles are update records");
 
     for (k, cut) in bounds.iter().enumerate() {
         let dir = TempDir::new("recovery-kill").unwrap();
         clone_with_wal(base.path(), dir.path(), &wal[..*cut]);
-        let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+        let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
         assert_eq!(report.replayed_records, k, "cut at boundary {k}");
         assert_eq!(report.truncated_bytes, 0, "clean prefixes lose nothing");
         assert_eq!(report.segment_seqno, None);
@@ -172,9 +212,8 @@ fn kill_at_every_wal_record_boundary_recovers_the_exact_prefix() {
 fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
     let base = TempDir::new("recovery-torn-base").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
     }
     let wal = fs::read(base.join(WAL_FILE)).unwrap();
     let bounds = wal_boundaries(&wal);
@@ -186,7 +225,7 @@ fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
             let cut = bounds[k] + cut_in;
             let dir = TempDir::new("recovery-torn").unwrap();
             clone_with_wal(base.path(), dir.path(), &wal[..cut]);
-            let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+            let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
             assert_eq!(report.replayed_records, k, "cut {cut_in} into record {k}");
             assert_eq!(report.truncated_bytes, cut_in as u64);
             assert_eq!(
@@ -202,7 +241,7 @@ fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
     torn.extend_from_slice(&[0xAB; 13]);
     let dir = TempDir::new("recovery-garbage").unwrap();
     clone_with_wal(base.path(), dir.path(), &torn);
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(report.replayed_records, SCRIPT.len());
     assert_eq!(report.truncated_bytes, 13);
     assert_eq!(
@@ -218,9 +257,8 @@ fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
 fn single_bit_flip_sweep_recovers_the_longest_valid_prefix() {
     let base = TempDir::new("recovery-flip-base").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(base.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
     }
     let wal = fs::read(base.join(WAL_FILE)).unwrap();
     let bounds = wal_boundaries(&wal);
@@ -237,7 +275,7 @@ fn single_bit_flip_sweep_recovers_the_longest_valid_prefix() {
 
         let dir = TempDir::new("recovery-flip").unwrap();
         clone_with_wal(base.path(), dir.path(), &flipped);
-        let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+        let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
         assert_eq!(
             report.replayed_records, k,
             "case {case}: flip at byte {pos} bit {bit} must invalidate record {k}"
@@ -258,9 +296,8 @@ fn single_bit_flip_sweep_recovers_the_longest_valid_prefix() {
 fn checkpoint_plus_tail_replay_recovers_the_full_state() {
     let dir = TempDir::new("recovery-ckpt").unwrap();
     let before = {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
         let report = ps.checkpoint().unwrap();
         assert_eq!(report.applied_seqno, SCRIPT.len() as u64);
         assert!(report.bytes > 0);
@@ -270,7 +307,7 @@ fn checkpoint_plus_tail_replay_recovers_the_full_state() {
         ps.ingest(&article_sgml(7)).unwrap();
         texts(&ps.read())
     };
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(report.segments_skipped, 0);
     assert_eq!(report.replayed_records, 2);
@@ -327,15 +364,8 @@ fn corrupt_newest_segment_falls_back_to_the_previous_one() {
     let dir = TempDir::new("recovery-seg-corrupt").unwrap();
     let first_ckpt = 4; // ops covered by the first checkpoint
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        let mut roots = Vec::new();
-        for op in &SCRIPT[..first_ckpt] {
-            match op {
-                Op::Ingest(seed) => roots.push(ps.ingest(&article_sgml(*seed)).unwrap()),
-                Op::Bind(name, i) => ps.bind(name, roots[*i]).unwrap(),
-            }
-        }
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, &SCRIPT[..first_ckpt]);
         ps.checkpoint().unwrap();
         ps.ingest(&article_sgml(2)).unwrap();
         ps.checkpoint().unwrap();
@@ -348,7 +378,7 @@ fn corrupt_newest_segment_falls_back_to_the_previous_one() {
     bytes[mid] ^= 0x01;
     fs::write(newest, bytes).unwrap();
 
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(
         report.segments_skipped, 1,
         "damaged segment must be skipped"
@@ -370,16 +400,12 @@ fn corrupt_newest_segment_falls_back_to_the_previous_one() {
 fn segment_gc_retains_fallback_and_survives_newest_corruption() {
     let dir = TempDir::new("recovery-seg-gc").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
         assert_eq!(ps.segment_retain(), docql::store::DEFAULT_SEGMENT_RETAIN);
         let mut roots = Vec::new();
         let mut removed_total = 0usize;
         for (k, op) in SCRIPT.iter().enumerate() {
-            match op {
-                Op::Ingest(seed) => roots.push(ps.ingest(&article_sgml(*seed)).unwrap()),
-                Op::Bind(name, i) => ps.bind(name, roots[*i]).unwrap(),
-            }
+            run_op(&ps, &mut roots, op);
             let report = ps.checkpoint().unwrap();
             removed_total += report.segments_removed;
             let on_disk = snapshot::list_segments(dir.path()).unwrap().len();
@@ -410,7 +436,7 @@ fn segment_gc_retains_fallback_and_survives_newest_corruption() {
     bytes[mid] ^= 0x01;
     fs::write(&newest, bytes).unwrap();
 
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segments_skipped, 1);
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64 - 1));
     assert_eq!(
@@ -449,15 +475,14 @@ fn segment_gc_retains_fallback_and_survives_newest_corruption() {
 fn crash_between_segment_write_and_wal_truncation_double_applies_nothing() {
     let dir = TempDir::new("recovery-seg-race").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
         // The checkpoint's segment write, without the truncation.
         let image = ps.image().unwrap();
         snapshot::write_segment(dir.path(), &image).unwrap();
     }
     assert!(fs::metadata(dir.path().join(WAL_FILE)).unwrap().len() > 0);
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(report.replayed_records, 0, "no record may apply twice");
     assert_eq!(
@@ -483,7 +508,7 @@ fn q6_letters_survive_kill_at_every_boundary() {
     let base = TempDir::new("recovery-letters").unwrap();
     const LETTERS: u64 = 8;
     {
-        let (ps, _) = PersistentStore::open(base.path(), docql::fixtures::LETTER_DTD, &[]).unwrap();
+        let (ps, _) = SharedStore::open(base.path(), docql::fixtures::LETTER_DTD, &[]).unwrap();
         for seed in 0..LETTERS {
             ps.ingest(&letter_sgml(seed)).unwrap();
         }
@@ -493,7 +518,7 @@ fn q6_letters_survive_kill_at_every_boundary() {
     for (k, cut) in bounds.iter().enumerate() {
         let dir = TempDir::new("recovery-letters-kill").unwrap();
         clone_with_wal(base.path(), dir.path(), &wal[..*cut]);
-        let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+        let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
         assert_eq!(report.replayed_records, k);
 
         let mut oracle = DocStore::new(docql::fixtures::LETTER_DTD, &[]).unwrap();
@@ -528,8 +553,7 @@ fn injected_io_fault_sweep_recovers_the_committed_prefix() {
     for case in 0..FAULT_CASES {
         let seed = base.wrapping_add(case);
         let dir = TempDir::new("recovery-iofault").unwrap();
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
         ps.set_io_fault_seed(Some(seed));
 
         let mut committed = 0u64;
@@ -567,7 +591,7 @@ fn injected_io_fault_sweep_recovers_the_committed_prefix() {
         );
         drop(ps);
 
-        let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+        let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
         assert_eq!(
             report.replayed_records, committed as usize,
             "case {case}: recovery count"
@@ -604,14 +628,64 @@ fn injected_io_fault_sweep_recovers_the_committed_prefix() {
     );
 }
 
+/// A write refused before it publishes leaves no log record: neither the
+/// handle's log length nor a reopened store shows any part of it.
+#[test]
+fn rejected_durable_writes_leave_no_log_record() {
+    let dir = TempDir::new("recovery-rejected").unwrap();
+    let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+    let root = ps.ingest(&article_sgml(0)).unwrap();
+    let logged = ps.wal_len_bytes();
+    let expected = answers(|q| ps.query(q));
+    let rejected = [
+        (
+            "a batch whose last document does not parse",
+            vec![
+                WalOp::Ingest {
+                    sgml: article_sgml(1),
+                },
+                WalOp::Ingest {
+                    sgml: "<article><title>unterminated".into(),
+                },
+            ],
+        ),
+        (
+            "a bind to an unknown root",
+            vec![WalOp::Bind {
+                name: "no_such_root".into(),
+                oid: root.0,
+            }],
+        ),
+        (
+            "a wrong-shape update",
+            vec![WalOp::Update {
+                oid: root.0,
+                value: Value::str("x"),
+            }],
+        ),
+    ];
+    for (what, ops) in rejected {
+        assert!(ps.apply(ops).0.is_err(), "{what} was accepted");
+        assert_eq!(ps.wal_len_bytes(), logged, "{what} left a log record");
+    }
+    assert_eq!(ps.snapshot_version(), 1, "only the first ingest published");
+    drop(ps);
+    assert_eq!(fs::metadata(dir.join(WAL_FILE)).unwrap().len(), logged);
+
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
+    assert_eq!(report.replayed_records, 1);
+    assert_eq!(report.truncated_bytes, 0);
+    assert_eq!(ps.read().documents(), &[root]);
+    assert_eq!(answers(|q| ps.query(q)), expected);
+}
+
 #[test]
 fn batch_ingest_logs_one_record_per_document() {
     let dir = TempDir::new("recovery-batch").unwrap();
     let texts: Vec<String> = (0..4u64).map(article_sgml).collect();
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
         ps.ingest_batch(&refs).unwrap();
     }
     let wal = fs::read(dir.join(WAL_FILE)).unwrap();
@@ -620,7 +694,7 @@ fn batch_ingest_logs_one_record_per_document() {
     // Kill mid-batch: after two records, exactly two documents survive.
     let killed = TempDir::new("recovery-batch-kill").unwrap();
     clone_with_wal(dir.path(), killed.path(), &wal[..bounds[2]]);
-    let (ps, report) = PersistentStore::reopen(killed.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(killed.path()).unwrap();
     assert_eq!(report.replayed_records, 2);
     assert_eq!(ps.read().documents().len(), 2);
 
@@ -632,7 +706,7 @@ fn batch_ingest_logs_one_record_per_document() {
 #[test]
 fn wal_and_checkpoint_metrics_are_recorded() {
     let dir = TempDir::new("recovery-metrics").unwrap();
-    let (ps, _) = PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+    let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
     ps.read().set_metrics_enabled(true);
     ps.ingest(&article_sgml(0)).unwrap();
     ps.ingest(&article_sgml(1)).unwrap();
@@ -652,9 +726,8 @@ fn wal_and_checkpoint_metrics_are_recorded() {
 fn previous_format_meta_is_read_and_rewritten_as_current() {
     let dir = TempDir::new("recovery-meta-v1").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
         ps.checkpoint().unwrap();
         ps.ingest(&article_sgml(6)).unwrap();
     }
@@ -662,25 +735,27 @@ fn previous_format_meta_is_read_and_rewritten_as_current() {
     oracle.ingest(&article_sgml(6)).unwrap();
     let expected = answers(|q| oracle.query(q));
 
-    // Stamp the previous magic over the current one; the checksum covers
+    // Stamp each previous magic over the current one; the checksum covers
     // only the payload, so the file stays valid.
     let meta = dir.join(META_FILE);
-    let stamp_v1 = || {
+    let stamp = |magic: &[u8; 8]| {
         let mut bytes = fs::read(&meta).unwrap();
-        bytes[..8].copy_from_slice(b"DQMETA01");
+        bytes[..8].copy_from_slice(magic);
         fs::write(&meta, &bytes).unwrap();
     };
-    stamp_v1();
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
-    assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
-    assert_eq!(answers(|q| ps.query(q)), expected);
-    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
-    drop(ps);
+    for magic in snapshot::OUTDATED_META_MAGICS {
+        stamp(magic);
+        let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
+        assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
+        assert_eq!(answers(|q| ps.query(q)), expected);
+        assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA04"));
+        drop(ps);
 
-    stamp_v1();
-    let (ps, _) = PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-    assert_eq!(answers(|q| ps.query(q)), expected);
-    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
+        stamp(magic);
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        assert_eq!(answers(|q| ps.query(q)), expected);
+        assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA04"));
+    }
 }
 
 /// Rewrite a segment file the way the previous format wrote it: its
@@ -733,9 +808,8 @@ fn add_text_section(path: &Path, texts: &[Option<String>]) {
 fn previous_format_segment_with_texts_loads_and_its_meta_is_rewritten() {
     let dir = TempDir::new("recovery-seg-v2").unwrap();
     let (segment, before) = {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
-        run_script(&ps);
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        run_script(&ps, SCRIPT);
         let segment = ps.checkpoint().unwrap().path;
         ps.ingest(&article_sgml(6)).unwrap();
         (segment, texts(&ps.read()))
@@ -750,7 +824,7 @@ fn previous_format_segment_with_texts_loads_and_its_meta_is_rewritten() {
     fs::write(&meta, &bytes).unwrap();
     assert!(snapshot::read_segment(&segment).is_ok());
 
-    let (ps, report) = PersistentStore::reopen(dir.path()).unwrap();
+    let (ps, report) = SharedStore::reopen(dir.path()).unwrap();
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(report.segments_skipped, 0);
     assert_eq!(report.replayed_records, 1);
@@ -760,23 +834,22 @@ fn previous_format_segment_with_texts_loads_and_its_meta_is_rewritten() {
     assert_eq!(texts(&snap), texts(&oracle));
     assert_eq!(answers(|q| ps.query(q)), answers(|q| oracle.query(q)));
     assert_eq!(snap.index_stats(), oracle.index_stats());
-    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA03"));
+    assert!(fs::read(&meta).unwrap().starts_with(b"DQMETA04"));
 }
 
 #[test]
 fn reopening_with_a_different_schema_is_refused() {
     let dir = TempDir::new("recovery-schema").unwrap();
     {
-        let (ps, _) =
-            PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+        let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
         ps.ingest(&article_sgml(0)).unwrap();
     }
-    let err = PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"])
-        .unwrap_err();
+    let err =
+        SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap_err();
     assert!(err.to_string().contains("different schema"), "got: {err}");
-    let err = PersistentStore::open(dir.path(), docql::fixtures::LETTER_DTD, ROOTS).unwrap_err();
+    let err = SharedStore::open(dir.path(), docql::fixtures::LETTER_DTD, ROOTS).unwrap_err();
     assert!(err.to_string().contains("different schema"), "got: {err}");
     // The matching schema still opens.
-    let (ps, _) = PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
+    let (ps, _) = SharedStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
     assert_eq!(ps.read().documents().len(), 1);
 }

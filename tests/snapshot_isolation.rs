@@ -14,7 +14,7 @@
 //!   every CI run.
 
 use docql::prelude::*;
-use docql::store::StoreError;
+use docql::store::{StoreError, WalOp};
 use docql_corpus::{generate_letter, LetterParams};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -110,7 +110,7 @@ fn q6_letters_pinned_snapshot_is_isolated() {
                     sender_first: Some(true),
                     paras: 2,
                 });
-                writer.write(|txn| txn.ingest_document(&doc)).unwrap();
+                writer.ingest(&doc.to_sgml()).unwrap();
             }
         });
         let pinned = &pinned;
@@ -157,14 +157,11 @@ fn pinned_snapshot_keeps_its_text_after_an_update() {
     let old_text = pinned.text_of(title).unwrap();
     assert!(!old_text.contains("Retitled"));
 
-    shared
-        .write(|txn| {
-            txn.update_value(
-                title,
-                Value::tuple([("contents", Value::str("Retitled in a write transaction"))]),
-            )
-        })
-        .unwrap(); // a successful write publishes
+    let retitle = WalOp::Update {
+        oid: title.0,
+        value: Value::tuple([("contents", Value::str("Retitled in a write transaction"))]),
+    };
+    shared.apply(vec![retitle]).0.unwrap(); // a successful write publishes
 
     assert_eq!(pinned.text_of(title).as_deref(), Some(old_text.as_str()));
     assert_eq!(pinned.query(retitled).unwrap().len(), 0);

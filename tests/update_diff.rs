@@ -7,11 +7,15 @@
 //! * after random `#PCDATA` updates, a store answers exactly like a fresh
 //!   store that ingests its exported documents (the "recovered vs fresh
 //!   ingest" oracle, with update in place of recovery): every object's
-//!   text, `index_stats`, `find_documents` and the Q1–Q6 answers agree.
+//!   text, `index_stats`, `find_documents` and the Q1–Q6 answers agree;
+//! * the same random updates, logged to a durable store as `Update`
+//!   records, survive a reopen after each one: the recovered store
+//!   observes exactly what the in-memory one does.
 
+use docql::durable::TempDir;
 use docql::mapping::ContentKind;
 use docql::prelude::*;
-use docql::store::DocStore;
+use docql::store::{DocStore, WalOp};
 use docql_corpus::SeededRng;
 
 mod util;
@@ -134,25 +138,38 @@ fn reingested(store: &DocStore, dtd: &str, roots: &[&str]) -> DocStore {
     fresh
 }
 
-/// Set the `contents` of `updates` random `#PCDATA` objects to random
-/// words, keeping their other fields.
-fn random_text_updates(store: &mut DocStore, seed: u64, updates: usize) {
-    let pcdata: Vec<Sym> = store
-        .mapping()
-        .elements
-        .values()
-        .filter(|em| em.content == ContentKind::TextContent)
-        .map(|em| em.class)
-        .collect();
-    let targets: Vec<Oid> = store
-        .instance()
-        .objects()
-        .filter(|(_, class, _)| pcdata.contains(class))
-        .map(|(oid, _, _)| oid)
-        .collect();
-    let mut rng = SeededRng::seed_from_u64(seed);
-    for _ in 0..updates {
-        let oid = targets[rng.gen_range(0..targets.len())];
+/// A seeded stream of random `#PCDATA` updates: each sets one object's
+/// `contents` to random words, keeping its other fields.
+struct TextUpdates {
+    targets: Vec<Oid>,
+    rng: SeededRng,
+}
+
+impl TextUpdates {
+    fn new(store: &DocStore, seed: u64) -> TextUpdates {
+        let pcdata: Vec<Sym> = store
+            .mapping()
+            .elements
+            .values()
+            .filter(|em| em.content == ContentKind::TextContent)
+            .map(|em| em.class)
+            .collect();
+        let targets = store
+            .instance()
+            .objects()
+            .filter(|(_, class, _)| pcdata.contains(class))
+            .map(|(oid, _, _)| oid)
+            .collect();
+        TextUpdates {
+            targets,
+            rng: SeededRng::seed_from_u64(seed),
+        }
+    }
+
+    /// The next update, against `store`'s current values.
+    fn next(&mut self, store: &DocStore) -> (Oid, Value) {
+        let rng = &mut self.rng;
+        let oid = self.targets[rng.gen_range(0..self.targets.len())];
         let words: Vec<&str> = (0..rng.gen_range(1..4))
             .map(|_| match rng.gen_range(0..4) {
                 0 => "renamed",
@@ -167,24 +184,36 @@ fn random_text_updates(store: &mut DocStore, seed: u64, updates: usize) {
                 *v = Value::str(words.join(" "));
             }
         }
-        store.update_value(oid, Value::Tuple(fields)).unwrap();
+        (oid, Value::Tuple(fields))
     }
 }
 
-#[test]
-fn random_updates_answer_like_a_fresh_ingest_of_the_exported_documents() {
-    let article_roots = &["my_article", "my_old_article"];
-    let cases: [(DocStore, &str, &[&str]); 4] = [
+/// Apply `updates` random `#PCDATA` updates to `store`.
+fn random_text_updates(store: &mut DocStore, seed: u64, updates: usize) {
+    let mut stream = TextUpdates::new(store, seed);
+    for _ in 0..updates {
+        let (oid, value) = stream.next(store);
+        store.update_value(oid, value).unwrap();
+    }
+}
+
+/// The stores the random-update oracle runs on, with their schemas.
+fn update_cases() -> [(DocStore, &'static str, &'static [&'static str]); 4] {
+    [
         (
             article_store(4),
             docql::fixtures::ARTICLE_DTD,
-            article_roots,
+            &["my_article", "my_old_article"],
         ),
         (letter_store(4), docql::fixtures::LETTER_DTD, &[]),
         (mixed_store(4), MIXED_DTD, &[]),
         (any_store(4), ANY_DTD, &[]),
-    ];
-    for (seed, (mut store, dtd, roots)) in (0u64..).zip(cases) {
+    ]
+}
+
+#[test]
+fn random_updates_answer_like_a_fresh_ingest_of_the_exported_documents() {
+    for (seed, (mut store, dtd, roots)) in (0u64..).zip(update_cases()) {
         random_text_updates(&mut store, seed, 12);
         assert!(store.check().is_empty());
         let fresh = reingested(&store, dtd, roots);
@@ -197,5 +226,43 @@ fn random_updates_answer_like_a_fresh_ingest_of_the_exported_documents() {
             "{}",
             store.collection_root()
         );
+    }
+}
+
+#[test]
+fn random_updates_survive_a_reopen_of_a_durable_store_after_each_one() {
+    for (seed, (mut store, dtd, roots)) in (0u64..).zip(update_cases()) {
+        // A durable twin: the exported documents ingested and bound the
+        // way `reingested` does, which reproduces every oid.
+        let dir = TempDir::new("docql-update-diff").unwrap();
+        let (mut durable, _) = SharedStore::open(dir.path(), dtd, roots).unwrap();
+        let twin = reingested(&store, dtd, roots);
+        for &d in twin.documents() {
+            durable.ingest(&twin.export(d).unwrap().to_sgml()).unwrap();
+        }
+        for name in roots {
+            if let Ok(Value::Oid(o)) = twin.instance().root(sym(name)) {
+                durable.bind(name, *o).unwrap();
+            }
+        }
+        assert_eq!(observe(&durable.read()), observe(&store));
+
+        let mut stream = TextUpdates::new(&store, seed);
+        for i in 0..12 {
+            let (oid, value) = stream.next(&store);
+            store.update_value(oid, value.clone()).unwrap();
+            let update = WalOp::Update { oid: oid.0, value };
+            durable.apply(vec![update]).0.unwrap();
+            drop(durable);
+            let (reopened, report) = SharedStore::reopen(dir.path()).unwrap();
+            assert_eq!(report.truncated_bytes, 0);
+            durable = reopened;
+            assert_eq!(
+                observe(&durable.read()),
+                observe(&store),
+                "{} after update {i} and a reopen",
+                store.collection_root()
+            );
+        }
     }
 }
