@@ -36,7 +36,7 @@ fi
 echo "==> property suites (fixed seed, bounded cases)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test --workspace -q \
     --test prop_model --test prop_text --test prop_sgml --test prop_paths \
-    --test prop_equivalence --test prop_roundtrip
+    --test prop_equivalence --test prop_roundtrip --test text_diff
 
 echo "==> fault-injection sweep (fixed seed, replayable via DOCQL_FAULT)"
 DOCQL_FAULT=0xD0C41994 cargo test -q --test governance

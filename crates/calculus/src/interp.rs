@@ -11,7 +11,8 @@ use docql_model::sym;
 use docql_model::{Sym, Value};
 use docql_paths::ConcretePath;
 use docql_text::{ContainsExpr, NearUnit};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A multi-sorted runtime value: data, path or attribute.
@@ -95,33 +96,35 @@ impl<'a> InterpCtx<'a> {
             guard: None,
         }
     }
-}
 
-impl InterpCtx<'_> {
-    /// Collect the textual content of a value, dereferencing objects
-    /// (cycle-safe). The IRS predicates apply to logical objects through
-    /// this view, and `text(o)` falls back to it for an object that carries
-    /// no loader-recorded text.
-    pub fn textify(&self, v: &Value) -> String {
+    /// The §3 `text` of a value: the one text `contains`, `near`,
+    /// `near_chars` and `text()` read. A string is its own text, and an
+    /// object is the text the loader recorded for it (`derive_text`, the
+    /// text the inverted index is built from). Only an object with no
+    /// recorded text (built directly, or no longer reached by any document
+    /// after an update) and other values fall back to their content walk.
+    pub fn text<'v>(&'v self, v: &'v Value) -> Cow<'v, str> {
+        match v {
+            Value::Str(s) => return Cow::Borrowed(s),
+            Value::Oid(o) if let Some(t) = self.instance.text(*o) => return Cow::Borrowed(t),
+            _ => {}
+        }
         let mut out = String::new();
-        let mut visited = std::collections::HashSet::new();
-        self.collect_text(v, &mut out, &mut visited);
-        out
+        self.collect_text(v, &mut out, &mut HashSet::new());
+        Cow::Owned(out)
     }
 
-    fn collect_text(
-        &self,
-        v: &Value,
-        out: &mut String,
-        visited: &mut std::collections::HashSet<u32>,
-    ) {
-        match v {
-            Value::Str(s) => {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(s);
+    /// The content walk: every string, joined by one space, with a nested
+    /// object read as its recorded text when it has one (cycle-safe).
+    fn collect_text(&self, v: &Value, out: &mut String, visited: &mut HashSet<u32>) {
+        let mut push = |s: &str| {
+            if !out.is_empty() {
+                out.push(' ');
             }
+            out.push_str(s);
+        };
+        match v {
+            Value::Str(s) => push(s),
             Value::Tuple(fs) => {
                 for (_, v) in fs {
                     self.collect_text(v, out, visited);
@@ -133,12 +136,14 @@ impl InterpCtx<'_> {
                     self.collect_text(v, out, visited);
                 }
             }
-            Value::Oid(o) if visited.insert(o.0) => {
-                if let Ok(inner) = self.instance.value_of(*o) {
-                    let inner = inner.clone();
-                    self.collect_text(&inner, out, visited);
+            Value::Oid(o) if visited.insert(o.0) => match self.instance.text(*o) {
+                Some(t) => push(t),
+                None => {
+                    if let Ok(inner) = self.instance.value_of(*o) {
+                        self.collect_text(inner, out, visited);
+                    }
                 }
-            }
+            },
             _ => {}
         }
     }
@@ -294,6 +299,21 @@ fn str_arg(args: &[CalcValue], i: usize, what: &str) -> Result<String, InterpErr
     }
 }
 
+/// The text an IRS predicate reads ([`InterpCtx::text`]). `None` for data
+/// that is neither a string nor an object: the atom is then false, not an
+/// error (§5.3).
+fn text_arg<'c>(
+    ctx: &'c InterpCtx<'_>,
+    args: &'c [CalcValue],
+    what: &str,
+) -> Result<Option<Cow<'c, str>>, InterpError> {
+    match args.first() {
+        Some(CalcValue::Data(v @ (Value::Str(_) | Value::Oid(_)))) => Ok(Some(ctx.text(v))),
+        Some(CalcValue::Data(_)) => Ok(None),
+        other => Err(InterpError(format!("{what}: expected data, got {other:?}"))),
+    }
+}
+
 fn int_arg(args: &[CalcValue], i: usize, what: &str) -> Result<i64, InterpError> {
     match args.get(i) {
         Some(CalcValue::Data(Value::Int(n))) => Ok(*n),
@@ -308,20 +328,10 @@ fn int_arg(args: &[CalcValue], i: usize, what: &str) -> Result<i64, InterpError>
 /// expressed as conjunctions/disjunctions of `contains` atoms by the
 /// O₂SQL translation.
 fn p_contains(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        // Objects (e.g. a Title) contain their textual content — the
-        // system-supplied inverse mapping of Q2.
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        // Other non-string data never contains anything (false, not an
-        // error — the §5.3 "assume each atom where this occurs is false"
-        // rule).
-        Some(CalcValue::Data(_)) => return Ok(false),
-        other => {
-            return Err(InterpError(format!(
-                "contains: expected data, got {other:?}"
-            )));
-        }
+    // Objects (e.g. a Title) contain their §3 text — the system-supplied
+    // inverse mapping of Q2.
+    let Some(text) = text_arg(ctx, args, "contains")? else {
+        return Ok(false);
     };
     let pattern = str_arg(args, 1, "contains")?;
     let expr = ContainsExpr::pattern(&pattern)
@@ -343,10 +353,8 @@ fn interrupted(ctx: &InterpCtx<'_>) -> Result<bool, InterpError> {
 
 /// `near(text, w1, w2, k)` — within `k` words.
 fn p_near(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        _ => str_arg(args, 0, "near")?,
+    let Some(text) = text_arg(ctx, args, "near")? else {
+        return Ok(false);
     };
     let w1 = str_arg(args, 1, "near")?;
     let w2 = str_arg(args, 2, "near")?;
@@ -448,19 +456,10 @@ fn f_count(_ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Interp
 }
 
 /// `text(x)` — the paper's inverse mapping from a logical object to its
-/// portion of the document text (§3), as the loader recorded it on the
-/// object. Objects not loaded from a document, and non-object values, fall
-/// back to their textual content ([`InterpCtx::textify`]).
+/// portion of the document text (§3), read through [`InterpCtx::text`].
 fn f_text(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
     match args.first() {
-        Some(CalcValue::Data(v @ Value::Oid(o))) => {
-            let text = ctx
-                .instance
-                .text(*o)
-                .map_or_else(|| ctx.textify(v), str::to_string);
-            Ok(CalcValue::Data(Value::Str(text)))
-        }
-        Some(CalcValue::Data(v)) => Ok(CalcValue::Data(Value::str(ctx.textify(v)))),
+        Some(CalcValue::Data(v)) => Ok(CalcValue::Data(Value::Str(ctx.text(v).into_owned()))),
         other => Err(InterpError(format!("text: bad argument {other:?}"))),
     }
 }
@@ -496,10 +495,8 @@ fn f_element(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
 /// `near_chars(text, w1, w2, k)` — within `k` characters (§4.1 mentions
 /// both units).
 fn p_near_chars(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        _ => str_arg(args, 0, "near_chars")?,
+    let Some(text) = text_arg(ctx, args, "near_chars")? else {
+        return Ok(false);
     };
     let w1 = str_arg(args, 1, "near_chars")?;
     let w2 = str_arg(args, 2, "near_chars")?;
@@ -640,6 +637,15 @@ mod tests {
     fn contains_on_non_string_is_false_not_error() {
         let i = Interp::with_builtins();
         assert!(!call_pred(&i, sym("contains"), &[d(Value::Int(7)), d(Value::str("x"))]).unwrap());
+        for near in ["near", "near_chars"] {
+            let args = [
+                d(Value::Int(7)),
+                d(Value::str("x")),
+                d(Value::str("y")),
+                d(Value::Int(1)),
+            ];
+            assert!(!call_pred(&i, sym(near), &args).unwrap(), "{near}");
+        }
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! |---|---|---|
 //! | `/query` | POST | O₂SQL text in the body; result table out |
 //! | `/ingest` | POST | SGML document in the body; `201` + oid (`400` if it does not parse or load, `500` if the log fails) |
-//! | `/bind` | POST | `<root-name> <oid>` in the body; `204` |
+//! | `/bind` | POST | `<root-name> <oid>` in the body; `204` (`400` for an unknown root, `500` if the log fails) |
 //! | `/metrics` | GET | Prometheus text exposition |
 //! | `/metrics.json` | GET | the same registry as JSON |
 //! | `/traces` | GET | flight-recorder rings as JSON |
-//! | `/healthz` | GET | `200 ok` (or `503 draining`) |
+//! | `/healthz` | GET | `200 ok` (or `503 draining`, `503 wal crashed` once a durable store's log has crashed) |
 //! | `/admin/shutdown` | POST | request a graceful drain |
 //!
 //! Per-request governance headers on `/query`: `X-Docql-Deadline-Ms`,

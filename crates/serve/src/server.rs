@@ -445,6 +445,9 @@ fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
     }
 
     match route {
+        ("GET", "/healthz") if inner.store.log_crashed() => {
+            send(inner, peer, 503, &[], b"wal crashed\n")
+        }
         ("GET", "/healthz") => send(inner, peer, 200, &[], b"ok\n"),
         ("GET", "/metrics") => {
             let text = inner.store.read().metrics_registry().to_prometheus();
@@ -502,11 +505,15 @@ fn respond(inner: &Inner, peer: &mut Peer, req: &Request) -> bool {
                     let headers = trace_header(&trace);
                     match result {
                         Ok(_) => send(inner, peer, 204, &headers, b""),
-                        // An unknown root is a `StoreError::Other` too, so
-                        // every bind failure stays the client's 400.
+                        // An unknown root is the client's fault; a log
+                        // failure is the server's.
                         Err(e) => {
+                            let status = match e {
+                                StoreError::Wal(_) => 500,
+                                _ => 400,
+                            };
                             let body = format!("bind failed: {e}\n");
-                            send(inner, peer, 400, &headers, body.as_bytes())
+                            send(inner, peer, status, &headers, body.as_bytes())
                         }
                     }
                 }
@@ -550,7 +557,7 @@ fn error_status(e: &StoreError) -> u16 {
         StoreError::Interrupted(ExecError::DeadlineExceeded) => 504,
         StoreError::Interrupted(ExecError::BudgetExhausted(_)) => 422,
         StoreError::Interrupted(ExecError::Cancelled) => 499,
-        StoreError::QueryPanic(_) => 500,
+        StoreError::QueryPanic(_) | StoreError::Wal(_) => 500,
         StoreError::Sgml(_) | StoreError::Map(_) | StoreError::Query(_) => 400,
         StoreError::Other(_) => 500,
     }

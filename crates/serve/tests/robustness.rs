@@ -395,15 +395,20 @@ fn ingest_log_failures_are_500_while_malformed_documents_stay_400() {
     let handle = Server::start(ServerConfig::default(), store).unwrap();
     let mut client = HttpClient::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 
+    let health = |client: &mut HttpClient| client.get("/healthz").unwrap();
+    assert_eq!(health(&mut client).status, 200);
+
     // Ingest until the log faults (a simulated crash at that record);
     // every failure from then on is the log's, so the server's fault.
     let mut failures = 0;
+    let mut loaded = None;
     for seed in 0..64u64 {
         let resp = client
             .post("/ingest", &[], article_sgml(seed).as_bytes())
             .unwrap();
         if resp.status == 201 {
             assert_eq!(failures, 0, "a crashed log accepted a write");
+            loaded = Some(resp.text().trim().to_string());
             continue;
         }
         assert_eq!(resp.status, 500, "seed {seed}: {}", resp.text());
@@ -412,7 +417,24 @@ fn ingest_log_failures_are_500_while_malformed_documents_stay_400() {
     }
     assert!(failures > 0, "the fault stream never fired");
 
-    // A document that does not parse is still the client's fault.
+    // The crashed log shows on the health check.
+    let resp = health(&mut client);
+    assert_eq!((resp.status, resp.text().as_str()), (503, "wal crashed\n"));
+
+    // A bind that applies but cannot be logged is the server's fault too.
+    let oid = loaded.expect("an ingest before the fault");
+    let resp = client
+        .post("/bind", &[], format!("my_article {oid}").as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 500, "{}", resp.text());
+    assert!(resp.text().contains("wal"), "{}", resp.text());
+
+    // An unknown root and a document that does not parse are still the
+    // client's fault.
+    let resp = client
+        .post("/bind", &[], format!("no_such_root {oid}").as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
     let resp = client
         .post("/ingest", &[], b"<article><title>unterminated")
         .unwrap();

@@ -54,6 +54,9 @@ pub enum StoreError {
     /// A panic was caught at the query boundary; the store remains
     /// serviceable (queries hold no store lock).
     QueryPanic(String),
+    /// A write could not be logged: the log failed, not the write, so it
+    /// is the server's fault and the client may retry after a reopen.
+    Wal(docql_durable::WalError),
     /// Anything else.
     Other(String),
 }
@@ -78,6 +81,7 @@ impl fmt::Display for StoreError {
             StoreError::Query(e) => write!(f, "{e}"),
             StoreError::Interrupted(e) => write!(f, "{e}"),
             StoreError::QueryPanic(m) => write!(f, "query panicked: {m}"),
+            StoreError::Wal(e) => write!(f, "wal: {e}"),
             StoreError::Other(s) => f.write_str(s),
         }
     }

@@ -85,10 +85,7 @@ impl Log {
     /// Append one operation inside `store`'s write: one `wal_append` and
     /// one `wal_fsync` span.
     pub(crate) fn append(&mut self, store: &DocStore, op: WalOp) -> Result<(), StoreError> {
-        let receipt = self
-            .wal
-            .append(op)
-            .map_err(|e| StoreError::Other(format!("wal: {e}")))?;
+        let receipt = self.wal.append(op).map_err(StoreError::Wal)?;
         if store.metrics.enabled() {
             store.metrics.wal_appends.inc();
             store.metrics.wal_bytes.add(receipt.frame_len);
@@ -168,6 +165,15 @@ impl SharedStore {
         self.lock_writer()
             .as_ref()
             .map_or(0, |log| log.wal.len_bytes())
+    }
+
+    /// Has an append crashed the log? Every write that reaches the log then
+    /// fails with [`StoreError::Wal`] until the store is reopened. False
+    /// without a log.
+    pub fn log_crashed(&self) -> bool {
+        self.lock_writer()
+            .as_ref()
+            .is_some_and(|log| log.wal.is_crashed())
     }
 
     /// How many newest valid segment generations checkpoints keep

@@ -7,8 +7,9 @@ use docql_corpus::{
     generate_article, generate_letter, mutate, ArticleParams, LetterParams, Mutation,
 };
 use docql_model::{sym, Value};
-use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
+use docql_sgml::fixtures::{ARTICLE_DTD, FIG2_DOCUMENT, LETTER_DTD};
 use docql_store::{DocStore, SharedStore, WalOp};
+use docql_text::ContainsExpr;
 use std::collections::BTreeSet;
 
 fn article_store(n_docs: usize) -> DocStore {
@@ -216,6 +217,50 @@ fn q5_attributes_whose_value_contains_final() {
     assert!(names.contains("status"), "{names:?}");
     // No other generated attribute value contains "final".
     assert_eq!(names.len(), 1, "{names:?}");
+}
+
+#[test]
+fn object_contains_reads_its_text_and_attribute_values_go_through_att() {
+    // Fig. 2's article is `status="final"`, and "final" occurs nowhere in
+    // its text. `contains` on an object reads the object's §3 text, the
+    // text `text()` returns and the inverted index holds, so none of them
+    // finds the article; the attribute value is reached through `ATT_`.
+    let mut store = DocStore::new(ARTICLE_DTD, &["my_article"]).unwrap();
+    let root = store.ingest(FIG2_DOCUMENT).unwrap();
+    store.bind("my_article", root).unwrap();
+    for q in [
+        "select a from a in Articles where a contains (\"final\")",
+        "select a from a in Articles where text(a) contains (\"final\")",
+    ] {
+        assert!(store.query(q).unwrap().is_empty(), "interpreter: {q}");
+        assert!(store.query_algebraic(q).unwrap().is_empty(), "algebra: {q}");
+    }
+    let final_ = ContainsExpr::pattern("final").unwrap();
+    assert!(store.find_documents(&final_).is_empty());
+    let r = store
+        .query(
+            "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
+             where val contains (\"final\")",
+        )
+        .unwrap();
+    assert_eq!(strings(&r.values()), BTreeSet::from(["status".to_string()]));
+}
+
+#[test]
+fn q2_in_the_papers_form_matches_the_text_form() {
+    // The paper writes Q2 as `ss contains …`: an object contains what its
+    // `text` contains, so both forms select the same subsections.
+    let store = article_store(8);
+    let from = "select ss from a in Articles, s in a.sections, ss in s.subsectns";
+    let papers = format!("{from} where ss contains (\"complex object\")");
+    let text = format!("{from} where text(ss) contains (\"complex object\")");
+    let expected = store.query(&text).unwrap().to_table();
+    assert!(
+        expected.lines().count() > 2,
+        "corpus should plant the phrase"
+    );
+    assert_eq!(store.query(&papers).unwrap().to_table(), expected);
+    assert_eq!(store.query_algebraic(&papers).unwrap().to_table(), expected);
 }
 
 #[test]
