@@ -35,8 +35,8 @@ fi
 
 echo "==> property suites (fixed seed, bounded cases)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test --workspace -q \
-    --test prop_model --test prop_text --test prop_sgml --test prop_paths \
-    --test prop_equivalence --test prop_roundtrip --test text_diff
+    --test prop_model --test prop_chunked --test prop_text --test prop_sgml \
+    --test prop_paths --test prop_equivalence --test prop_roundtrip --test text_diff
 
 echo "==> fault-injection sweep (fixed seed, replayable via DOCQL_FAULT)"
 DOCQL_FAULT=0xD0C41994 cargo test -q --test governance
@@ -111,6 +111,17 @@ DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench guard_overhead | grep "^B
 
 echo "==> B12 mixed read/write smoke (snapshots vs global lock, short windows)"
 DOCQL_B12_MS=50 cargo run -q --release -p docql-bench --example b12_mixed
+
+echo "==> fork-cost gate (snapshot fork at 200 vs 440 articles, interleaved)"
+# A fork copies one Arc per chunk group of each table, so its cost must not
+# track the corpus: fail when fork(440) costs more than twice fork(200).
+fork_out=$(cargo run -q --release -p docql-bench --example fork_cost)
+grep "^fork_cost" <<<"$fork_out"
+if ! awk '/^fork_cost ratio=/ { split($2, r, "="); seen=1; if (r[2]+0 > 2.0) bad=1 } \
+          END { exit (bad || !seen) }' <<<"$fork_out"; then
+    echo "    fork(440) / fork(200) is above 2.0, or the ratio is missing" >&2
+    exit 1
+fi
 
 echo "==> B10/B15 observability-overhead smoke (disabled/metrics/traced/sink/profiled + interleaved, 1 ms windows)"
 # One bench prints both families: B10 (metrics off vs on) and B15

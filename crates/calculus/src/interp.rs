@@ -232,6 +232,14 @@ impl Interp {
         p_near(ctx, args)
     }
 
+    /// The built-in `near_chars` predicate (see [`Interp::builtin_contains`]).
+    pub fn builtin_near_chars(
+        ctx: &InterpCtx<'_>,
+        args: &[CalcValue],
+    ) -> Result<bool, InterpError> {
+        p_near_chars(ctx, args)
+    }
+
     /// Register a custom predicate (overrides any existing binding).
     pub fn register_pred<F>(&mut self, name: impl Into<Sym>, f: F)
     where
@@ -353,18 +361,34 @@ fn interrupted(ctx: &InterpCtx<'_>) -> Result<bool, InterpError> {
 
 /// `near(text, w1, w2, k)` — within `k` words.
 fn p_near(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let Some(text) = text_arg(ctx, args, "near")? else {
+    near_in(ctx, args, "near", NearUnit::Words)
+}
+
+/// `near_chars(text, w1, w2, k)` — within `k` characters (§4.1 mentions
+/// both units).
+fn p_near_chars(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
+    near_in(ctx, args, "near_chars", NearUnit::Chars)
+}
+
+/// `near` in either unit, charging the scan to the guard like `contains`.
+fn near_in(
+    ctx: &InterpCtx<'_>,
+    args: &[CalcValue],
+    what: &str,
+    unit: NearUnit,
+) -> Result<bool, InterpError> {
+    let Some(text) = text_arg(ctx, args, what)? else {
         return Ok(false);
     };
-    let w1 = str_arg(args, 1, "near")?;
-    let w2 = str_arg(args, 2, "near")?;
-    let k = int_arg(args, 3, "near")?;
+    let w1 = str_arg(args, 1, what)?;
+    let w2 = str_arg(args, 2, what)?;
+    let k = int_arg(args, 3, what)?;
     match docql_text::near_guarded(
         &text,
         &w1,
         &w2,
         usize::try_from(k).unwrap_or(0),
-        NearUnit::Words,
+        unit,
         ctx.guard,
     ) {
         Some(b) => Ok(b),
@@ -490,24 +514,6 @@ fn f_element(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
         }
         other => Err(InterpError(format!("element: bad argument {other:?}"))),
     }
-}
-
-/// `near_chars(text, w1, w2, k)` — within `k` characters (§4.1 mentions
-/// both units).
-fn p_near_chars(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let Some(text) = text_arg(ctx, args, "near_chars")? else {
-        return Ok(false);
-    };
-    let w1 = str_arg(args, 1, "near_chars")?;
-    let w2 = str_arg(args, 2, "near_chars")?;
-    let k = int_arg(args, 3, "near_chars")?;
-    Ok(docql_text::near(
-        &text,
-        &w1,
-        &w2,
-        usize::try_from(k).unwrap_or(0),
-        NearUnit::Chars,
-    ))
 }
 
 /// `sort_by(collection, "attr")` — list the elements ordered by the named

@@ -12,6 +12,7 @@
 //! mapping from a logical object to its portion of the document text, as
 //! recorded by the document loader ([`Instance::text`]).
 
+use crate::chunked::ChunkedVec;
 use crate::error::{ModelError, Result};
 use crate::schema::Schema;
 use crate::sym::Sym;
@@ -33,16 +34,20 @@ struct ObjSlot {
 
 /// An instance over a shared schema.
 ///
-/// Slots are held behind `Arc` so cloning an instance — the snapshot fork
-/// path of the store layer — shares every object value structurally instead
-/// of deep-copying the document corpus; a post-clone [`Instance::set_value`]
-/// or [`Instance::set_text`] copies only the one touched slot
+/// Slots sit behind `Arc` in a [`ChunkedVec`], so cloning an instance —
+/// the snapshot fork path of the store layer — copies one `Arc` per group
+/// of 4,096 objects and shares every object value. After the clone,
+/// [`Instance::new_object`] copies at most the last group and chunk, and
+/// [`Instance::set_value`] or [`Instance::set_text`] copies the touched
+/// slot's group and chunk of `Arc`s and then the slot itself
 /// (`Arc::make_mut`).
 #[derive(Debug, Clone)]
 pub struct Instance {
     schema: Arc<Schema>,
-    objects: Vec<Arc<ObjSlot>>,
-    roots: HashMap<Sym, Value>,
+    objects: ChunkedVec<Arc<ObjSlot>>,
+    /// γ, behind `Arc` so a clone shares it: the collection root's value
+    /// lists every document.
+    roots: Arc<HashMap<Sym, Value>>,
 }
 
 /// Checked oid allocation: the object table holds at most 2³² objects.
@@ -57,8 +62,8 @@ impl Instance {
     pub fn new(schema: Arc<Schema>) -> Instance {
         Instance {
             schema,
-            objects: Vec::new(),
-            roots: HashMap::new(),
+            objects: ChunkedVec::new(),
+            roots: Arc::default(),
         }
     }
 
@@ -102,7 +107,7 @@ impl Instance {
     pub fn set_value(&mut self, oid: Oid, value: Value) -> Result<()> {
         let slot = self
             .objects
-            .get_mut(oid.0 as usize)
+            .make_mut(oid.0 as usize)
             .ok_or(ModelError::DanglingOid(oid))?;
         Arc::make_mut(slot).value = value;
         Ok(())
@@ -117,12 +122,12 @@ impl Instance {
     /// Record (or with `None`, clear) `text(o)`. Setting the text an object
     /// already has leaves its slot untouched, so a clone keeps sharing it.
     pub fn set_text(&mut self, oid: Oid, text: Option<&str>) -> Result<()> {
-        let slot = self
-            .objects
-            .get_mut(oid.0 as usize)
-            .ok_or(ModelError::DanglingOid(oid))?;
+        let i = oid.0 as usize;
+        let slot = self.objects.get(i).ok_or(ModelError::DanglingOid(oid))?;
         if slot.text.as_deref() != text {
-            Arc::make_mut(slot).text = text.map(Arc::from);
+            if let Some(slot) = self.objects.make_mut(i) {
+                Arc::make_mut(slot).text = text.map(Arc::from);
+            }
         }
         Ok(())
     }
@@ -150,7 +155,7 @@ impl Instance {
         if !self.schema.has_root(name) {
             return Err(ModelError::UnknownRoot(name));
         }
-        self.roots.insert(name, value);
+        Arc::make_mut(&mut self.roots).insert(name, value);
         Ok(())
     }
 
@@ -175,6 +180,13 @@ impl Instance {
             .iter()
             .enumerate()
             .map(|(i, s)| (Oid(i as u32), s.class, &s.value))
+    }
+
+    /// How many chunks of this instance's object table are not shared
+    /// with `other`'s: after `other.clone()`, the chunks this instance's
+    /// writes have copied or added.
+    pub fn unshared_chunks(&self, other: &Instance) -> usize {
+        self.objects.unshared_chunks(&other.objects)
     }
 
     /// Full instance check (§5.1 definition of instance):
@@ -205,7 +217,7 @@ impl Instance {
                 }
             }
         }
-        for (name, value) in &self.roots {
+        for (name, value) in self.roots.iter() {
             if let Some(ty) = self.schema.root_type(*name) {
                 if !crate::conform::conforms(value, ty, self) {
                     errs.push(ModelError::TypeMismatch {
@@ -386,7 +398,10 @@ mod tests {
             .new_object("Title", Value::tuple([("contents", Value::str("v1"))]))
             .unwrap();
         let mut b = a.clone();
-        assert!(Arc::ptr_eq(&a.objects[0], &b.objects[0]), "clone shares");
+        assert!(
+            Arc::ptr_eq(a.objects.get(0).unwrap(), b.objects.get(0).unwrap()),
+            "clone shares"
+        );
         b.set_value(o, Value::tuple([("contents", Value::str("v2"))]))
             .unwrap();
         assert_eq!(
@@ -409,7 +424,7 @@ mod tests {
         let mut b = a.clone();
         b.set_text(o, Some("old")).unwrap();
         assert!(
-            Arc::ptr_eq(&a.objects[0], &b.objects[0]),
+            Arc::ptr_eq(a.objects.get(0).unwrap(), b.objects.get(0).unwrap()),
             "rewriting the same text keeps the slot shared"
         );
         b.set_text(o, Some("new")).unwrap();

@@ -399,7 +399,7 @@ fn restore_into(store: &mut DocStore, image: &StoreImage) -> Result<(), StoreErr
             .set_root(*name, value.clone())
             .map_err(|e| StoreError::Other(format!("restore root {name}: {e}")))?;
     }
-    store.documents = image.documents.iter().map(|&o| Oid(o)).collect();
+    store.documents = std::sync::Arc::new(image.documents.iter().map(|&o| Oid(o)).collect());
     store.refresh_text();
     Ok(())
 }

@@ -121,6 +121,31 @@ fn path_fuel_trips_on_path_queries() {
 }
 
 #[test]
+fn near_chars_scans_charge_fuel() {
+    let store = corpus_store(8);
+    let q = "select a from a in Articles where near_chars(text(a), \"SGML\", \"OODBMS\", 400)";
+    let full = store.query(q).unwrap();
+    // The scans are the only fuel this query burns, so one unit starves it.
+    let starved = QueryLimits::none().with_path_fuel(1);
+    for mode in [Mode::Interpret, Mode::Algebraic] {
+        assert_eq!(
+            exec_err(store.query_traced(q, mode, &starved).0),
+            ExecError::BudgetExhausted(Resource::PathFuel),
+            "{mode:?}"
+        );
+    }
+    let degrade = starved.with_degrade();
+    let partial = store.query_traced(q, Mode::Interpret, &degrade).0.unwrap();
+    assert_eq!(
+        partial.partial,
+        Some(ExecError::BudgetExhausted(Resource::PathFuel))
+    );
+    for row in &partial.rows {
+        assert!(full.rows.contains(row), "partial row not in full answer");
+    }
+}
+
+#[test]
 fn cancellation_is_observed() {
     let store = corpus_store(4);
     let token = CancelToken::new();
