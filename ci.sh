@@ -109,6 +109,9 @@ DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench planner_cost | grep "^B14
 echo "==> B11 guard-overhead smoke (interleaved governed vs ungoverned, 1 ms windows)"
 DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench guard_overhead | grep "^B11"
 
+echo "==> B6 query-suite smoke (default engine vs algebra on Q1-Q6, 1 ms windows)"
+DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench query_suite | grep "^B6 summary"
+
 echo "==> B12 mixed read/write smoke (snapshots vs global lock, short windows)"
 DOCQL_B12_MS=50 cargo run -q --release -p docql-bench --example b12_mixed
 

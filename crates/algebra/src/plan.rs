@@ -348,7 +348,7 @@ impl Op {
                         // Start value is the document collection: fan out
                         // over it first, then consult the index per oid.
                         (Some((e, pid)), Some(binder)) => {
-                            for (i, item) in list_items(instance, &v).into_iter().enumerate() {
+                            for (i, item) in list_items(&v).into_iter().enumerate() {
                                 let mut r = row.clone();
                                 if let Some(bv) = binder {
                                     r.insert(*bv, CalcValue::Data(Value::Int(i as i64)));
@@ -807,34 +807,33 @@ fn walk(
     let rest = &steps[1..];
     match step {
         WalkStep::Attr(a) => {
-            if let Some(v) = attr_select(instance, value, *a) {
-                walk(instance, &v, rest, row, out, guard, result);
+            if let Some(v) = attr_select(value, *a) {
+                walk(instance, v, rest, row, out, guard, result);
             }
         }
         WalkStep::Deref => {
             if let Value::Oid(o) = value {
                 if let Ok(v) = instance.value_of(*o) {
-                    let v = v.clone();
-                    walk(instance, &v, rest, row, out, guard, result);
+                    walk(instance, v, rest, row, out, guard, result);
                 }
             }
         }
         WalkStep::Index(i) => {
-            if let Some(v) = index_select(instance, value, *i) {
+            if let Some(v) = index_select(value, *i) {
                 walk(instance, &v, rest, row, out, guard, result);
             }
         }
         WalkStep::IndexVar(var) => {
             if let Some(CalcValue::Data(Value::Int(n))) = row.get(var) {
                 if let Ok(i) = usize::try_from(*n) {
-                    if let Some(v) = index_select(instance, value, i) {
+                    if let Some(v) = index_select(value, i) {
                         walk(instance, &v, rest, row.clone(), out, guard, result);
                     }
                 }
             }
         }
         WalkStep::UnnestList(idx_var) => {
-            let items = list_items(instance, value);
+            let items = list_items(value);
             for (i, item) in items.iter().enumerate() {
                 let mut r = row.clone();
                 if let Some(v) = idx_var {

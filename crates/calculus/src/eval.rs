@@ -7,12 +7,14 @@
 //!   passing); if no order exists the query is not range-restricted and is
 //!   rejected — this is exactly the paper's range-restriction discipline;
 //! * path predicates `⟨v P ·a (X) …⟩` are evaluated by walking the value
-//!   graph: unbound path variables expand via [`docql_paths::enumerate_paths`]
-//!   under the chosen semantics (restricted per-class dereference by
-//!   default); inside walks, attribute/index selection applies the §5.3
-//!   *implicit selectors* (union markers may be skipped) but is **strict**
-//!   about object boundaries — crossing one takes an explicit or absorbed
-//!   `→`. Term-position access (`a.title`) additionally dereferences
+//!   graph in place: unbound path variables expand via
+//!   [`docql_paths::visit_paths_guarded`] under the chosen semantics
+//!   (restricted per-class dereference by default), the rest of the path
+//!   being walked from each visited value as it is reached; inside walks,
+//!   attribute/index selection applies the §5.3 *implicit selectors*
+//!   (union markers may be skipped) but is **strict** about object
+//!   boundaries — crossing one takes an explicit or absorbed `→`.
+//!   Term-position access (`a.title`) additionally dereferences
 //!   implicitly, as O₂SQL expects;
 //! * the §5.3 rule "each atom where this occurs is **false**" is realised by
 //!   undefined term evaluations producing no bindings rather than errors.
@@ -21,6 +23,7 @@ use crate::interp::{CalcValue, Interp, InterpCtx, InterpError};
 use crate::term::{Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, Query, Var};
 use docql_model::{Instance, Sym, Value};
 use docql_paths::{ConcretePath, EnumOptions, PathSemantics, PathStep};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -370,7 +373,7 @@ impl<'a> Evaluator<'a> {
                     let CalcValue::Data(base) = base else {
                         continue;
                     };
-                    self.walk_path(&base, &p.0, env.clone(), &mut out)?;
+                    self.walk_path(&base, &p.0, env, &mut out)?;
                 }
                 Atom::Eq(x, y) => {
                     let xv = self.term_value_opt(x, &env)?;
@@ -409,16 +412,16 @@ impl<'a> Evaluator<'a> {
                         Some(xv) => {
                             if items
                                 .iter()
-                                .any(|i| calc_eq(&CalcValue::Data(i.clone()), &xv))
+                                .any(|i| matches!(&xv, CalcValue::Data(x) if i == x))
                             {
-                                out.push(env.clone());
+                                out.push(env);
                             }
                         }
                         None => {
                             if let DataTerm::Var(v) = x {
                                 for item in items {
                                     let mut e = env.clone();
-                                    e.insert(*v, CalcValue::Data(item));
+                                    e.insert(*v, CalcValue::Data(item.clone()));
                                     out.push(e);
                                 }
                             }
@@ -649,62 +652,25 @@ impl<'a> Evaluator<'a> {
 
     /// Attribute selection with the paper's implicit behaviours:
     /// implicit dereferencing of objects and implicit selectors through
-    /// union markers ("Important Omissions", §5.3).
+    /// union markers ("Important Omissions", §5.3). Path-predicate walks
+    /// use the strict [`docql_paths::attr_select`] instead: a `·a` step on
+    /// an object reference is undefined there, exactly as in the paper's
+    /// concrete-path model (crossing an object boundary requires `→`,
+    /// usually absorbed by a path variable, whose expansion the restriction
+    /// governs).
     fn attr_select(&self, value: &Value, name: Sym) -> Option<Value> {
         match value {
-            Value::Tuple(_) => value.attr(name).cloned(),
-            Value::Union(m, payload) => {
-                if *m == name {
-                    Some(payload.as_ref().clone())
-                } else {
-                    self.attr_select(payload, name)
-                }
-            }
-            Value::Oid(o) => {
-                let v = self.instance.value_of(*o).ok()?;
-                self.attr_select(v, name)
-            }
-            _ => None,
+            Value::Union(m, payload) if *m != name => self.attr_select(payload, name),
+            Value::Oid(o) => self.attr_select(self.instance.value_of(*o).ok()?, name),
+            _ => docql_paths::attr_select(value, name).cloned(),
         }
     }
 
-    /// Strict attribute selection for *path-predicate walks*: implicit
-    /// selectors through union markers apply (§5.3 omissions), but there is
-    /// NO implicit dereferencing — a `·a` step on an object reference is
-    /// undefined, exactly as in the paper's concrete-path model (crossing an
-    /// object boundary requires `→`, usually absorbed by a path variable,
-    /// whose expansion the restriction governs).
-    fn strict_attr_select(&self, value: &Value, name: Sym) -> Option<Value> {
+    fn strict_attrs_here<'v>(&self, value: &'v Value) -> Vec<(Sym, &'v Value)> {
         match value {
-            Value::Tuple(_) => value.attr(name).cloned(),
+            Value::Tuple(fs) => fs.iter().map(|(n, v)| (*n, v)).collect(),
             Value::Union(m, payload) => {
-                if *m == name {
-                    Some(payload.as_ref().clone())
-                } else {
-                    self.strict_attr_select(payload, name)
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Strict index selection (no implicit dereferencing), for walks.
-    fn strict_index_select(&self, value: &Value, i: usize) -> Option<Value> {
-        match value {
-            Value::List(items) => items.get(i).cloned(),
-            Value::Tuple(fs) => fs
-                .get(i)
-                .map(|(n, v)| Value::Union(*n, Box::new(v.clone()))),
-            Value::Union(_, payload) => self.strict_index_select(payload, i),
-            _ => None,
-        }
-    }
-
-    fn strict_attrs_here(&self, value: &Value) -> Vec<(Sym, Value)> {
-        match value {
-            Value::Tuple(fs) => fs.iter().map(|(n, v)| (*n, v.clone())).collect(),
-            Value::Union(m, payload) => {
-                let mut out = vec![(*m, payload.as_ref().clone())];
+                let mut out = vec![(*m, payload.as_ref())];
                 out.extend(self.strict_attrs_here(payload));
                 out
             }
@@ -724,31 +690,25 @@ impl<'a> Evaluator<'a> {
     /// Index selection: lists, and tuples viewed as heterogeneous lists.
     /// A marked-union value indexes *through* its marker (omission
     /// semantics: the letters query `Letters[I](Y)[J]·to` indexes the tuple
-    /// inside the union without naming `a1`/`a2`).
+    /// inside the union without naming `a1`/`a2`); term position also
+    /// dereferences implicitly.
     fn index_select(&self, value: &Value, i: usize) -> Option<Value> {
         match value {
-            Value::List(items) => items.get(i).cloned(),
-            Value::Tuple(fs) => fs
-                .get(i)
-                .map(|(n, v)| Value::Union(*n, Box::new(v.clone()))),
             Value::Union(_, payload) => self.index_select(payload, i),
-            Value::Oid(o) => {
-                let v = self.instance.value_of(*o).ok()?.clone();
-                self.index_select(&v, i)
-            }
-            _ => None,
+            Value::Oid(o) => self.index_select(self.instance.value_of(*o).ok()?, i),
+            _ => docql_paths::index_select(value, i).map(Cow::into_owned),
         }
     }
 
     /// Elements of a collection, looking through oids and union markers
     /// (the §4.2 iterator semantics with implicit selectors).
-    fn element_collection(&self, value: &Value) -> Option<Vec<Value>> {
+    fn element_collection<'v>(&self, value: &'v Value) -> Option<&'v [Value]>
+    where
+        'a: 'v,
+    {
         match value {
-            Value::List(items) | Value::Set(items) => Some(items.clone()),
-            Value::Oid(o) => {
-                let v = self.instance.value_of(*o).ok()?.clone();
-                self.element_collection(&v)
-            }
+            Value::List(items) | Value::Set(items) => Some(items),
+            Value::Oid(o) => self.element_collection(self.instance.value_of(*o).ok()?),
             Value::Union(_, payload) => self.element_collection(payload),
             _ => None,
         }
@@ -772,9 +732,9 @@ impl<'a> Evaluator<'a> {
         };
         let rest = &atoms[1..];
         match atom {
-            PathAtom::PathVar(v) => match env.get(v).cloned() {
+            PathAtom::PathVar(v) => match env.get(v) {
                 Some(CalcValue::Path(path)) => {
-                    if let Some(value) = docql_paths::resolve(self.instance, base, &path) {
+                    if let Some(value) = docql_paths::resolve(self.instance, base, path) {
                         self.walk_path(&value, rest, env, out)?;
                     }
                     Ok(())
@@ -786,43 +746,48 @@ impl<'a> Evaluator<'a> {
                         include_set_elements: self.set_elements,
                         ..EnumOptions::default()
                     };
-                    // Guarded expansion: the enumeration itself charges one
-                    // fuel unit per visited pair and stops on trip; the
-                    // recursive walk below then observes the sticky trip.
-                    let pairs = docql_paths::enumerate_paths_guarded(
+                    // The visitor charges one fuel unit per visited pair and
+                    // stops on a trip; the rest of the path is walked from
+                    // each pair as it is visited, so rows found before a
+                    // trip are kept. An error prunes every later pair.
+                    let mut walked = Ok(());
+                    docql_paths::visit_paths_guarded(
                         self.instance,
                         base,
                         &opts,
                         self.guard,
+                        &mut |subpath, value| {
+                            if walked.is_err() {
+                                return false;
+                            }
+                            let mut e = env.clone();
+                            e.insert(*v, CalcValue::Path(subpath.clone()));
+                            walked = self.walk_path(value, rest, e, out);
+                            walked.is_ok()
+                        },
                     );
-                    for (subpath, value) in pairs {
-                        let mut e = env.clone();
-                        e.insert(*v, CalcValue::Path(subpath));
-                        self.walk_path(&value, rest, e, out)?;
-                    }
-                    Ok(())
+                    walked
                 }
             },
             PathAtom::Deref => {
                 if let Value::Oid(o) = base {
                     if let Ok(v) = self.instance.value_of(*o) {
-                        let v = v.clone();
-                        self.walk_path(&v, rest, env, out)?;
+                        self.walk_path(v, rest, env, out)?;
                     }
                 }
                 Ok(())
             }
             PathAtom::Attr(AttrTerm::Name(n)) => {
-                if let Some(v) = self.strict_attr_select(base, *n) {
-                    self.walk_path(&v, rest, env, out)?;
+                if let Some(v) = docql_paths::attr_select(base, *n) {
+                    self.walk_path(v, rest, env, out)?;
                 }
                 Ok(())
             }
             PathAtom::Attr(AttrTerm::Var(av)) => {
                 match env.get(av).and_then(|cv| cv.as_attr()) {
                     Some(n) => {
-                        if let Some(v) = self.strict_attr_select(base, n) {
-                            self.walk_path(&v, rest, env, out)?;
+                        if let Some(v) = docql_paths::attr_select(base, n) {
+                            self.walk_path(v, rest, env, out)?;
                         }
                         Ok(())
                     }
@@ -833,7 +798,7 @@ impl<'a> Evaluator<'a> {
                         for (name, value) in self.strict_attrs_here(base) {
                             let mut e = env.clone();
                             e.insert(*av, CalcValue::Attr(name));
-                            self.walk_path(&value, rest, e, out)?;
+                            self.walk_path(value, rest, e, out)?;
                         }
                         Ok(())
                     }
@@ -841,15 +806,15 @@ impl<'a> Evaluator<'a> {
             }
             PathAtom::Index(it) => match it {
                 IntTerm::Const(i) => {
-                    if let Some(v) = self.strict_index_select(base, *i) {
+                    if let Some(v) = docql_paths::index_select(base, *i) {
                         self.walk_path(&v, rest, env, out)?;
                     }
                     Ok(())
                 }
-                IntTerm::Var(v) => match env.get(v).cloned() {
+                IntTerm::Var(v) => match env.get(v) {
                     Some(CalcValue::Data(Value::Int(n))) => {
-                        if let Ok(i) = usize::try_from(n) {
-                            if let Some(val) = self.strict_index_select(base, i) {
+                        if let Ok(i) = usize::try_from(*n) {
+                            if let Some(val) = docql_paths::index_select(base, i) {
                                 self.walk_path(&val, rest, env, out)?;
                             }
                         }
@@ -862,7 +827,7 @@ impl<'a> Evaluator<'a> {
                             None => return Ok(()),
                         };
                         for i in 0..len {
-                            if let Some(val) = self.strict_index_select(base, i) {
+                            if let Some(val) = docql_paths::index_select(base, i) {
                                 let mut e = env.clone();
                                 e.insert(*v, CalcValue::Data(Value::Int(i as i64)));
                                 self.walk_path(&val, rest, e, out)?;
@@ -875,37 +840,37 @@ impl<'a> Evaluator<'a> {
             PathAtom::Bind(v) => match env.get(v) {
                 Some(CalcValue::Data(x)) => {
                     if x == base {
-                        self.walk_path(base, rest, env.clone(), out)?;
+                        self.walk_path(base, rest, env, out)?;
                     }
                     Ok(())
                 }
                 Some(_) => Ok(()),
                 None => {
-                    let mut e = env.clone();
+                    let mut e = env;
                     e.insert(*v, CalcValue::Data(base.clone()));
                     self.walk_path(base, rest, e, out)
                 }
             },
             PathAtom::SetBind(v) => {
                 let items = match base {
-                    Value::Set(items) => items.clone(),
+                    Value::Set(items) => items,
                     Value::Oid(o) => match self.instance.value_of(*o).ok() {
-                        Some(Value::Set(items)) => items.clone(),
+                        Some(Value::Set(items)) => items,
                         _ => return Ok(()),
                     },
                     _ => return Ok(()),
                 };
                 for item in items {
                     match env.get(v) {
-                        Some(CalcValue::Data(x)) if *x != item => continue,
+                        Some(CalcValue::Data(x)) if x != item => continue,
                         Some(CalcValue::Data(_)) => {
-                            self.walk_path(&item, rest, env.clone(), out)?;
+                            self.walk_path(item, rest, env.clone(), out)?;
                         }
                         Some(_) => continue,
                         None => {
                             let mut e = env.clone();
                             e.insert(*v, CalcValue::Data(item.clone()));
-                            self.walk_path(&item, rest, e, out)?;
+                            self.walk_path(item, rest, e, out)?;
                         }
                     }
                 }
@@ -969,7 +934,3 @@ pub fn check_range_restricted(
         )),
     }
 }
-
-// ConcretePath is used in the public signature of calc_to_value's source.
-#[allow(unused)]
-fn _uses(p: &ConcretePath) {}

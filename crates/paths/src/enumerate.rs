@@ -101,22 +101,6 @@ pub fn visit_paths_guarded(
     walker.go(start, 0, f);
 }
 
-/// [`enumerate_paths`] under execution governance; see
-/// [`visit_paths_guarded`] for the fuel-accounting contract.
-pub fn enumerate_paths_guarded(
-    instance: &Instance,
-    start: &Value,
-    opts: &EnumOptions,
-    guard: Option<&Guard>,
-) -> Vec<(ConcretePath, Value)> {
-    let mut out = Vec::new();
-    visit_paths_guarded(instance, start, opts, guard, &mut |p, v| {
-        out.push((p.clone(), v.clone()));
-        true
-    });
-    out
-}
-
 struct Walker<'i, 'o, 'g> {
     instance: &'i Instance,
     opts: &'o EnumOptions,
@@ -185,9 +169,8 @@ impl Walker<'_, '_, '_> {
                     return;
                 }
                 if let Ok(v) = self.instance.value_of(*o) {
-                    let v = v.clone();
                     self.path.push(PathStep::Deref);
-                    self.go(&v, depth + 1, f);
+                    self.go(v, depth + 1, f);
                     self.path.0.pop();
                 }
                 match self.opts.semantics {
@@ -391,18 +374,23 @@ mod tests {
             semantics: PathSemantics::Liberal,
             ..EnumOptions::default()
         };
+        let guarded = |guard: &docql_guard::Guard| {
+            let mut out = Vec::new();
+            visit_paths_guarded(&inst, &alice, &opts, Some(guard), &mut |p, v| {
+                out.push((p.clone(), v.clone()));
+                true
+            });
+            out
+        };
         let unguarded = enumerate_paths(&inst, &alice, &opts);
         // Ample fuel: same answer as the unguarded walk, no trip.
         let ample = docql_guard::Guard::new(&QueryLimits::none().with_path_fuel(10_000));
-        assert_eq!(
-            enumerate_paths_guarded(&inst, &alice, &opts, Some(&ample)),
-            unguarded
-        );
+        assert_eq!(guarded(&ample), unguarded);
         assert_eq!(ample.trip(), None);
         // Tiny fuel: strictly fewer pairs, and the trip is observable —
         // distinguishing exhaustion from a visitor prune.
         let tiny = docql_guard::Guard::new(&QueryLimits::none().with_path_fuel(3));
-        let partial = enumerate_paths_guarded(&inst, &alice, &opts, Some(&tiny));
+        let partial = guarded(&tiny);
         assert!(partial.len() < unguarded.len());
         assert_eq!(
             tiny.trip(),

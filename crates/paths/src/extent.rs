@@ -235,8 +235,8 @@ impl PathExtentIndex {
         for (step, child) in &node.children {
             match step {
                 ExtStep::Attr(a) => {
-                    if let Some(v) = attr_select(instance, value, *a) {
-                        self.visit(instance, &v, *child, table);
+                    if let Some(v) = attr_select(value, *a) {
+                        self.visit(instance, v, *child, table);
                     }
                 }
                 ExtStep::Deref => {
@@ -247,7 +247,7 @@ impl PathExtentIndex {
                     }
                 }
                 ExtStep::ListElem => {
-                    for item in list_items(instance, value) {
+                    for item in list_items(value) {
                         self.visit(instance, &item, *child, table);
                     }
                 }

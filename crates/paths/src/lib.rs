@@ -19,8 +19,7 @@ pub mod step;
 pub mod walk;
 
 pub use enumerate::{
-    enumerate_paths, enumerate_paths_guarded, path_set, visit_paths, visit_paths_guarded,
-    EnumOptions, PathSemantics,
+    enumerate_paths, path_set, visit_paths, visit_paths_guarded, EnumOptions, PathSemantics,
 };
 pub use extent::{ExtStep, PathExtentIndex, PathId};
 pub use path::ConcretePath;
@@ -28,4 +27,4 @@ pub use pattern::{match_path, PatElem, PathBindings, VarId};
 pub use schema_paths::{paths_ending_with_attr, schema_paths, AbsPath, AbsStep, SchemaPathOptions};
 pub use select::{attr_select, deref1, index_select, list_items};
 pub use step::PathStep;
-pub use walk::{apply_step, apply_step_owned, resolve};
+pub use walk::{apply_step, resolve};

@@ -3,6 +3,7 @@
 use crate::path::ConcretePath;
 use crate::step::PathStep;
 use docql_model::{Instance, Value};
+use std::borrow::Cow;
 
 /// Apply one step to a value. Returns `None` when the step is undefined on
 /// the value (e.g. missing attribute, out-of-range index, deref of non-oid).
@@ -16,36 +17,45 @@ pub fn apply_step<'v>(
         (PathStep::Index(i), Value::List(items)) => items.get(*i),
         // A tuple viewed as a heterogeneous list: indexing yields the
         // component *as a marked value* — [aᵢ:vᵢ].
-        (PathStep::Index(_), Value::Tuple(_)) => None, // handled by apply_step_owned
+        (PathStep::Index(_), Value::Tuple(_)) => None, // handled by apply_step_cow
         (PathStep::Elem(v), Value::Set(items)) => items.iter().find(|x| *x == v),
         (PathStep::Deref, Value::Oid(o)) => instance.value_of(*o).ok(),
         _ => None,
     }
 }
 
-/// Apply one step, owning the result (needed where the step *constructs* a
-/// value, i.e. indexing a tuple-as-heterogeneous-list).
-pub fn apply_step_owned(instance: &Instance, value: &Value, step: &PathStep) -> Option<Value> {
+/// Apply one step, borrowing the result where it already exists and
+/// building it where the step *constructs* a value, i.e. indexing a
+/// tuple-as-heterogeneous-list.
+fn apply_step_cow<'v>(
+    instance: &'v Instance,
+    value: &'v Value,
+    step: &PathStep,
+) -> Option<Cow<'v, Value>> {
     if let (PathStep::Index(i), Value::Tuple(fields)) = (step, value) {
         return fields
             .get(*i)
-            .map(|(n, v)| Value::Union(*n, Box::new(v.clone())));
+            .map(|(n, v)| Cow::Owned(Value::Union(*n, Box::new(v.clone()))));
     }
-    if let (PathStep::Index(i), Value::Union(m, payload)) = (step, value) {
+    if let (PathStep::Index(i), Value::Union(..)) = (step, value) {
         // A union value is a singleton heterogeneous list.
-        return (*i == 0).then(|| Value::Union(*m, payload.clone()));
+        return (*i == 0).then_some(Cow::Borrowed(value));
     }
-    apply_step(instance, value, step).cloned()
+    apply_step(instance, value, step).map(Cow::Borrowed)
 }
 
 /// Resolve a whole path from a start value. Returns the reached value, or
-/// `None` if any step is undefined.
+/// `None` if any step is undefined. Steps read values in place: only the
+/// reached value is cloned, and a tuple component an index step builds.
 pub fn resolve(instance: &Instance, start: &Value, path: &ConcretePath) -> Option<Value> {
-    let mut cur = start.clone();
+    let mut cur = Cow::Borrowed(start);
     for step in path.steps() {
-        cur = apply_step_owned(instance, &cur, step)?;
+        cur = match cur {
+            Cow::Borrowed(v) => apply_step_cow(instance, v, step)?,
+            Cow::Owned(v) => Cow::Owned(apply_step_cow(instance, &v, step)?.into_owned()),
+        };
     }
-    Some(cur)
+    Some(cur.into_owned())
 }
 
 #[cfg(test)]

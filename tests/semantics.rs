@@ -101,17 +101,74 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
         Ok(r) => panic!("expected a path-fuel trip, got {} row(s)", r.len()),
     }
 
-    // Scarce fuel in degrade mode: a flagged prefix of the full answer.
+    // Scarce fuel in degrade mode: a flagged, strictly shorter, in-order
+    // prefix of the full answer.
     engine.guard = Some(&degrade);
     let partial = engine.run(q).unwrap();
     assert!(partial.is_partial());
     assert!(partial.len() < unguarded.len());
+    assert_eq!(partial.rows[..], unguarded.rows[..partial.len()]);
 
     // Ample fuel: differential — exactly the unguarded answer, unflagged.
     engine.guard = Some(&ample);
     let governed = engine.run(q).unwrap();
     assert!(!governed.is_partial());
     assert_eq!(governed.rows, unguarded.rows);
+}
+
+#[test]
+fn path_fuel_sweep_keeps_an_in_order_prefix() {
+    // A path variable's expansion walks the rest of the path from each
+    // visited pair as it is reached, so a path query finds its first row
+    // long before its expansion is done (enumerating every pair first
+    // spent half of this query's fuel before any row) and keeps the rows
+    // found before a trip in degrade mode; the trip raised inside that
+    // walk reaches the caller in strict mode. A select's head assignment
+    // `H = e` is a later conjunct, which stops on the sticky trip, so its
+    // partial answer is the empty prefix.
+    let db = db();
+    for (q, keeps_rows) in [
+        ("select t from my_article PATH_p.title(t)", false),
+        ("my_article PATH_p", true),
+    ] {
+        let run = |limits: QueryLimits| {
+            let guard = Guard::new(&limits);
+            let mut engine = db.engine();
+            engine.guard = Some(&guard);
+            (engine.run(q), guard.consumed().1)
+        };
+        let (full, needed) = run(QueryLimits::none().with_path_fuel(u64::MAX));
+        let full = full.unwrap();
+        assert!(full.len() > 1, "{q}: the sweep needs several rows");
+        let mut first_kept = None;
+        for cap in 1..=needed {
+            let r = run(QueryLimits::none().with_path_fuel(cap).with_degrade())
+                .0
+                .unwrap();
+            assert_eq!(r.rows[..], full.rows[..r.len()], "{q}, cap {cap}");
+            // Flagged exactly when the cap is below what the full answer
+            // needs; every shorter answer is therefore flagged.
+            assert_eq!(r.is_partial(), cap < needed, "{q}, cap {cap}");
+            if cap < needed && !r.rows.is_empty() {
+                first_kept.get_or_insert(cap);
+            }
+
+            match run(QueryLimits::none().with_path_fuel(cap)).0 {
+                Ok(r) => {
+                    assert_eq!(cap, needed, "{q}: untripped at cap {cap}");
+                    assert_eq!(r.rows, full.rows);
+                }
+                Err(docql::o2sql::O2sqlError::Interrupted(ExecError::BudgetExhausted(
+                    docql::guard::Resource::PathFuel,
+                ))) => assert!(cap < needed, "{q}: tripped at cap {cap}"),
+                Err(e) => panic!("{q}, cap {cap}: expected a path-fuel trip, got {e}"),
+            }
+        }
+        match first_kept {
+            Some(cap) => assert!(keeps_rows && cap < needed / 4, "{q}: first row at {cap}"),
+            None => assert!(!keeps_rows, "{q}: no partial answer kept a row"),
+        }
+    }
 }
 
 #[test]
