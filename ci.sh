@@ -126,6 +126,17 @@ if ! awk '/^fork_cost ratio=/ { split($2, r, "="); seen=1; if (r[2]+0 > 2.0) bad
     exit 1
 fi
 
+echo "==> walk-cost gate (cached interpreter Q3 vs a bare path walk, interleaved)"
+# The interpreter binds variables in place, so Q3 must cost at most twice
+# the path walk it makes: fail when interpreter / walk exceeds 2.0.
+walk_out=$(cargo run -q --release -p docql-bench --example walk_cost)
+grep "^walk_cost" <<<"$walk_out"
+if ! awk '/^walk_cost ratio=/ { split($2, r, "="); seen=1; if (r[2]+0 > 2.0) bad=1 } \
+          END { exit (bad || !seen) }' <<<"$walk_out"; then
+    echo "    interpreter / walk is above 2.0, or the ratio is missing" >&2
+    exit 1
+fi
+
 echo "==> B10/B15 observability-overhead smoke (disabled/metrics/traced/sink/profiled + interleaved, 1 ms windows)"
 # One bench prints both families: B10 (metrics off vs on) and B15
 # (recorder off vs on, with the suite-total line the 5 % gate reads).

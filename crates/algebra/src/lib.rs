@@ -25,7 +25,7 @@ pub use algebraize::{
 };
 pub use compile::{compile_query, compile_query_with_stats};
 pub use cost::{CostProfile, PlanEstimates, StatsSource, REPLAN_DIVERGENCE};
-pub use plan::{ExecCtx, IndexPathScan, Op, WalkStep};
+pub use plan::{ExecCtx, IndexPathScan, Op, Row, WalkStep};
 pub use profile::PlanProfile;
 
 /// Errors from compilation and algebraization.

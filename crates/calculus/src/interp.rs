@@ -27,14 +27,6 @@ pub enum CalcValue {
 }
 
 impl CalcValue {
-    /// The data value, if this is one.
-    pub fn as_data(&self) -> Option<&Value> {
-        match self {
-            CalcValue::Data(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The path, if this is one.
     pub fn as_path(&self) -> Option<&ConcretePath> {
         match self {
@@ -285,16 +277,6 @@ impl Interp {
             .get(&name)
             .ok_or_else(|| InterpError(format!("unknown function `{name}`")))?;
         f(ctx, args)
-    }
-
-    /// Is this name a registered function?
-    pub fn has_func(&self, name: Sym) -> bool {
-        self.funcs.contains_key(&name)
-    }
-
-    /// Is this name a registered predicate?
-    pub fn has_pred(&self, name: Sym) -> bool {
-        self.preds.contains_key(&name)
     }
 }
 

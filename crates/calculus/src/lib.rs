@@ -3,7 +3,7 @@
 //! Data, attribute and path sorts; path predicates `⟨v P⟩`; range
 //! restriction in the style of Abiteboul–Beeri; interpreted predicates and
 //! functions (`contains`, `near`, `length`, `name`, `set_to_list`, …); and a
-//! safe set-at-a-time evaluator implementing the paper's restricted path
+//! safe evaluator, compiled once per query, implementing the paper's restricted path
 //! semantics (no two dereferences of objects in the same class), implicit
 //! selectors, the marking-attribute omissions, and the false-on-missing-
 //! attribute rule.
@@ -13,7 +13,7 @@ pub mod interp;
 pub mod term;
 pub mod typing;
 
-pub use eval::{calc_to_value, check_range_restricted, CalcError, Env, Evaluator};
+pub use eval::{calc_to_value, check_range_restricted, CalcError, Evaluator, Program};
 pub use interp::{CalcValue, Interp, InterpCtx, InterpError};
 pub use term::{
     Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, PathTerm, Query, QueryBuilder, Sort, Var,

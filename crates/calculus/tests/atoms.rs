@@ -151,8 +151,6 @@ fn disjunction_binds_union_of_branches() {
 
 #[test]
 fn range_restriction_checker_accepts_and_rejects() {
-    let instance = inst();
-    let interp = Interp::with_builtins();
     // Accept: X bound by membership.
     let mut b = QueryBuilder::new();
     let x = b.data("X");
@@ -160,7 +158,7 @@ fn range_restriction_checker_accepts_and_rejects() {
         vec![x],
         Formula::Atom(Atom::In(DataTerm::Var(x), DataTerm::Name(sym("Nums")))),
     );
-    assert!(check_range_restricted(&ok, &instance, &interp).is_ok());
+    assert!(check_range_restricted(&ok).is_ok());
     // Reject: head variable never bound.
     let mut b = QueryBuilder::new();
     let x = b.data("X");
@@ -169,7 +167,7 @@ fn range_restriction_checker_accepts_and_rejects() {
         vec![y],
         Formula::Atom(Atom::In(DataTerm::Var(x), DataTerm::Name(sym("Nums")))),
     );
-    assert!(check_range_restricted(&bad, &instance, &interp).is_err());
+    assert!(check_range_restricted(&bad).is_err());
     // Reject: only a comparison over an unbound variable.
     let mut b = QueryBuilder::new();
     let z = b.data("Z");
@@ -180,7 +178,7 @@ fn range_restriction_checker_accepts_and_rejects() {
             vec![DataTerm::Var(z), DataTerm::Const(Value::Int(3))],
         )),
     );
-    assert!(check_range_restricted(&cmp_only, &instance, &interp).is_err());
+    assert!(check_range_restricted(&cmp_only).is_err());
 }
 
 #[test]

@@ -76,19 +76,23 @@ pub fn visit_paths(
     opts: &EnumOptions,
     f: &mut impl FnMut(&ConcretePath, &Value) -> bool,
 ) {
-    visit_paths_guarded(instance, start, opts, None, f);
+    visit_paths_guarded(instance, start, opts, None, &mut |p, v| f(p, v));
 }
 
 /// [`visit_paths`] under execution governance: every visited pair charges
 /// one unit of path fuel to `guard`, and the walk stops as soon as the guard
 /// trips (deadline, fuel, cancellation). A fuel stop is distinguishable from
 /// a visitor prune by [`Guard::trip`] being set afterwards.
+///
+/// `f` gets the walk's own path buffer: it may move the path out while it
+/// runs — to lend it to a variable binding without copying it — but must
+/// put it back unchanged before it returns.
 pub fn visit_paths_guarded(
     instance: &Instance,
     start: &Value,
     opts: &EnumOptions,
     guard: Option<&Guard>,
-    f: &mut impl FnMut(&ConcretePath, &Value) -> bool,
+    f: &mut impl FnMut(&mut ConcretePath, &Value) -> bool,
 ) {
     let mut walker = Walker {
         instance,
@@ -117,7 +121,7 @@ impl Walker<'_, '_, '_> {
         &mut self,
         value: &Value,
         depth: usize,
-        f: &mut impl FnMut(&ConcretePath, &Value) -> bool,
+        f: &mut impl FnMut(&mut ConcretePath, &Value) -> bool,
     ) {
         if depth > self.opts.max_depth {
             return;
@@ -127,7 +131,7 @@ impl Walker<'_, '_, '_> {
                 return;
             }
         }
-        if !f(&self.path, value) {
+        if !f(&mut self.path, value) {
             return;
         }
         match value {

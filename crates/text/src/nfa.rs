@@ -70,21 +70,24 @@ impl Nfa {
     /// (shortest end for that start).
     pub fn find(&self, text: &str) -> Option<(usize, usize)> {
         // Lock-step simulation from every start offset, all at once: each
-        // active thread remembers the byte offset where it started.
+        // active thread remembers the byte offset where it started. The
+        // thread lists and the closure stack are reused across characters.
         let mut current: Vec<(usize, usize)> = Vec::new(); // (state, started_at)
+        let mut next: Vec<(usize, usize)> = Vec::new();
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         let mut seen = vec![usize::MAX; self.states.len()];
         let mut best: Option<(usize, usize)> = None;
 
-        let add = |threads: &mut Vec<(usize, usize)>,
-                   seen: &mut Vec<usize>,
-                   stamp: usize,
-                   state: usize,
-                   started: usize,
-                   states: &[Trans],
-                   best: &mut Option<(usize, usize)>,
-                   here: usize| {
+        let mut add = |threads: &mut Vec<(usize, usize)>,
+                       seen: &mut Vec<usize>,
+                       stamp: usize,
+                       state: usize,
+                       started: usize,
+                       states: &[Trans],
+                       best: &mut Option<(usize, usize)>,
+                       here: usize| {
             // DFS through ε-closure.
-            let mut stack = vec![(state, started)];
+            stack.push((state, started));
             while let Some((s, st)) = stack.pop() {
                 if seen[s] == stamp {
                     continue;
@@ -124,7 +127,7 @@ impl Nfa {
         while let Some((_at, c)) = offsets.next() {
             let next_at = offsets.peek().map(|&(i, _)| i).unwrap_or(text.len());
             stamp += 1;
-            let mut next: Vec<(usize, usize)> = Vec::new();
+            next.clear();
             for &(s, st) in &current {
                 if let Trans::Char { test, to } = &self.states[s] {
                     if test.matches(c) {
@@ -152,7 +155,7 @@ impl Nfa {
                 &mut best,
                 next_at,
             );
-            current = next;
+            std::mem::swap(&mut current, &mut next);
             // Leftmost match already found and no thread can start earlier.
             if let Some((bs, _)) = best {
                 if current.iter().all(|&(_, st)| st > bs) {
