@@ -708,6 +708,57 @@ fn set_to_list_nested_query() {
 }
 
 #[test]
+fn correlated_nested_query_reads_each_outer_row() {
+    // {V, Ts | V ∈ Knuth_Books ∧ Ts = {T | ∃J ⟨V → ·chapters[J] → ·title(T)⟩}}:
+    // the nested query reads the outer V, so each volume gets its own
+    // chapter titles although the nested query is compiled once.
+    let inst = knuth_instance();
+    let interp = Interp::with_builtins();
+    let ev = Evaluator::new(&inst, &interp);
+    let mut b = QueryBuilder::new();
+    let v = b.data("V");
+    let ts = b.data("Ts");
+    let t = b.data("T");
+    let j = b.data("J");
+    let inner = docql_calculus::Query {
+        head: vec![t],
+        body: Formula::Exists(
+            vec![j],
+            Box::new(Formula::Atom(Atom::PathPred(
+                DataTerm::Var(v),
+                PathTerm(vec![
+                    PathAtom::Deref,
+                    PathAtom::Attr(AttrTerm::Name(sym("chapters"))),
+                    PathAtom::Index(IntTerm::Var(j)),
+                    PathAtom::Deref,
+                    PathAtom::Attr(AttrTerm::Name(sym("title"))),
+                    PathAtom::Bind(t),
+                ]),
+            ))),
+        ),
+        sorts: Default::default(),
+        names: Default::default(),
+        outer_vars: vec![v],
+    };
+    let outer = b.query(
+        vec![v, ts],
+        Formula::And(vec![
+            Formula::Atom(Atom::In(
+                DataTerm::Var(v),
+                DataTerm::Name(sym("Knuth_Books")),
+            )),
+            Formula::Atom(Atom::Eq(DataTerm::Var(ts), DataTerm::Sub(Box::new(inner)))),
+        ]),
+    );
+    let rows = ev.eval_query(&outer).unwrap();
+    assert_eq!(rows.len(), 3);
+    for (vol, row) in rows.iter().enumerate() {
+        let titles = (0..3).map(|c| Value::str(format!("Chapter {vol}.{c}")));
+        assert_eq!(calc_to_value(&row[1]), Value::set(titles), "volume {vol}");
+    }
+}
+
+#[test]
 fn non_range_restricted_query_rejected() {
     // {X | ¬(X = 1)} — X never positively bound.
     let inst = knuth_instance();

@@ -11,7 +11,8 @@
 use crate::ast::*;
 use crate::O2sqlError;
 use docql_calculus::{
-    Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, PathTerm, Query, QueryBuilder, Sort, Var,
+    Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, PathTerm, Program, Query, QueryBuilder,
+    Sort, Var,
 };
 use docql_model::{sym, Schema};
 use std::collections::BTreeMap;
@@ -20,6 +21,8 @@ use std::collections::BTreeMap;
 pub struct Translated {
     /// The calculus query (for set-ops: the left side; see `set_op`).
     pub query: Query,
+    /// `query` compiled for the interpreter.
+    pub program: Program,
     /// Column labels for the result (one per head variable).
     pub columns: Vec<String>,
     /// Set operation against a second query, if any.
@@ -44,6 +47,7 @@ pub fn translate(q: &TopQuery, schema: &Schema) -> Result<Translated, O2sqlError
             }
             Ok(Translated {
                 query: left.query,
+                program: left.program,
                 columns: left.columns,
                 set_op: Some((*op, Box::new(right))),
             })
@@ -113,6 +117,7 @@ fn translate_select(s: &SelectQuery, schema: &Schema) -> Result<Translated, O2sq
     conjuncts.push(Formula::Atom(Atom::Eq(DataTerm::Var(h), select_term)));
     let query = cx.b.query(vec![h], Formula::And(conjuncts));
     Ok(Translated {
+        program: Program::compile(&query),
         query,
         columns: vec!["result".to_string()],
         set_op: None,
@@ -159,6 +164,7 @@ fn translate_path_query(
     let query =
         cx.b.query(head, Formula::Atom(Atom::PathPred(base_term, pterm)));
     Ok(Translated {
+        program: Program::compile(&query),
         query,
         columns,
         set_op: None,
