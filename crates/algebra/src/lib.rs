@@ -99,8 +99,7 @@ pub fn eval_plan_with(
     // governance must reach the text predicates they call.
     ev.guard = ctx.guard;
     let rows = a.plan.execute_with(instance, &ev, ctx)?;
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
+    let mut seen = docql_calculus::RowSet::new();
     for row in rows {
         let mut tuple = Vec::with_capacity(q.head.len());
         let mut complete = true;
@@ -113,9 +112,9 @@ pub fn eval_plan_with(
                 }
             }
         }
-        if complete && seen.insert(tuple.clone()) {
-            out.push(tuple);
+        if complete {
+            seen.insert(tuple);
         }
     }
-    Ok(out)
+    Ok(seen.into_vec())
 }

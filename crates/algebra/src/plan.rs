@@ -8,7 +8,7 @@
 //! is exactly what the algebraization buys over the calculus interpreter.
 
 use crate::profile::PlanProfile;
-use docql_calculus::{Atom, CalcValue, DataTerm, Evaluator, Var};
+use docql_calculus::{Atom, CalcValue, DataTerm, Evaluator, PreparedAtom, Var};
 use docql_model::{Instance, Sym, Value};
 use docql_paths::select::{attr_select, deref1, index_select, list_items};
 use docql_paths::{ExtStep, PathExtentIndex};
@@ -413,14 +413,15 @@ impl Op {
                 let rows = input.run(instance, ev, ctx, input_rows, child_id(ctx, node, 0))?;
                 let mut result = Vec::new();
                 // Built on the first row: a union branch often has none.
-                let mut slots: Option<Slots> = None;
+                let mut prepared: Option<(PreparedAtom, Slots)> = None;
                 for row in rows {
                     if !guard_row(ctx)? {
                         break;
                     }
                     // A filter must not bind — keep the original row.
                     let mut holds = false;
-                    let slots = slots.get_or_insert_with(|| Slots::new(atom));
+                    let (atom, slots) = prepared
+                        .get_or_insert_with(|| (PreparedAtom::new(atom.clone()), Slots::new(atom)));
                     ev.solve_atom(atom, slots.load(&row), &mut |_| holds = true)
                         .map_err(|e| crate::AlgebraError(e.to_string()))?;
                     if holds {
@@ -434,7 +435,7 @@ impl Op {
                 let mut result = Vec::new();
                 // Shared by the slow path below; built lazily so the common
                 // variable-copy case never touches the calculus evaluator.
-                let mut eq: Option<(Atom, Slots)> = None;
+                let mut eq: Option<(PreparedAtom, Slots)> = None;
                 for mut row in rows {
                     if !guard_row(ctx)? {
                         break;
@@ -462,7 +463,7 @@ impl Op {
                     let (eq, slots) = eq.get_or_insert_with(|| {
                         let eq = Atom::Eq(DataTerm::Var(*var), term.clone());
                         let slots = Slots::new(&eq);
-                        (eq, slots)
+                        (PreparedAtom::new(eq), slots)
                     });
                     // An equation has at most one solution.
                     let mut bound = None;

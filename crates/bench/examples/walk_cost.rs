@@ -10,8 +10,13 @@
 //! see the same host speed; the ratio is the median of the rounds' ratios,
 //! which a speed change or a preempted call in some rounds does not move.
 //!
-//! Prints each side's best time and the median ratio; `ci.sh` fails when
-//! interpreter / walk exceeds 2.0.
+//! A second case times a path-valued answer, `my_article PATH_p`, against
+//! the same bare walk cloning each visited path once: what the answer
+//! costs beyond the walk is building and deduplicating its rows.
+//!
+//! Prints each side's best time and the median ratio of each case;
+//! `ci.sh` fails when Q3's interpreter / walk exceeds 2.0, or the path
+//! answer's exceeds its bound.
 //!
 //! Run: `cargo run --release -p docql-bench --example walk_cost`
 
@@ -25,6 +30,7 @@ use std::time::{Duration, Instant};
 const ITERS: u64 = 2000;
 
 const Q3: &str = "select t from my_article PATH_p.title(t)";
+const PATHS: &str = "my_article PATH_p";
 
 fn main() {
     let mut store = docql_bench::article_store(20, 5);
@@ -54,6 +60,26 @@ fn main() {
     );
     println!("walk_cost bare walk={} titles={titles}", fmt_duration(bare));
     println!("walk_cost ratio={ratio:.2}");
+
+    let clone_paths = || {
+        let mut paths = Vec::new();
+        visit_paths(store.instance(), &start, &opts, &mut |p, _| {
+            paths.push(p.clone());
+            true
+        });
+        paths.len()
+    };
+    let (rows, pairs) = (store.query(PATHS).expect("paths").len(), clone_paths());
+    let (interp, bare, ratio) = paired(|| store.query(PATHS).map(|r| r.len()), clone_paths);
+    println!(
+        "walk_cost interpreter paths={} rows={rows}",
+        fmt_duration(interp)
+    );
+    println!(
+        "walk_cost bare walk+clone={} pairs={pairs}",
+        fmt_duration(bare)
+    );
+    println!("walk_cost paths_ratio={ratio:.2}");
 }
 
 /// Each side's best time per call and the median over `ITERS` rounds of

@@ -34,14 +34,15 @@
 //!   a nested query is undefined, a disjunction runs no later branch — so
 //!   a partial answer is a prefix.
 
-use crate::interp::{CalcValue, Interp, InterpCtx, InterpError};
+use crate::interp::{CalcValue, ContainsPattern, Interp, InterpCtx, InterpError};
+use crate::rows::RowSet;
 use crate::term::{Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, Query, Var};
 use docql_guard::Flow;
 use docql_model::{Instance, Sym, Value};
 use docql_paths::{ConcretePath, EnumOptions, PathSemantics, PathStep};
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -101,7 +102,7 @@ type Seq = Vec<Conj>;
 /// One conjunct of a compiled conjunction.
 #[derive(Debug, Clone)]
 enum Conj {
-    Atom(Atom),
+    Atom(PreparedAtom),
     /// Negation as failure: keep the binding iff the inner has no solution.
     Not(Seq),
     /// `¬¬φ`, a semi-join: keep the binding iff the inner has a solution.
@@ -119,6 +120,29 @@ enum Boundary {
     /// The inner over the batch, with these variables projected out and
     /// the rest deduplicated.
     Exists(Vec<Var>, Seq),
+}
+
+/// An atom ready to run: a `contains` atom whose pattern is a constant
+/// string holds that pattern compiled, so no evaluation parses it. Both the
+/// compiled [`Program`] and the algebra's operators run atoms in this form.
+#[derive(Debug, Clone)]
+pub struct PreparedAtom {
+    atom: Atom,
+    contains: Option<ContainsPattern>,
+}
+
+impl PreparedAtom {
+    /// Prepare `atom`, compiling its constant `contains` pattern.
+    pub fn new(atom: Atom) -> PreparedAtom {
+        let contains = match &atom {
+            Atom::Pred(name, args) if name.as_str() == "contains" => match args.get(1) {
+                Some(DataTerm::Const(Value::Str(src))) => Some(ContainsPattern::compile(src)),
+                _ => None,
+            },
+            _ => None,
+        };
+        PreparedAtom { atom, contains }
+    }
 }
 
 /// What a conjunct binds beyond the variables bound before it; `None` when
@@ -143,6 +167,15 @@ impl Program {
             head_names: q.head.iter().map(|v| q.name_of(*v)).collect(),
         }
     }
+
+    /// The value `row` binds to the `i`-th head variable.
+    fn head_value<'r>(&self, row: &'r Row, i: usize) -> Result<&'r CalcValue, CalcError> {
+        get(row, self.head[i]).ok_or_else(|| {
+            let name = &self.head_names[i];
+            let msg = format!("head variable {name} is not bound by the body");
+            CalcError::RangeRestriction(msg)
+        })
+    }
 }
 
 /// Compile `f` as one conjunction, noting every variable it mentions in
@@ -164,7 +197,10 @@ fn conjunct(
     let (item, provides) = match f {
         Formula::Atom(a) => {
             a.vars(vars);
-            (Conj::Atom(a.clone()), atom_provides(a, bound))
+            (
+                Conj::Atom(PreparedAtom::new(a.clone())),
+                atom_provides(a, bound),
+            )
         }
         Formula::And(fs) => {
             // Greedy sideways information passing: the first conjunct that
@@ -323,7 +359,7 @@ impl<'a> Evaluator<'a> {
     /// assignments evaluate atoms. `row` is unchanged when this returns `Ok`.
     pub fn solve_atom(
         &self,
-        atom: &Atom,
+        atom: &PreparedAtom,
         row: &mut Vec<Option<CalcValue>>,
         found: &mut dyn FnMut(&[Option<CalcValue>]),
     ) -> Result<(), CalcError> {
@@ -333,32 +369,26 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// The deduplicated head rows of `p`'s solutions from `row`.
+    /// The deduplicated head rows of `p`'s solutions from `row`, in the
+    /// order each first came.
     fn answer(&self, p: &Program, row: &mut Row) -> Result<Vec<Vec<CalcValue>>, CalcError> {
         row.resize(row.len().max(p.slots), None);
-        // Each distinct head row, with the position it first came at.
-        let mut seen: BTreeMap<Vec<CalcValue>, usize> = BTreeMap::new();
+        let mut seen = RowSet::new();
         self.solve(&p.body, row, &mut |row| {
-            // A one-column row already seen is found without building it.
-            if let [v] = p.head[..] {
-                if get(row, v).is_some_and(|cv| seen.contains_key(std::slice::from_ref(cv))) {
-                    return Ok(());
+            match p.head.len() {
+                // A one-column row already seen is found without building it.
+                1 => {
+                    let one = p.head_value(row, 0)?;
+                    seen.insert_with(std::slice::from_ref(one), || vec![one.clone()]);
+                }
+                n => {
+                    let out = (0..n).map(|i| p.head_value(row, i).cloned());
+                    seen.insert(out.collect::<Result<Vec<_>, _>>()?);
                 }
             }
-            let out = p.head.iter().zip(&p.head_names).map(|(v, name)| {
-                get(row, *v).cloned().ok_or_else(|| {
-                    let msg = format!("head variable {name} is not bound by the body");
-                    CalcError::RangeRestriction(msg)
-                })
-            });
-            let out = out.collect::<Result<Vec<_>, _>>()?;
-            let next = seen.len();
-            seen.entry(out).or_insert(next);
             Ok(())
         })?;
-        let mut rows: Vec<_> = seen.into_iter().collect();
-        rows.sort_unstable_by_key(|(_, at)| *at);
-        Ok(rows.into_iter().map(|(row, _)| row).collect())
+        Ok(seen.into_vec())
     }
 
     /// Every solution of `seq` extending the one binding in `row`, each
@@ -400,32 +430,32 @@ impl<'a> Evaluator<'a> {
         let Some((Conj::Batch(boundary), rest)) = rest.split_first() else {
             return Ok(());
         };
-        let mut out = Vec::new();
-        match boundary {
+        let out = match boundary {
             Boundary::Or(branches) => {
                 // After a trip no later branch runs (it would add rows past
                 // the gap); the first over a prefix batch answers a prefix.
+                let mut out = Vec::new();
                 for (i, b) in branches.iter().enumerate() {
                     if i > 0 && self.tripped() {
                         break;
                     }
                     self.batch(b, reached.clone(), row, &mut |r| collect(&mut out, r))?;
                 }
+                out
             }
             Boundary::Exists(xs, inner) => {
-                let mut seen = BTreeSet::new();
+                let mut seen = RowSet::new();
                 self.batch(inner, reached, row, &mut |r| {
                     let mut r = r.clone();
                     for x in xs {
                         put(&mut r, *x, None);
                     }
-                    if seen.insert(r.clone()) {
-                        out.push(r);
-                    }
+                    seen.insert(r);
                     Ok(())
                 })?;
+                seen.into_vec()
             }
-        }
+        };
         self.batch(rest, out, row, k)
     }
 
@@ -463,9 +493,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn atom(&self, a: &Atom, row: &mut Row, k: &mut Emit<'_>) -> Result<(), CalcError> {
+    fn atom(&self, a: &PreparedAtom, row: &mut Row, k: &mut Emit<'_>) -> Result<(), CalcError> {
         self.charge(|g| g.row())?;
-        match a {
+        match &a.atom {
             Atom::PathPred(t, p) => match self.term(t, row)? {
                 Some(CalcValue::Data(base)) => self.walk(&base, &p.0, row, k),
                 _ => Ok(()), // undefined base ⇒ atom false
@@ -511,16 +541,28 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Atom::Pred(name, args) => match self.terms(args, row)? {
-                Some(vals) if self.interp.pred(&self.ctx(), *name, &vals)? => k(row),
+                Some(vals)
+                    if self
+                        .interp
+                        .pred(&self.ctx(a.contains.as_ref()), *name, &vals)? =>
+                {
+                    k(row)
+                }
                 _ => Ok(()),
             },
         }
     }
 
-    fn ctx(&self) -> InterpCtx<'a> {
+    /// The context an interpreted call runs in, with the constant pattern
+    /// of the `contains` atom making it.
+    fn ctx<'c>(&self, contains: Option<&'c ContainsPattern>) -> InterpCtx<'c>
+    where
+        'a: 'c,
+    {
         InterpCtx {
             instance: self.instance,
             guard: self.guard,
+            contains,
         }
     }
 
@@ -595,7 +637,7 @@ impl<'a> Evaluator<'a> {
                 data(Some(cur))
             }
             DataTerm::Apply(name, args) => match self.terms(args, row)? {
-                Some(vals) => Ok(Some(self.interp.func(&self.ctx(), *name, &vals)?)),
+                Some(vals) => Ok(Some(self.interp.func(&self.ctx(None), *name, &vals)?)),
                 None => Ok(None),
             },
             DataTerm::MakePath(p) => {

@@ -10,7 +10,7 @@
 use docql_model::sym;
 use docql_model::{Sym, Value};
 use docql_paths::ConcretePath;
-use docql_text::{ContainsExpr, NearUnit};
+use docql_text::{ContainsExpr, ContainsMatcher, NearUnit};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -73,6 +73,34 @@ pub struct InterpCtx<'a> {
     /// Execution governance, when the query runs under limits: `contains`/
     /// `near` charge scan fuel against it before scanning.
     pub guard: Option<&'a docql_guard::Guard>,
+    /// The constant pattern of the `contains` atom being evaluated,
+    /// compiled with its program; `contains` parses any other pattern.
+    pub contains: Option<&'a ContainsPattern>,
+}
+
+/// A `contains` atom's constant pattern, compiled once: its matcher, or
+/// the error the pattern raises when a binding reaches the atom.
+#[derive(Debug, Clone)]
+pub struct ContainsPattern {
+    source: String,
+    matcher: Result<ContainsMatcher, InterpError>,
+}
+
+impl ContainsPattern {
+    /// Parse and compile `source`, keeping a parse error for later.
+    pub fn compile(source: &str) -> ContainsPattern {
+        ContainsPattern {
+            source: source.to_string(),
+            matcher: compile_pattern(source),
+        }
+    }
+}
+
+/// Parse and compile a `contains` pattern.
+fn compile_pattern(source: &str) -> Result<ContainsMatcher, InterpError> {
+    ContainsExpr::pattern(source)
+        .map(|e| e.compile())
+        .map_err(|e| InterpError(format!("contains: bad pattern: {e}")))
 }
 
 /// Marker carried by [`InterpError`] when a guard interrupts an interpreted
@@ -86,6 +114,7 @@ impl<'a> InterpCtx<'a> {
         InterpCtx {
             instance,
             guard: None,
+            contains: None,
         }
     }
 
@@ -280,9 +309,9 @@ impl Interp {
     }
 }
 
-fn str_arg(args: &[CalcValue], i: usize, what: &str) -> Result<String, InterpError> {
+fn str_arg<'v>(args: &'v [CalcValue], i: usize, what: &str) -> Result<&'v str, InterpError> {
     match args.get(i) {
-        Some(CalcValue::Data(Value::Str(s))) => Ok(s.clone()),
+        Some(CalcValue::Data(Value::Str(s))) => Ok(s),
         other => Err(InterpError(format!(
             "{what}: expected a string argument, got {other:?}"
         ))),
@@ -316,7 +345,8 @@ fn int_arg(args: &[CalcValue], i: usize, what: &str) -> Result<i64, InterpError>
 /// `contains(text, pattern)`: the pattern string supports the §4.1 pattern
 /// operators (concatenation, `|`, closures). Boolean combinations are
 /// expressed as conjunctions/disjunctions of `contains` atoms by the
-/// O₂SQL translation.
+/// O₂SQL translation. The pattern compiled with the atom
+/// ([`InterpCtx::contains`]) is used when it is the one passed.
 fn p_contains(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
     // Objects (e.g. a Title) contain their §3 text — the system-supplied
     // inverse mapping of Q2.
@@ -324,9 +354,15 @@ fn p_contains(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpErr
         return Ok(false);
     };
     let pattern = str_arg(args, 1, "contains")?;
-    let expr = ContainsExpr::pattern(&pattern)
-        .map_err(|e| InterpError(format!("contains: bad pattern: {e}")))?;
-    match expr.compile().eval_guarded(&text, ctx.guard) {
+    let compiled;
+    let matcher = match ctx.contains {
+        Some(p) if p.source == pattern => p.matcher.as_ref().map_err(Clone::clone)?,
+        _ => {
+            compiled = compile_pattern(pattern)?;
+            &compiled
+        }
+    };
+    match matcher.eval_guarded(&text, ctx.guard) {
         Some(b) => Ok(b),
         None => interrupted(ctx),
     }
@@ -367,8 +403,8 @@ fn near_in(
     let k = int_arg(args, 3, what)?;
     match docql_text::near_guarded(
         &text,
-        &w1,
-        &w2,
+        w1,
+        w2,
         usize::try_from(k).unwrap_or(0),
         unit,
         ctx.guard,
@@ -508,7 +544,7 @@ fn f_sort_by(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
             return Err(InterpError(format!("sort_by: bad collection {other:?}")));
         }
     };
-    let attr = docql_model::sym(&str_arg(args, 1, "sort_by")?);
+    let attr = docql_model::sym(str_arg(args, 1, "sort_by")?);
     let mut keyed: Vec<(Option<Value>, Value)> = items
         .into_iter()
         .map(|v| {
@@ -535,8 +571,7 @@ fn f_sort_by(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
 /// a tuple viewed as a heterogeneous list (§4.4 / Q6). A marked-union value
 /// looks through its marker.
 fn f_positions(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
-    let name = str_arg(args, 1, "positions")?;
-    let name = docql_model::sym(&name);
+    let name = docql_model::sym(str_arg(args, 1, "positions")?);
     fn hetero(v: &Value) -> Option<Vec<(Sym, Value)>> {
         match v {
             Value::Tuple(fs) => Some(fs.clone()),
@@ -565,7 +600,7 @@ fn f_concat(_ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
     let mut out = String::new();
     for (i, a) in args.iter().enumerate() {
         out.push_str(
-            &str_arg(std::slice::from_ref(a), 0, "concat")
+            str_arg(std::slice::from_ref(a), 0, "concat")
                 .map_err(|_| InterpError(format!("concat: argument {i} is not a string")))?,
         );
     }

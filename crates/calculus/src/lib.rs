@@ -10,11 +10,15 @@
 
 pub mod eval;
 pub mod interp;
+pub mod rows;
 pub mod term;
 pub mod typing;
 
-pub use eval::{calc_to_value, check_range_restricted, CalcError, Evaluator, Program};
-pub use interp::{CalcValue, Interp, InterpCtx, InterpError};
+pub use eval::{
+    calc_to_value, check_range_restricted, CalcError, Evaluator, PreparedAtom, Program,
+};
+pub use interp::{CalcValue, ContainsPattern, Interp, InterpCtx, InterpError};
+pub use rows::RowSet;
 pub use term::{
     Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, PathTerm, Query, QueryBuilder, Sort, Var,
 };

@@ -6,9 +6,8 @@ use crate::parser::parse;
 use crate::translate::{translate, Translated};
 use crate::O2sqlError;
 use docql_algebra::{AlgebraError, Algebraized, PlanProfile};
-use docql_calculus::{infer_types, CalcValue, Evaluator, Interp, TypeInfo};
+use docql_calculus::{infer_types, CalcValue, Evaluator, Interp, RowSet, TypeInfo};
 use docql_model::Instance;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -464,10 +463,7 @@ impl<'a> Engine<'a> {
         match &t.set_op {
             None => Ok(left),
             Some((op, right)) => {
-                let right_rows: BTreeSet<Vec<CalcValue>> = self
-                    .eval_rows(right, plans, pos, profiles)?
-                    .into_iter()
-                    .collect();
+                let right_rows = self.eval_rows(right, plans, pos, profiles)?;
                 // After a degrade-mode trip either side may be cut short.
                 // The left side alone is a prefix of a union; subtracting or
                 // intersecting with a cut side can keep rows the full answer
@@ -531,32 +527,29 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Combine a set-op chain node: `left` from the current query, `right_rows`
+/// Combine a set-op chain node: `left` from the current query, `right`
 /// from the rest of the chain. Order of `left` is preserved; union appends
-/// unseen right rows.
+/// the right rows it lacks in value order.
 fn combine_set_op(
     op: SetOpKind,
     left: Vec<Vec<CalcValue>>,
-    right_rows: BTreeSet<Vec<CalcValue>>,
+    mut right: Vec<Vec<CalcValue>>,
 ) -> Vec<Vec<CalcValue>> {
     match op {
-        SetOpKind::Difference => left
-            .into_iter()
-            .filter(|r| !right_rows.contains(r))
-            .collect(),
-        SetOpKind::Intersect => left
-            .into_iter()
-            .filter(|r| right_rows.contains(r))
-            .collect(),
+        SetOpKind::Difference | SetOpKind::Intersect => {
+            let keep = op == SetOpKind::Intersect;
+            let right: RowSet<_> = right.into_iter().collect();
+            left.into_iter()
+                .filter(|r| right.contains(r) == keep)
+                .collect()
+        }
         SetOpKind::Union => {
-            let mut seen: BTreeSet<Vec<CalcValue>> = left.iter().cloned().collect();
-            let mut out = left;
-            for r in right_rows {
-                if seen.insert(r.clone()) {
-                    out.push(r);
-                }
+            right.sort_unstable();
+            let mut out: RowSet<_> = left.into_iter().collect();
+            for r in right {
+                out.insert(r);
             }
-            out
+            out.into_vec()
         }
     }
 }

@@ -171,7 +171,7 @@ fn full_queue_answers_503_with_retry_after() {
 
 #[test]
 fn disconnect_mid_query_cancels_it() {
-    // A corpus big enough that SLOW_QUERY (|Articles|^3) runs for a long
+    // A corpus big enough that SLOW_QUERY (|Articles|^4) runs for a long
     // time, and a client that hangs up shortly after asking.
     let handle = start(ServerConfig::default(), 60);
     let store = handle.store().read();

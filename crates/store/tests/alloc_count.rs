@@ -42,6 +42,8 @@ const Q1: &str = "select tuple (t: a.title, f_author: first(a.authors)) \
                   from a in Articles, s in a.sections \
                   where s.title contains (\"SGML\" and \"OODBMS\")";
 const Q3: &str = "select t from my_article PATH_p.title(t)";
+const Q5: &str = "select name(ATT_a) from my_article PATH_p.ATT_a(val) \
+                  where val contains (\"draft\")";
 
 /// `articles` generated five-section articles, plus one with
 /// `my_sections` sections bound to `my_article`.
@@ -112,4 +114,35 @@ fn q1_allocations_per_section_stay_small() {
         q1 <= 30 * sections,
         "Q1 made {q1} allocations for {sections} sections (at most 30 each)"
     );
+}
+
+/// Allocations made by one cached run of `q` and the `contains`
+/// evaluations it makes, counted by the store's metrics in a separate run
+/// so that recording them costs the counted run nothing.
+fn contains_allocations(store: &DocStore, q: &str) -> (usize, u64) {
+    let (allocs, _) = query_allocations(store, q);
+    store.set_metrics_enabled(true);
+    let before = store.metrics().contains_evals.get();
+    store.query(q).expect("query");
+    let evals = store.metrics().contains_evals.get() - before;
+    store.set_metrics_enabled(false);
+    (allocs, evals)
+}
+
+#[test]
+fn constant_contains_patterns_compile_once_per_plan() {
+    // A `contains` atom's constant pattern is compiled with the cached
+    // plan; parsing and compiling it on every evaluation costs at least 9
+    // allocations each. Q5 evaluates `contains` on every attribute value
+    // its walk reaches, Q1 on every section title.
+    let corpus = store(40, 5);
+    for (name, q) in [("Q1", Q1), ("Q5", Q5)] {
+        let (allocs, evals) = contains_allocations(&corpus, q);
+        eprintln!("{name}: {allocs} allocations, {evals} contains evaluations");
+        assert!(evals > 0, "{name} evaluates contains");
+        assert!(
+            allocs as u64 <= 4 * evals,
+            "{name} made {allocs} allocations for {evals} contains evaluations (at most 4 each)"
+        );
+    }
 }

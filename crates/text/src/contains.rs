@@ -50,15 +50,8 @@ impl ContainsExpr {
     /// operators)? For such expressions the positional inverted index
     /// answers *exactly* — no re-check against stored text is needed.
     pub fn is_word_exact(&self) -> bool {
-        fn literal(p: &Pattern) -> bool {
-            match p {
-                Pattern::Empty | Pattern::Char(_) => true,
-                Pattern::Concat(items) => items.iter().all(literal),
-                _ => false,
-            }
-        }
         match self {
-            ContainsExpr::Pattern(p) => literal(p),
+            ContainsExpr::Pattern(p) => is_literal(p),
             ContainsExpr::And(items) | ContainsExpr::Or(items) => {
                 items.iter().all(ContainsExpr::is_word_exact)
             }
@@ -81,7 +74,28 @@ impl ContainsExpr {
     }
 }
 
+/// Is `p` a plain literal: characters in sequence, no regex operator?
+fn is_literal(p: &Pattern) -> bool {
+    match p {
+        Pattern::Empty | Pattern::Char(_) => true,
+        Pattern::Concat(items) => items.iter().all(is_literal),
+        _ => false,
+    }
+}
+
+/// Append the text of the literal `p` to `out`.
+fn push_literal(p: &Pattern, out: &mut String) {
+    match p {
+        Pattern::Char(c) => out.push(*c),
+        Pattern::Concat(items) => items.iter().for_each(|i| push_literal(i, out)),
+        _ => {}
+    }
+}
+
+#[derive(Debug, Clone)]
 enum Node {
+    /// A plain literal, found by substring search.
+    Literal(String),
     Matcher(Nfa),
     And(Vec<Node>),
     Or(Vec<Node>),
@@ -90,6 +104,11 @@ enum Node {
 
 fn compile_node(e: &ContainsExpr) -> Node {
     match e {
+        ContainsExpr::Pattern(p) if is_literal(p) => {
+            let mut text = String::new();
+            push_literal(p, &mut text);
+            Node::Literal(text)
+        }
         ContainsExpr::Pattern(p) => Node::Matcher(Nfa::compile(p)),
         ContainsExpr::And(items) => Node::And(items.iter().map(compile_node).collect()),
         ContainsExpr::Or(items) => Node::Or(items.iter().map(compile_node).collect()),
@@ -97,7 +116,9 @@ fn compile_node(e: &ContainsExpr) -> Node {
     }
 }
 
-/// A compiled `contains` expression.
+/// A compiled `contains` expression: a plain-literal pattern is a
+/// substring search, any other pattern a Thompson NFA.
+#[derive(Debug, Clone)]
 pub struct ContainsMatcher {
     node: Node,
 }
@@ -129,6 +150,7 @@ pub fn scan_fuel(text: &str) -> u64 {
 
 fn eval_node(n: &Node, text: &str) -> bool {
     match n {
+        Node::Literal(lit) => text.contains(lit.as_str()),
         Node::Matcher(nfa) => nfa.is_match(text),
         Node::And(items) => items.iter().all(|i| eval_node(i, text)),
         Node::Or(items) => items.iter().any(|i| eval_node(i, text)),
@@ -179,6 +201,26 @@ mod tests {
         let mut pats = Vec::new();
         e.positive_patterns(&mut pats);
         assert_eq!(pats.len(), 1);
+    }
+
+    #[test]
+    fn literal_patterns_compile_to_a_substring_search() {
+        let literal = |src: &str| {
+            let node = ContainsExpr::pattern(src).unwrap().compile().node;
+            match node {
+                Node::Literal(text) => Some(text),
+                _ => None,
+            }
+        };
+        assert_eq!(literal("draft").as_deref(), Some("draft"));
+        assert_eq!(literal("").as_deref(), Some(""));
+        assert_eq!(literal(r"a\.b\(").as_deref(), Some("a.b("));
+        assert_eq!(literal("(t|T)itle"), None);
+        assert_eq!(literal("a.b"), None);
+        let m = ContainsExpr::pattern("é€").unwrap().compile();
+        assert!(m.eval("café€s"));
+        assert!(!m.eval("cafe€"));
+        assert!(ContainsExpr::pattern("").unwrap().eval(""));
     }
 
     #[test]

@@ -277,3 +277,33 @@ fn candidates_is_a_superset_of_substring_matches() {
         },
     );
 }
+
+#[test]
+fn literal_matcher_agrees_with_nfa_and_reference() {
+    // Literals over multibyte characters and pattern metacharacters, the
+    // empty literal included; the text draws on the same characters so that
+    // matches are common.
+    const CHARS: &str = "ab.(é€";
+    check(
+        "literal_matcher_agrees_with_nfa_and_reference",
+        CASES,
+        &zip(string_of(CHARS, 0, 3), string_of(CHARS, 0, 8)),
+        |(literal, text)| {
+            let mut src = String::new();
+            for c in literal.chars() {
+                if "\\.()|*+?[]".contains(c) {
+                    src.push('\\');
+                }
+                src.push(c);
+            }
+            let p = Pattern::parse(&src).unwrap();
+            let expr = ContainsExpr::Pattern(p.clone());
+            prop_assert!(expr.is_word_exact(), "{src:?} is a plain literal");
+            let fast = expr.compile().eval(text);
+            prop_assert_eq!(fast, text.contains(literal.as_str()));
+            prop_assert_eq!(fast, Nfa::compile(&p).is_match(text), "{src:?} on {text:?}");
+            prop_assert_eq!(fast, reference_contains(&p, text), "{src:?} on {text:?}");
+            Ok(())
+        },
+    );
+}

@@ -289,6 +289,35 @@ fn fuel_sweep_keeps_disjunction_and_union_prefixes() {
 }
 
 #[test]
+fn malformed_constant_pattern_errors_only_when_a_row_reaches_it() {
+    // A constant `contains` pattern is compiled with the plan, yet a bad
+    // one still raises its error only when a binding reaches the atom:
+    // over an empty range the query answers no rows, and once a row
+    // arrives both engines raise the parse error.
+    let q = "select ss from a in Articles, s in a.sections, ss in s.subsectns \
+             where ss.title contains (\"(\")";
+    let run = |subsections: usize, mode: Mode| {
+        let mut db = DocStore::new(docql::fixtures::ARTICLE_DTD, &[]).unwrap();
+        let doc = generate_article(&ArticleParams {
+            subsections,
+            ..ArticleParams::default()
+        });
+        db.ingest_document(&doc).unwrap();
+        let mut engine = db.engine();
+        engine.mode = mode;
+        engine.run(q).map(|r| r.len()).map_err(|e| e.to_string())
+    };
+    for mode in [Mode::Interpret, Mode::Algebraic] {
+        assert_eq!(run(0, mode), Ok(0), "{mode:?}: no subsection, no error");
+        let err = run(2, mode).unwrap_err();
+        assert!(
+            err.contains("contains: bad pattern: pattern error at byte 1: unclosed `(`"),
+            "{mode:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn both_modes_agree_under_restricted_semantics() {
     let db = db();
     for q in [
